@@ -16,7 +16,7 @@ from .core import (
     involved_shards,
     update_alignments,
 )
-from .engine import FinalSummary, RoundReport, SimConfig, Simulation, finalize, run
+from .engine import FinalSummary, Livelock, RoundReport, SimConfig, Simulation, finalize, run
 from .policies import TxPlan, hash_place, make_policy, select_main_shard, should_migrate
 from .workload import SyntheticSpec, generate, load_trace
 
@@ -27,6 +27,7 @@ __all__ = [
     "CostModel",
     "FinalSummary",
     "InsufficientCapacity",
+    "Livelock",
     "MappingService",
     "MigrationOp",
     "RoundReport",

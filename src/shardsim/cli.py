@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .engine import ConfigError, SimConfig, Simulation
+from .engine import ConfigError, Livelock, SimConfig, Simulation
 from .workload import GENERATORS, InvalidSpec, ParseError, SyntheticSpec, generate, load_trace
 
 SWEEP_AXES = {
@@ -332,7 +332,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_sweep(args)
-    except (ConfigError, InvalidSpec, ParseError, OSError) as exc:
+    except (ConfigError, InvalidSpec, Livelock, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,8 +5,16 @@ per-shard residual capacity, then walks the mempool in arrival order.  Every
 pending transaction is planned against snapshots of the mapping and the
 previous round's published loads, and admitted atomically: the transaction
 charge plus all enabling migration charges either land together or not at
-all.  Deferred transactions stay in the mempool and are re-planned in later
-rounds.
+all.  Deferred transactions stay in the mempool in arrival order.
+
+The walk skips work whose outcome is already decided.  A deferred
+transaction is re-planned only when it could fit: under the static hash and
+partition policies its per-shard charges are fixed by its first plan, so it
+waits while any of those shards lacks the residual; under the scheduler it
+waits while every shard of its placed accounts has less residual than the
+transaction's base cost, which the main shard is always charged.  Alignment
+vectors are maintained only under the scheduler, the one policy that reads
+them.  A run whose state stops changing raises Livelock instead of spinning.
 """
 
 from __future__ import annotations
@@ -35,6 +43,10 @@ class ConfigError(Exception):
 
 class EmptyRun(Exception):
     pass
+
+
+class Livelock(Exception):
+    """The run reached a fixed point with transactions still pending."""
 
 
 @dataclass(frozen=True)
@@ -131,6 +143,9 @@ class Mempool:
     def retain(self, tx: Transaction) -> None:
         self._queue.append(tx)
 
+    def head(self) -> Transaction:
+        return self._queue[0]
+
 
 @dataclass
 class RoundReport:
@@ -170,6 +185,11 @@ class Simulation:
         config.validate()
         if not workload:
             raise ConfigError("workload must be nonempty")
+        seen = set()
+        for tx in workload:
+            if tx.tx_id in seen:
+                raise ConfigError(f"duplicate tx_id {tx.tx_id!r} in workload")
+            seen.add(tx.tx_id)
         self.config = config
         self.workload = workload
         self.cost_model = CostModel(config.cross_shard_cost)
@@ -255,7 +275,8 @@ class Simulation:
             self.book.reset(m.account)  # alignment is dropped on migration
         for s, amount in required.items():
             self.shards[s].charge(amount)
-        update_alignments(tx, self.mapping, self.cost_model, self.book)
+        if not self.policy.static_placement:  # only the scheduler reads alignment
+            update_alignments(tx, self.mapping, self.cost_model, self.book)
         if self.ledger is not None:
             fee = tx.fee if tx.fee > 0 else self.config.default_fee
             for s, share in split_fee(fee, plan.final_shards).items():
@@ -264,9 +285,30 @@ class Simulation:
 
     # -- round loop --------------------------------------------------------
 
+    def _cannot_fit(self, tx: Transaction) -> bool:
+        """True if a scheduler plan of tx would surely be deferred.
+
+        The main shard is one of the placed accounts' shards and is charged
+        at least the base cost, so the plan cannot land while every such
+        shard has less residual than that.
+        """
+        assignment = self.mapping.assignment
+        placed = False
+        for acc in tx.write_set:
+            shard = assignment.get(acc)
+            if shard is not None:
+                if self.shards[shard].residual >= tx.base_cost:
+                    return False
+                placed = True
+        return placed
+
     def run(self):
         config = self.config
         source = iter(self.workload)
+        static = self.policy.static_placement
+        # static policies: tx_id -> (ShardState, charge) pairs of a deferred tx
+        pending_charges: dict = {}
+        idle_rounds = 0
         round_index = 0
         while True:
             mempool_start = len(self.mempool)
@@ -282,6 +324,14 @@ class Simulation:
             latencies = []
             cost_before = {s.id: s.window_sum for s in self.shards}
             for tx in self.mempool.drain():
+                if static:
+                    charges = pending_charges.get(tx.tx_id)
+                    if charges is not None and _lacks_residual(charges):
+                        self.mempool.retain(tx)
+                        continue
+                elif self._cannot_fit(tx):
+                    self.mempool.retain(tx)
+                    continue
                 plan = self._veto(tx, self.plan(tx, loads))
                 outcome = self.try_execute(tx, plan, round_index)
                 if outcome == EXECUTED:
@@ -289,8 +339,13 @@ class Simulation:
                     migrations += len(plan.migrations)
                     if len(plan.final_shards) > 1:
                         cross += 1
-                    latencies.append(round_index - self.mempool.first_seen[tx.tx_id])
+                    latencies.append(round_index - self.mempool.first_seen.pop(tx.tx_id))
+                    pending_charges.pop(tx.tx_id, None)
                 else:
+                    if static:
+                        pending_charges[tx.tx_id] = [
+                            (self.shards[s], c) for s, c in plan.per_shard_charges.items()
+                        ]
                     self.mempool.retain(tx)
             self.reports.append(
                 RoundReport(
@@ -313,6 +368,17 @@ class Simulation:
             self.book.advance_block()
             if self.ledger is not None and (round_index + 1) % config.epoch_length == 0:
                 self.ledger.close_epoch()
+            # After window + 1 rounds with no execution and no arrival every
+            # load and alignment window is empty, so each later round would
+            # repeat this one exactly.
+            idle_rounds = 0 if processed or added else idle_rounds + 1
+            if idle_rounds > config.window:
+                head = self.mempool.head()
+                raise Livelock(
+                    f"round {round_index}: no transaction executed for {idle_rounds} rounds; "
+                    f"head transaction {head.tx_id!r} (pending since round "
+                    f"{self.mempool.first_seen[head.tx_id]}) can never be admitted"
+                )
             round_index += 1
             if config.max_rounds is not None and round_index >= config.max_rounds:
                 break
@@ -321,6 +387,14 @@ class Simulation:
         return self.reports, finalize(
             self.reports, total_fees=self.ledger.total_fees() if self.ledger else 0
         )
+
+
+def _lacks_residual(charges) -> bool:
+    """True if some (ShardState, charge) pair's shard cannot take its charge."""
+    for shard, charge in charges:
+        if shard.residual < charge:
+            return True
+    return False
 
 
 def finalize(reports, total_fees: int = 0) -> FinalSummary:

@@ -86,6 +86,9 @@ def _charges(final_shards, base_cost: int, cost_model: CostModel) -> dict:
 
 class HashPolicy:
     kind = HASH
+    # An account's shard never changes once placed, so a plan's shards and
+    # charges are fixed by its first computation, and alignment is never read.
+    static_placement = True
 
     def __init__(self, k: int):
         self.k = k
@@ -131,6 +134,7 @@ class SchedulerPolicy:
     """Load-based main-shard selection plus alignment-gated migrations."""
 
     kind = SCHEDULER
+    static_placement = False
 
     def __init__(self, k: int, mode: str = MODE_2PC, ca_migration: bool = False):
         if mode not in MODES:

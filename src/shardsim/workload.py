@@ -140,12 +140,17 @@ def load_trace(path) -> tuple[list[Transaction], dict]:
     as contract accounts ({account: kind}).
     """
     records = []
+    first_line = {}  # tx_id -> line of its first occurrence
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            records.append(parse_trace_line(line, line_no))
+            rec = parse_trace_line(line, line_no)
+            first = first_line.setdefault(rec.tx_id, line_no)
+            if first != line_no:
+                raise ParseError(line_no, f"duplicate tx_id {rec.tx_id!r} (first on line {first})")
+            records.append(rec)
     records.sort(key=lambda r: r.block)  # stable: file order within a block
     kinds = {}
     txs = []

@@ -198,3 +198,13 @@ def test_bad_flag_exits_one(tmp_path):
 def test_empty_sweep_values_error(tmp_path):
     assert main(["sweep", "--synthetic", "zipf_hotspot", "--axis", "shards",
                  "--values", ",", "--out", str(tmp_path)]) == 1
+
+
+def test_livelocked_run_errors(tmp_path, capsys):
+    # aa and bb hash to different shards; the pair's charge of 2 per shard
+    # exceeds capacity 1 forever
+    trace = tmp_path / "t.txt"
+    trace.write_text("0 t0 1 aa,bb\n")
+    assert main(["run", "--trace", str(trace), "--shards", "2", "--capacity", "1",
+                 "--cross-cost", "2", "--window", "3", "--out", str(tmp_path)]) == 1
+    assert "'t0'" in capsys.readouterr().err

@@ -1,22 +1,28 @@
 """Round loop: admission control, deferral, metrics, epoch wiring."""
 
+import hashlib
+import json
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardsim.core import Transaction
+from shardsim.core import CA, Account, Transaction
 from shardsim.engine import (
     ConfigError,
     EmptyRun,
     LiveLoads,
+    Livelock,
     Mempool,
     SimConfig,
     Simulation,
     finalize,
     run,
 )
+from shardsim.policies import hash_place
+from shardsim.workload import SyntheticSpec, generate
 
 
 def _unit_txs(n, accounts_per_tx=1, prefix="a"):
@@ -57,6 +63,12 @@ def test_mempool_size_formula():
 def test_empty_workload_rejected():
     with pytest.raises(ConfigError):
         Simulation(SimConfig(), [])
+
+
+def test_duplicate_tx_ids_rejected():
+    txs = _unit_txs(3) + [Transaction("t1", 3, ("ab",))]
+    with pytest.raises(ConfigError, match="'t1'"):
+        Simulation(SimConfig(), txs)
 
 
 def test_finalize_requires_rounds():
@@ -283,6 +295,56 @@ def test_run_invariants_random_workloads(seed, policy, k, capacity):
             assert r.processed_cost[s] + residual == capacity
 
 
+def test_first_seen_pruned_on_execution():
+    cfg = SimConfig(k_shards=2, shard_capacity=3, policy="hash")
+    sim = Simulation(cfg, _unit_txs(20, accounts_per_tx=2))
+    sim.run()
+    assert sim.mempool.first_seen == {}
+
+
+@pytest.mark.parametrize("max_rounds", [None, 1000])
+def test_unadmittable_transaction_raises_livelock(max_rounds):
+    # a cross-shard pair charges 2 per shard against capacity 1: no round can
+    # ever admit it
+    cfg = SimConfig(k_shards=2, shard_capacity=1, cross_shard_cost=2,
+                    policy="hash", max_rounds=max_rounds)
+    sim = Simulation(cfg, [Transaction("t0", 0, ("aa", "bb"))],
+                     initial_assignment={"aa": 0, "bb": 1})
+    with pytest.raises(Livelock, match="'t0'"):
+        sim.run()
+    # round 0 tops up t0; the window + 1 idle rounds after it prove the fixed point
+    assert len(sim.reports) == 1 + cfg.window + 1
+    assert all(r.processed_count == 0 for r in sim.reports)
+
+
+@pytest.mark.parametrize("policy,plans", [("hash", 5), ("scheduler", 3)])
+def test_deferred_tx_not_replanned_while_its_shard_is_full(policy, plans):
+    # k=1, capacity 1, three txs on one account: one executes per round.
+    # Planning every pending tx every round would cost 3 + 2 + 1 = 6 plans.
+    # hash plans a deferred tx once, then waits for residual: 3 + 1 + 1.
+    # The scheduler never plans a tx whose placed shard is full: 1 + 1 + 1.
+    cfg = SimConfig(k_shards=1, shard_capacity=1, mempool_ratio=3.0, policy=policy)
+    sim = Simulation(cfg, [Transaction(f"t{i}", i, ("aa",)) for i in range(3)])
+    calls = []
+    plan = sim.plan
+
+    def counted(tx, loads):
+        calls.append(tx.tx_id)
+        return plan(tx, loads)
+
+    sim.plan = counted
+    _, summary = sim.run()
+    assert summary.executed == 3 and summary.rounds == 3
+    assert len(calls) == plans
+
+
+def test_static_policies_leave_alignment_book_empty():
+    cfg = SimConfig(k_shards=2, shard_capacity=5, policy="hash")
+    sim = Simulation(cfg, _unit_txs(30, accounts_per_tx=2))
+    sim.run()
+    assert all(sim.book.totals(a) == {} for tx in sim.workload for a in tx.write_set)
+
+
 # ---------------------------------------------------------------------------
 # economics wiring
 
@@ -323,3 +385,67 @@ def test_partition_policy_end_to_end():
     cfg = SimConfig(k_shards=4, shard_capacity=5, policy="partition", seed=0)
     _, summary = run(cfg, txs)
     assert summary.executed == 30
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: the round loop's shortcuts must not change any result
+
+
+def _golden_workload():
+    return generate(SyntheticSpec(generator="communities", n_accounts=80, n_txs=400,
+                                  seed=7, accounts_per_tx=3, n_communities=8,
+                                  p_inter=0.2, p_hotspot=0.05))
+
+
+# Grid cells: SimConfig overrides on top of capacity 10, window 5, seed 3.
+# Capacity 10 defers heavily yet always admits the largest single plan (two
+# size-2 contract migrations plus the transaction charge).
+_GOLDEN_GRID = {
+    **{f"{policy}-k{k}": dict(policy=policy, k_shards=k)
+       for policy in ("hash", "partition", "scheduler") for k in (2, 4)},
+    "scheduler-mutex": dict(policy="scheduler", k_shards=4, mode="mutex"),
+    "scheduler-ca-on": dict(policy="scheduler", k_shards=4, ca_migration=True),
+    "scheduler-ca-off": dict(policy="scheduler", k_shards=4),
+    "scheduler-refuse": dict(policy="scheduler", k_shards=4,
+                             refuse_migrations_from=frozenset({0})),
+    "hash-initial": dict(policy="hash", k_shards=4),
+    "scheduler-econ": dict(policy="scheduler", k_shards=4, economics=True, epoch_length=3),
+}
+
+
+# SHA-256 over asdict(FinalSummary) and every asdict(RoundReport). They were
+# recorded with every pending transaction planned every round, so any skip
+# that changes an admission decision changes a digest.
+GOLDEN_DIGESTS = {
+    "hash-k2": "ae71242d170dbcbb1be7a33d3e6fdb688e2ab98ec2f3e527e70773de8b8f84f0",
+    "hash-k4": "c53ccad335db8b04469dac897ea4298741fa068fe4db81b0dddfccb06ec8a842",
+    "partition-k2": "c3d61abd5a805c6a0c4be491afeea614a33e1f8cc3052335b8c7f0d74c655c29",
+    "partition-k4": "1e2194da6469e4f07d0034aeb6e8951b39d64f19c37b51bdf9862deaa0dc92ff",
+    "scheduler-k2": "8c8f5e4b7d57c763ecc3cc033c53a8cbc4beff8e6dfd1fe39e8a79fa8abf821f",
+    "scheduler-k4": "ec67afb1feca069f348a079c74514a34cae3bec8f752dcc78e996704c05ebd75",
+    "scheduler-mutex": "3ad4a06847df7e79ae9401ee340a8aee190be6db01f2efd0f2d3ffa9435b2ae8",
+    "scheduler-ca-on": "528fa361e0a46642743c85985e11e7ba6a0c5d789a0934bba15f36b8ca14f0de",
+    "scheduler-ca-off": "c8a851aad4959e9e9c1ee85a4c66457d4c2dd81d768dd476808dc911b9c09a1f",
+    "scheduler-refuse": "54b2318a321dc8cd03b68568a43ffdf632126faba94e95131f0e9bc07dc7f678",
+    "hash-initial": "beb728a17b20caf47318f7a9675668deaa108ba51b405176cdc63d60ca20937f",
+    "scheduler-econ": "22080f2771f2f95659ab2ff700fd714287c7048d72a35cd7609aac8ad172cc34",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_golden_outputs_unchanged(name):
+    txs = _golden_workload()
+    cfg = SimConfig(shard_capacity=10, window=5, seed=3, **_GOLDEN_GRID[name])
+    accounts_in_order = list(dict.fromkeys(acc for tx in txs for acc in tx.write_set))
+    accounts = assignment = None
+    if name.startswith("scheduler-ca"):
+        accounts = {a: Account(a, kind=CA, size=2) for a in accounts_in_order[::7]}
+    if name == "hash-initial":  # disagrees with hash_place on 30 accounts
+        assignment = {a: (hash_place(a, 4) + 1) % 4 for a in accounts_in_order[:30]}
+    sim = Simulation(cfg, txs, initial_assignment=assignment, accounts=accounts)
+    reports, summary = sim.run()
+    digest = hashlib.sha256()
+    for record in (summary, *reports):
+        digest.update(json.dumps(asdict(record), sort_keys=True).encode())
+    assert summary.executed == len(txs)
+    assert digest.hexdigest() == GOLDEN_DIGESTS[name]

@@ -99,6 +99,15 @@ def test_load_trace_reports_line_number(tmp_path):
 # spec validation
 
 
+def test_load_trace_rejects_duplicate_tx_id(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_text("0 t0 1 aa\n# comment\n1 t1 1 bb\n2 t0 1 cc\n")
+    with pytest.raises(ParseError) as err:
+        load_trace(path)
+    assert err.value.line_no == 4
+    assert "'t0'" in str(err.value) and "line 1" in str(err.value)
+
+
 def test_unknown_generator_rejected():
     with pytest.raises(InvalidSpec):
         generate(SyntheticSpec(generator="nope"))
