@@ -6,7 +6,6 @@ partitioner."""
 from .core import (
     Account,
     AlignmentBook,
-    AlignmentVector,
     CostModel,
     InsufficientCapacity,
     MappingService,
@@ -23,7 +22,6 @@ from .workload import SyntheticSpec, generate, load_trace
 __all__ = [
     "Account",
     "AlignmentBook",
-    "AlignmentVector",
     "CostModel",
     "FinalSummary",
     "InsufficientCapacity",

@@ -183,11 +183,11 @@ def make_config(settings) -> SimConfig:
 
 
 def build_workload(settings):
+    """(transactions, contract accounts); only traces mark contract accounts."""
     if settings["trace"] and settings["synthetic"]:
         raise ConfigError("pass either a trace or a synthetic generator, not both")
     if settings["trace"]:
-        txs, kinds = load_trace(settings["trace"])
-        return txs
+        return load_trace(settings["trace"])
     if not settings["synthetic"]:
         raise ConfigError("no workload: pass --trace or --synthetic")
     kwargs = dict(
@@ -206,7 +206,7 @@ def build_workload(settings):
     )
     if settings["zipf_exponent"] is not None:
         kwargs["zipf_exponent"] = settings["zipf_exponent"]
-    return generate(SyntheticSpec(**kwargs))
+    return generate(SyntheticSpec(**kwargs)), {}
 
 
 SUMMARY_FIELDS = (
@@ -283,7 +283,8 @@ def write_epochs_csv(path, ledger) -> None:
 
 
 def _run_single(config: SimConfig, workload, out_dir) -> dict:
-    sim = Simulation(config, workload)
+    txs, accounts = workload
+    sim = Simulation(config, txs, accounts=accounts)
     reports, summary = sim.run()
     os.makedirs(out_dir, exist_ok=True)
     write_rounds_csv(os.path.join(out_dir, "rounds.csv"), reports, config.k_shards)

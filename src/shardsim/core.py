@@ -2,14 +2,15 @@
 
 Accounts are identified by opaque hex strings.  The mapping service holds the
 authoritative account-to-shard assignment; shard states track per-round
-residual capacity and a rolling per-block load window; alignment vectors
-accumulate per-shard transaction costs over the same window.
+residual capacity and a rolling per-block load window; the alignment book
+accumulates each account's per-shard transaction costs over the same window
+in one ring of per-block deltas.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 AccountId = str
 ShardId = int
@@ -92,11 +93,10 @@ class CostModel:
 
 
 class MappingService:
-    """Versioned, total account-to-shard assignment (phi)."""
+    """Total account-to-shard assignment (phi)."""
 
     def __init__(self):
         self.assignment: dict[AccountId, ShardId] = {}
-        self.version = 0
 
     def get(self, account: AccountId) -> ShardId | None:
         return self.assignment.get(account)
@@ -108,13 +108,11 @@ class MappingService:
         if account in self.assignment:
             raise ValueError(f"account {account} already placed")
         self.assignment[account] = shard
-        self.version += 1
 
     def migrate(self, account: AccountId, dest: ShardId) -> None:
         if account not in self.assignment:
             raise KeyError(account)
         self.assignment[account] = dest
-        self.version += 1
 
 
 class ShardState:
@@ -149,50 +147,13 @@ class ShardState:
         self.window_sum -= evicted
         self.residual = self.capacity_per_round
 
-    def load_window(self) -> list[int]:
-        return list(self._ring)
-
-
-class AlignmentVector:
-    """Sliding-window per-shard cost totals for one account.
-
-    Buckets are kept per block and evicted lazily once they fall out of the
-    W-block window.
-    """
-
-    __slots__ = ("owner", "buckets", "totals")
-
-    def __init__(self, owner: AccountId):
-        self.owner = owner
-        self.buckets: deque = deque()  # (block, {shard: amount})
-        self.totals: dict[ShardId, int] = {}
-
-    def evict_before(self, min_block: int) -> None:
-        while self.buckets and self.buckets[0][0] < min_block:
-            _, old = self.buckets.popleft()
-            for shard, amount in old.items():
-                remaining = self.totals[shard] - amount
-                if remaining:
-                    self.totals[shard] = remaining
-                else:
-                    del self.totals[shard]
-
-    def add(self, block: int, shard: ShardId, amount: int) -> None:
-        if not self.buckets or self.buckets[-1][0] != block:
-            self.buckets.append((block, {}))
-        bucket = self.buckets[-1][1]
-        bucket[shard] = bucket.get(shard, 0) + amount
-        self.totals[shard] = self.totals.get(shard, 0) + amount
-
-    def is_empty(self) -> bool:
-        return not self.totals
-
 
 class AlignmentBook:
-    """All live alignment vectors, advanced in lockstep with the block clock.
+    """Sliding-window per-shard cost totals of every account.
 
-    Vectors with all-zero totals are dropped and recreated on demand, so only
-    recently active accounts occupy memory.
+    One ring holds the last W blocks' deltas (account -> {shard: amount});
+    totals hold their sum.  advance_block subtracts the block that leaves the
+    window at once, so only accounts with in-window activity occupy memory.
     """
 
     def __init__(self, window: int):
@@ -200,54 +161,52 @@ class AlignmentBook:
             raise ValueError("window must be positive")
         self.window = window
         self.block = 0
-        self._vectors: dict[AccountId, AlignmentVector] = {}
-
-    @property
-    def _min_block(self) -> int:
-        return self.block - self.window + 1
+        self._ring: list[dict] = [{} for _ in range(window)]  # block % W -> deltas
+        self._deltas = self._ring[0]  # the current block's
+        self._totals: dict[AccountId, dict[ShardId, int]] = {}
 
     def add(self, account: AccountId, shard: ShardId, amount: int) -> None:
-        if amount < 0:
-            raise ValueError("negative alignment delta")
-        if amount == 0:
+        if amount <= 0:
+            if amount < 0:
+                raise ValueError("negative alignment delta")
             return
-        vec = self._vectors.get(account)
-        if vec is None:
-            vec = self._vectors[account] = AlignmentVector(account)
-        vec.add(self.block, shard, amount)
+        delta = self._deltas.get(account)
+        if delta is None:
+            self._deltas[account] = {shard: amount}
+        else:
+            delta[shard] = delta.get(shard, 0) + amount
+        totals = self._totals.get(account)
+        if totals is None:
+            self._totals[account] = {shard: amount}
+        else:
+            totals[shard] = totals.get(shard, 0) + amount
 
     def totals(self, account: AccountId) -> dict[ShardId, int]:
-        vec = self._vectors.get(account)
-        if vec is None:
-            return {}
-        vec.evict_before(self._min_block)
-        if vec.is_empty():
-            del self._vectors[account]
-            return {}
-        return vec.totals
+        """In-window totals of one account; callers must not mutate them."""
+        return self._totals.get(account, {})
 
     def reset(self, account: AccountId) -> None:
-        # Alignment is dropped entirely when the owner migrates.
-        self._vectors.pop(account, None)
+        # Alignment is dropped entirely when the owner migrates; its in-window
+        # deltas go too, so their later eviction cannot subtract them again.
+        if self._totals.pop(account, None) is not None:
+            for deltas in self._ring:
+                deltas.pop(account, None)
 
     def advance_block(self) -> None:
         self.block += 1
-        if self.block % self.window == 0:
-            self._sweep()
-
-    def _sweep(self) -> None:
-        min_block = self._min_block
-        dead = []
-        for account, vec in self._vectors.items():
-            vec.evict_before(min_block)
-            if vec.is_empty():
-                dead.append(account)
-        for account in dead:
-            del self._vectors[account]
-
-    def live_accounts(self) -> set[AccountId]:
-        self._sweep()
-        return set(self._vectors)
+        slot = self.block % self.window
+        all_totals = self._totals
+        for account, delta in self._ring[slot].items():
+            totals = all_totals[account]
+            for shard, amount in delta.items():
+                remaining = totals[shard] - amount
+                if remaining:
+                    totals[shard] = remaining
+                else:
+                    del totals[shard]
+            if not totals:
+                del all_totals[account]
+        self._ring[slot] = self._deltas = {}
 
 
 def involved_shards(write_set, mapping: MappingService) -> set[ShardId]:
@@ -267,16 +226,24 @@ def involved_shards(write_set, mapping: MappingService) -> set[ShardId]:
 def update_alignments(
     tx: Transaction, mapping: MappingService, cost_model: CostModel, book: AlignmentBook
 ) -> None:
-    """Apply the pairwise alignment rule over all ordered account pairs.
+    """Apply the pairwise alignment rule from per-shard account counts.
 
     Each account's alignment toward every counterparty's (post-migration)
-    shard grows by the per-shard charge of the transaction.
+    shard grows by the per-shard charge of the transaction, so account a
+    gains charge * |{b != a : shard(b) = s}| toward each shard s; no ordered
+    pair of accounts is enumerated.
     """
-    shards = {acc: mapping.get(acc) for acc in tx.write_set}
-    if any(s is None for s in shards.values()):
+    placed = mapping.assignment
+    shards = [placed.get(acc) for acc in tx.write_set]
+    if None in shards:
         raise ValueError("update_alignments requires a fully placed write set")
-    charge = cost_model.per_shard_charge(tx.base_cost, len(set(shards.values())))
-    for acc in tx.write_set:
-        for other in tx.write_set:
-            if other != acc:
-                book.add(acc, shards[other], charge)
+    count: dict[ShardId, int] = {}
+    for shard in shards:
+        count[shard] = count.get(shard, 0) + 1
+    charge = cost_model.per_shard_charge(tx.base_cost, len(count))
+    for acc, own in zip(tx.write_set, shards):
+        for shard, n in count.items():
+            if shard == own:
+                n -= 1
+            if n:
+                book.add(acc, shard, charge * n)

@@ -43,9 +43,18 @@ class ShardDeposit:
 class EpochAssignment:
     epoch: int
     shard_of: dict  # miner -> shard
+    # shard -> its miners in sorted order, built once so that leader rotation
+    # on every credit is a lookup
+    _members: dict = field(init=False, repr=False, compare=False)
 
-    def miners_of(self, shard: ShardId) -> list:
-        return sorted(m for m, s in self.shard_of.items() if s == shard)
+    def __post_init__(self):
+        members = {}
+        for miner in sorted(self.shard_of):
+            members.setdefault(self.shard_of[miner], []).append(miner)
+        object.__setattr__(self, "_members", {s: tuple(m) for s, m in members.items()})
+
+    def miners_of(self, shard: ShardId) -> tuple:
+        return self._members.get(shard, ())
 
 
 def miner_ids(k: int, miners_per_shard: int) -> list:

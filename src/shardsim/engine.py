@@ -12,9 +12,9 @@ transaction is re-planned only when it could fit: under the static hash and
 partition policies its per-shard charges are fixed by its first plan, so it
 waits while any of those shards lacks the residual; under the scheduler it
 waits while every shard of its placed accounts has less residual than the
-transaction's base cost, which the main shard is always charged.  Alignment
-vectors are maintained only under the scheduler, the one policy that reads
-them.  A run whose state stops changing raises Livelock instead of spinning.
+transaction's base cost, which the main shard is always charged.  The
+alignment book is maintained only under the scheduler, the one policy that
+reads it.  A run whose state stops changing raises Livelock instead of spinning.
 """
 
 from __future__ import annotations
@@ -108,9 +108,6 @@ class LiveLoads:
 
     def keys(self):
         return range(len(self._shards))
-
-    def snapshot(self) -> dict:
-        return {s.id: s.window_sum for s in self._shards}
 
 
 class Mempool:

@@ -16,11 +16,12 @@ and purely intra-/cross-shard reference workloads.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CA, EOA, Transaction
+from .core import CA, EOA, Account, Transaction
 
 GENERATORS = ("all_intra", "all_cross", "zipf_hotspot", "communities", "bursty")
 
@@ -28,6 +29,8 @@ GENERATORS = ("all_intra", "all_cross", "zipf_hotspot", "communities", "bursty")
 # exponent is ~1.28 (see scripts/tune_zipf.py); 1.6 keeps that margin
 # across account counts.
 DEFAULT_ZIPF_EXPONENT = 1.6
+
+_is_hex = re.compile("[0-9a-fA-F]+").fullmatch
 
 
 class ParseError(Exception):
@@ -122,7 +125,7 @@ def parse_trace_line(line: str, line_no: int) -> TraceRecord:
             acc, kind = token[:-3], CA
         else:
             acc, kind = token, EOA
-        if not acc or any(c not in "0123456789abcdefABCDEF" for c in acc):
+        if not _is_hex(acc):
             raise ParseError(line_no, f"malformed account {token!r}")
         acc = acc.lower()
         if acc not in accounts:
@@ -136,8 +139,9 @@ def parse_trace_line(line: str, line_no: int) -> TraceRecord:
 def load_trace(path) -> tuple[list[Transaction], dict]:
     """Load a trace file.
 
-    Returns the transactions in arrival order plus a map of accounts flagged
-    as contract accounts ({account: kind}).
+    Returns the transactions in arrival order plus the accounts flagged as
+    contract accounts ({account: Account(account, CA)}), ready to pass to
+    ``Simulation(accounts=...)``.
     """
     records = []
     first_line = {}  # tx_id -> line of its first occurrence
@@ -152,14 +156,14 @@ def load_trace(path) -> tuple[list[Transaction], dict]:
                 raise ParseError(line_no, f"duplicate tx_id {rec.tx_id!r} (first on line {first})")
             records.append(rec)
     records.sort(key=lambda r: r.block)  # stable: file order within a block
-    kinds = {}
+    contracts = {}
     txs = []
     for index, rec in enumerate(records):
         for acc, kind in zip(rec.accounts, rec.kind_flags):
-            if kind == CA:
-                kinds[acc] = CA
+            if kind == CA and acc not in contracts:
+                contracts[acc] = Account(acc, CA)
         txs.append(Transaction(rec.tx_id, index, rec.accounts, fee=rec.fee))
-    return txs, kinds
+    return txs, contracts
 
 
 def account_id(seed: int, index: int) -> str:

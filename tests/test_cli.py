@@ -132,6 +132,20 @@ def test_run_from_trace(tmp_path):
     assert int(row["executed"]) == 2
 
 
+def test_ca_migration_flag_applies_to_trace_markers(tmp_path):
+    # bb, a contract account, would migrate on t3 were it an EOA
+    trace = tmp_path / "trace.txt"
+    trace.write_text("0 t0 1 aa\n0 t1 1 bb|CA\n0 t2 1 aa,bb\n0 t3 1 aa,bb\n")
+    migrations = []
+    for flags in ([], ["--ca-migration"]):
+        out = tmp_path / f"out{len(flags)}"
+        args = ["run", "--trace", str(trace), "--shards", "2", "--policy", "scheduler",
+                "--out", str(out), *flags]
+        assert main(args) == 0
+        migrations.append(_read_csv(out / "summary.csv")[0]["migrations"])
+    assert migrations == ["0", "1"]
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 

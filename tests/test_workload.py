@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardsim.core import CA
+from shardsim.core import CA, Account, Transaction
 from shardsim.policies import hash_place
 from shardsim.workload import (
     DEFAULT_ZIPF_EXPONENT,
@@ -84,7 +84,48 @@ def test_load_trace_orders_by_block(tmp_path):
     txs, kinds = load_trace(path)
     assert [t.tx_id for t in txs] == ["t0", "t1", "t2", "t3"]
     assert [t.arrival_index for t in txs] == [0, 1, 2, 3]
-    assert kinds == {"dd": CA}
+    assert kinds == {"dd": Account("dd", CA)}
+
+
+_HEX = "0123456789abcdef"
+
+
+@st.composite
+def _trace_records(draw):
+    """(block, tx_id, fee, [(account, mixed-case spelling, CA marker)])."""
+    pool = draw(st.lists(st.text(alphabet=_HEX, min_size=1, max_size=6),
+                         min_size=1, max_size=8, unique=True))
+    records = []
+    for i in range(draw(st.integers(min_value=1, max_value=20))):
+        accounts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+        tokens = []
+        for acc in accounts:
+            upper = draw(st.lists(st.booleans(), min_size=len(acc), max_size=len(acc)))
+            spelled = "".join(c.upper() if u else c for c, u in zip(acc, upper))
+            tokens.append((acc, spelled, draw(st.booleans())))
+        block = draw(st.integers(min_value=0, max_value=5))
+        records.append((block, f"tx{i}", draw(st.integers(min_value=0, max_value=99)), tokens))
+    return records
+
+
+@given(records=_trace_records())
+@settings(max_examples=100, deadline=None)
+def test_trace_round_trip(tmp_path_factory, records):
+    lines = ["# written by the round-trip test"]
+    for block, tx_id, fee, tokens in records:
+        spelled = ",".join(s + ("|CA" if ca else "") for _, s, ca in tokens)
+        lines.append(f"{block} {tx_id} {fee} {spelled}")
+    path = tmp_path_factory.mktemp("trace") / "trace.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    txs, contracts = load_trace(path)
+    in_order = sorted(records, key=lambda r: r[0])  # stable: file order within a block
+    assert txs == [
+        Transaction(tx_id, i, tuple(acc for acc, _, _ in tokens), fee=fee)
+        for i, (_, tx_id, fee, tokens) in enumerate(in_order)
+    ]
+    assert contracts == {
+        acc: Account(acc, CA) for *_, tokens in records for acc, _, ca in tokens if ca
+    }
 
 
 def test_load_trace_reports_line_number(tmp_path):
