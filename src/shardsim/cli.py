@@ -12,46 +12,54 @@ import csv
 import hashlib
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields
+from typing import NamedTuple, get_args, get_type_hints
 
 from .engine import ConfigError, Livelock, SimConfig, Simulation
+from .policies import MODES, POLICY_KINDS
 from .workload import GENERATORS, InvalidSpec, ParseError, SyntheticSpec, generate, load_trace
 
-SWEEP_AXES = {
-    "shards": "k_shards",
-    "cross-cost": "cross_shard_cost",
-    "capacity": "shard_capacity",
-    "mempool-ratio": "mempool_ratio",
+# Every run and workload setting is a field of SimConfig or SyntheticSpec; the
+# tables below hold only what the fields cannot say.  Setting names double as
+# config-file keys and, with "-" for "_", as flags.
+RENAMES = {
+    "k_shards": "shards",
+    "cross_shard_cost": "cross_cost",
+    "shard_capacity": "capacity",
+    "generator": "synthetic",
 }
+CHOICES = {"policy": POLICY_KINDS, "mode": MODES, "synthetic": GENERATORS}
+# API-only fields; the spec's seed and k_shards derive from the run's seed and shards
+WITHHELD = {
+    SimConfig: {"fee_scheme", "default_fee", "refuse_migrations_from"},
+    SyntheticSpec: {"seed", "k_shards"},
+}
+SWEEP_AXES = ("shards", "cross-cost", "capacity", "mempool-ratio")
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
-_CONFIG_KEYS = {
-    "policy": str,
-    "mode": str,
-    "shards": int,
-    "cross_cost": int,
-    "capacity": int,
-    "mempool_ratio": float,
-    "window": int,
-    "epoch_length": int,
-    "miners_per_shard": int,
-    "seed": int,
-    "max_rounds": int,
-    "economics": lambda v: v.lower() in ("1", "true", "yes"),
-    "ca_migration": lambda v: v.lower() in ("1", "true", "yes"),
-    "synthetic": str,
-    "trace": str,
-    # synthetic workload parameters
-    "n_accounts": int,
-    "n_txs": int,
-    "accounts_per_tx": int,
-    "zipf_exponent": float,
-    "n_communities": int,
-    "p_inter": float,
-    "community_zipf_exponent": float,
-    "p_hotspot": float,
-    "burst_period": int,
-    "burst_amplitude": float,
-}
+
+class Setting(NamedTuple):
+    owner: type | None  # None: the trace path, which no dataclass holds
+    field: str | None
+    type: type
+    default: object
+
+
+def _settings() -> dict:
+    settings = {}
+    for owner, withheld in WITHHELD.items():
+        hints = get_type_hints(owner)
+        for f in fields(owner):
+            if f.name not in withheld:
+                hint = hints[f.name]  # X | None parses as X
+                kind = next((a for a in get_args(hint) if a is not type(None)), hint)
+                default = None if f.default is MISSING else f.default
+                settings[RENAMES.get(f.name, f.name)] = Setting(owner, f.name, kind, default)
+    settings["trace"] = Setting(None, None, str, None)
+    return settings
+
+
+SETTINGS = _settings()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,6 +80,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _parse_value(name: str, raw: str):
+    """Text -> the setting's type; ValueError says what was expected."""
+    kind = SETTINGS[name].type
+    if kind is bool:
+        if raw.lower() not in _BOOLS:
+            raise ValueError(f"expected one of {'/'.join(_BOOLS)}, got {raw!r}")
+        return _BOOLS[raw.lower()]
+    if name in CHOICES and raw not in CHOICES[name]:
+        raise ValueError(f"expected one of {', '.join(CHOICES[name])}, got {raw!r}")
+    return kind(raw)
+
+
 def load_config_file(path) -> dict:
     values = {}
     with open(path, encoding="utf-8") as fh:
@@ -83,28 +103,22 @@ def load_config_file(path) -> dict:
                 raise ConfigError(f"{path}:{line_no}: expected key=value")
             key, _, raw = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in SETTINGS:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = _CONFIG_KEYS[key](raw.strip())
+            try:
+                values[key] = _parse_value(key, raw.strip())
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{line_no}: {key}: {exc}") from None
     return values
 
 
 def _add_run_flags(parser):
-    parser.add_argument("--policy", choices=("hash", "partition", "scheduler"))
-    parser.add_argument("--mode", choices=("2pc", "mutex"))
-    parser.add_argument("--shards", type=int, dest="shards")
-    parser.add_argument("--cross-cost", type=int, dest="cross_cost")
-    parser.add_argument("--capacity", type=int)
-    parser.add_argument("--mempool-ratio", type=float, dest="mempool_ratio")
-    parser.add_argument("--window", type=int)
-    parser.add_argument("--epoch-length", type=int, dest="epoch_length")
-    parser.add_argument("--miners-per-shard", type=int, dest="miners_per_shard")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--max-rounds", type=int, dest="max_rounds")
-    parser.add_argument("--economics", action="store_true", default=None)
-    parser.add_argument("--ca-migration", action="store_true", default=None, dest="ca_migration")
-    parser.add_argument("--trace")
-    parser.add_argument("--synthetic", choices=GENERATORS)
+    for name, setting in SETTINGS.items():
+        flag = "--" + name.replace("_", "-")
+        if setting.type is bool:
+            parser.add_argument(flag, action="store_true", default=None)
+        else:
+            parser.add_argument(flag, type=setting.type, choices=CHOICES.get(name))
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--out", required=True, help="output directory")
 
@@ -124,37 +138,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-_DEFAULTS = {
-    "policy": "hash",
-    "mode": "2pc",
-    "shards": 16,
-    "cross_cost": 2,
-    "capacity": 200,
-    "mempool_ratio": 1.0,
-    "window": 100,
-    "epoch_length": 10,
-    "miners_per_shard": 3,
-    "seed": 0,
-    "max_rounds": None,
-    "economics": False,
-    "ca_migration": False,
-    "trace": None,
-    "synthetic": None,
-    "n_accounts": 1000,
-    "n_txs": 10000,
-    "accounts_per_tx": 2,
-    "zipf_exponent": None,
-    "n_communities": 50,
-    "p_inter": 0.05,
-    "community_zipf_exponent": 0.0,
-    "p_hotspot": 0.0,
-    "burst_period": 2000,
-    "burst_amplitude": 20.0,
-}
-
-
 def resolve_settings(args) -> dict:
-    settings = dict(_DEFAULTS)
+    settings = {name: setting.default for name, setting in SETTINGS.items()}
     if getattr(args, "config", None):
         settings.update(load_config_file(args.config))
     for key in settings:
@@ -164,25 +149,16 @@ def resolve_settings(args) -> dict:
     return settings
 
 
+def _build(owner, settings, **derived):
+    values = {s.field: settings[name] for name, s in SETTINGS.items() if s.owner is owner}
+    return owner(**values, **derived)
+
+
 def make_config(settings) -> SimConfig:
-    return SimConfig(
-        k_shards=settings["shards"],
-        cross_shard_cost=settings["cross_cost"],
-        shard_capacity=settings["capacity"],
-        mempool_ratio=settings["mempool_ratio"],
-        window=settings["window"],
-        policy=settings["policy"],
-        mode=settings["mode"],
-        epoch_length=settings["epoch_length"],
-        miners_per_shard=settings["miners_per_shard"],
-        seed=settings["seed"],
-        max_rounds=settings["max_rounds"],
-        economics=settings["economics"],
-        ca_migration=settings["ca_migration"],
-    )
+    return _build(SimConfig, settings)
 
 
-def build_workload(settings):
+def build_workload(settings, config: SimConfig):
     """(transactions, contract accounts); only traces mark contract accounts."""
     if settings["trace"] and settings["synthetic"]:
         raise ConfigError("pass either a trace or a synthetic generator, not both")
@@ -190,23 +166,10 @@ def build_workload(settings):
         return load_trace(settings["trace"])
     if not settings["synthetic"]:
         raise ConfigError("no workload: pass --trace or --synthetic")
-    kwargs = dict(
-        generator=settings["synthetic"],
-        n_accounts=settings["n_accounts"],
-        n_txs=settings["n_txs"],
-        seed=sub_seed(settings["seed"], "workload"),
-        accounts_per_tx=settings["accounts_per_tx"],
-        k_shards=settings["shards"],
-        n_communities=settings["n_communities"],
-        p_inter=settings["p_inter"],
-        community_zipf_exponent=settings["community_zipf_exponent"],
-        p_hotspot=settings["p_hotspot"],
-        burst_period=settings["burst_period"],
-        burst_amplitude=settings["burst_amplitude"],
+    spec = _build(
+        SyntheticSpec, settings, seed=sub_seed(config.seed, "workload"), k_shards=config.k_shards
     )
-    if settings["zipf_exponent"] is not None:
-        kwargs["zipf_exponent"] = settings["zipf_exponent"]
-    return generate(SyntheticSpec(**kwargs)), {}
+    return generate(spec), {}
 
 
 SUMMARY_FIELDS = (
@@ -228,22 +191,12 @@ SUMMARY_FIELDS = (
 
 
 def summary_row(config: SimConfig, summary) -> dict:
-    return {
-        "policy": config.policy,
-        "mode": config.mode,
-        "shards": config.k_shards,
-        "cross_cost": config.cross_shard_cost,
-        "capacity": config.shard_capacity,
-        "mempool_ratio": _fmt(config.mempool_ratio),
-        "seed": config.seed,
-        "rounds": summary.rounds,
-        "executed": summary.executed,
-        "migrations": summary.migrations,
-        "throughput": _fmt(summary.throughput),
-        "latency": _fmt(summary.latency),
-        "wasted_capacity": summary.wasted_capacity,
-        "cross_shard_ratio": _fmt(summary.cross_shard_ratio),
-    }
+    """The run's settings, then its FinalSummary fields, under SUMMARY_FIELDS names."""
+    row = {}
+    for name in SUMMARY_FIELDS:
+        source, attr = (config, SETTINGS[name].field) if name in SETTINGS else (summary, name)
+        row[name] = _fmt(getattr(source, attr))
+    return row
 
 
 def write_rounds_csv(path, reports, k: int) -> None:
@@ -298,29 +251,32 @@ def _run_single(config: SimConfig, workload, out_dir) -> dict:
 def cmd_run(args) -> int:
     settings = resolve_settings(args)
     config = make_config(settings)
-    workload = build_workload(settings)
-    _run_single(config, workload, args.out)
+    _run_single(config, build_workload(settings, config), args.out)
     return 0
+
+
+def _split(raw: str, what: str) -> list:
+    items = [item.strip() for item in raw.split(",") if item.strip()]
+    if not items:
+        raise ConfigError(f"empty {what} list")
+    return items
 
 
 def cmd_sweep(args) -> int:
     settings = resolve_settings(args)
-    field = SWEEP_AXES[args.axis]
-    caster = float if args.axis == "mempool-ratio" else int
-    values = [caster(v) for v in args.values.split(",") if v]
-    if not values:
-        raise ConfigError("empty --values list")
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    name = args.axis.replace("-", "_")
+    try:
+        values = [_parse_value(name, v) for v in _split(args.values, "--values")]
+    except ValueError as exc:
+        raise ConfigError(f"--values: {exc}") from None
+    policies = _split(args.policies, "--policies")
     rows = []
     for value in values:
         for policy in policies:
-            point = dict(settings, policy=policy)
-            config = replace(make_config(point), **{field: value})
-            if field == "k_shards":
-                point["shards"] = value  # hash buckets of synthetic specs follow k
-            workload = build_workload(point)
+            point = dict(settings, policy=policy, **{name: value})
+            config = make_config(point)
             out_dir = os.path.join(args.out, f"{policy}_{args.axis}_{value}")
-            rows.append(_run_single(config, workload, out_dir))
+            rows.append(_run_single(config, build_workload(point, config), out_dir))
     os.makedirs(args.out, exist_ok=True)
     write_summary_csv(os.path.join(args.out, "sweep.csv"), rows)
     return 0

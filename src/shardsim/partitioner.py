@@ -3,8 +3,7 @@
 Implements the offline partitioning used by the partition baseline policy:
 heavy-edge coarsening followed by greedy single-vertex refinement moves under
 a hard per-cluster vertex cap.  A brute-force enumerator serves as the exact
-oracle for small instances, and the graph supports online single-edge weight
-increments for the streaming variant.
+oracle for small instances.
 """
 
 from __future__ import annotations
@@ -53,10 +52,6 @@ class WeightedGraph:
             raise ValueError("edge weight must be >= 1")
         self.adj.setdefault(u, {})[v] = self.adj.get(u, {}).get(v, 0) + weight
         self.adj.setdefault(v, {})[u] = self.adj[u][v]
-
-    def online_increment(self, u, v) -> None:
-        """Bump w(u, v) by one, creating vertices/edge as needed."""
-        self.add_edge(u, v, 1)
 
     def edges(self):
         for u, nbrs in self.adj.items():
@@ -274,22 +269,3 @@ def partition_greedy(graph: WeightedGraph, k: int, balance_cap: int, seed: int =
         assignment = {v: assignment[r] for v, r in rep.items()}
         assignment = _refine(fine_adj, fine_weight, assignment, k, balance_cap, rng)
     return Partition(assignment, k, balance_cap)
-
-
-def save_partition(partition: Partition, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for vertex in sorted(partition.assignment):
-            fh.write(f"{vertex} {partition.assignment[vertex]}\n")
-
-
-def load_partition(path, k: int, balance_cap: int | None = None) -> Partition:
-    assignment = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            vertex, cluster = line.split()
-            assignment[vertex] = int(cluster)
-    cap = balance_cap if balance_cap is not None else len(assignment)
-    return Partition(assignment, k, cap)

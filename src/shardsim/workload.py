@@ -131,6 +131,8 @@ def parse_trace_line(line: str, line_no: int) -> TraceRecord:
         if acc not in accounts:
             accounts.append(acc)
             kinds.append(kind)
+        elif kind == CA:
+            kinds[accounts.index(acc)] = CA
     if not accounts:
         raise EmptyWriteSet(line_no)
     return TraceRecord(block, tx_id, tuple(accounts), fee, tuple(kinds))

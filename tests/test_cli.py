@@ -2,17 +2,23 @@
 
 import csv
 import os
+import re
+from dataclasses import fields
 
 import pytest
 
 from shardsim.cli import (
+    SETTINGS,
+    WITHHELD,
     build_parser,
     load_config_file,
     main,
+    make_config,
     resolve_settings,
     sub_seed,
 )
-from shardsim.engine import ConfigError
+from shardsim.engine import ConfigError, SimConfig
+from shardsim.workload import SyntheticSpec
 
 
 def _read_csv(path):
@@ -61,6 +67,55 @@ def test_load_config_file_bad_line(tmp_path):
     path.write_text("just a line\n")
     with pytest.raises(ConfigError):
         load_config_file(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("shards=abc", "shards: invalid literal for int()"),
+        ("max_rounds=", "max_rounds: invalid literal for int()"),
+        ("economics=maybe", "economics: expected one of 1/true/yes/0/false/no"),
+        ("policy=nope", "policy: expected one of hash, partition, scheduler, got 'nope'"),
+    ],
+    ids=["bad-int", "empty", "bad-bool", "bad-choice"],
+)
+def test_load_config_file_bad_value_names_line_and_key(tmp_path, line, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"policy=scheduler\n{line}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"run.cfg:2: {message}")):
+        load_config_file(path)
+    assert main(["run", "--config", str(path), "--synthetic", "zipf_hotspot",
+                 "--out", str(tmp_path / "out")]) == 1
+
+
+def test_every_dataclass_field_is_a_setting_or_withheld(tmp_path):
+    for owner in (SimConfig, SyntheticSpec):
+        exposed = {s.field for s in SETTINGS.values() if s.owner is owner}
+        assert exposed | WITHHELD[owner] == {f.name for f in fields(owner)}
+        assert not exposed & WITHHELD[owner]
+    # adding a setting adds an option: it must be a deliberate change here
+    assert set(SETTINGS) == {
+        "policy", "mode", "shards", "cross_cost", "capacity", "mempool_ratio", "window",
+        "epoch_length", "miners_per_shard", "seed", "max_rounds", "economics",
+        "ca_migration", "synthetic", "trace", "n_accounts", "n_txs", "accounts_per_tx",
+        "zipf_exponent", "n_communities", "p_inter", "community_zipf_exponent",
+        "p_hotspot", "burst_period", "burst_amplitude",
+    }
+    args = build_parser().parse_args(["run", "--out", str(tmp_path)])
+    assert make_config(resolve_settings(args)) == SimConfig()
+
+
+def test_synthetic_flags_match_config_keys(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("n_accounts=300\np_inter=0.2\nzipf_exponent=1.5\n")
+    parser = build_parser()
+    from_file = resolve_settings(parser.parse_args(["run", "--config", str(path),
+                                                    "--out", str(tmp_path)]))
+    from_flags = resolve_settings(parser.parse_args(
+        ["run", "--n-accounts", "300", "--p-inter", "0.2", "--zipf-exponent", "1.5",
+         "--out", str(tmp_path)]))
+    assert from_file == from_flags
+    assert from_flags["n_accounts"] == 300 and from_flags["p_inter"] == 0.2
 
 
 def test_flag_overrides_config_file(tmp_path):
@@ -212,6 +267,19 @@ def test_bad_flag_exits_one(tmp_path):
 def test_empty_sweep_values_error(tmp_path):
     assert main(["sweep", "--synthetic", "zipf_hotspot", "--axis", "shards",
                  "--values", ",", "--out", str(tmp_path)]) == 1
+
+
+def test_sweep_bad_value_errors(tmp_path, capsys):
+    assert main(["sweep", "--synthetic", "zipf_hotspot", "--axis", "shards",
+                 "--values", "2,x", "--out", str(tmp_path)]) == 1
+    assert "--values" in capsys.readouterr().err
+
+
+def test_empty_sweep_policies_error(tmp_path, capsys):
+    assert main(["sweep", "--synthetic", "zipf_hotspot", "--axis", "shards",
+                 "--values", "2", "--policies", ",", "--out", str(tmp_path)]) == 1
+    assert "empty --policies list" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_livelocked_run_errors(tmp_path, capsys):

@@ -17,10 +17,8 @@ from shardsim.partitioner import (
     WeightedGraph,
     cut_weight,
     graph_from_transactions,
-    load_partition,
     partition_bruteforce,
     partition_greedy,
-    save_partition,
 )
 
 
@@ -61,13 +59,6 @@ def test_add_edge_accumulates_weight():
 def test_self_loop_rejected():
     with pytest.raises(SelfLoop):
         WeightedGraph().add_edge("a", "a")
-
-
-def test_online_increment():
-    g = WeightedGraph()
-    g.online_increment("a", "b")
-    g.online_increment("a", "b")
-    assert g.weight("a", "b") == 2
 
 
 def test_graph_from_transactions_counts_pairings():
@@ -231,17 +222,3 @@ def test_greedy_cut_matches_recount(seed):
         w for u, v, w in g.edges() if part.assignment[u] != part.assignment[v]
     )
     assert cut_weight(g, part) == naive
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def test_partition_roundtrip(tmp_path):
-    g = _random_graph(random.Random(8), 12)
-    part = partition_greedy(g, 3, 5, seed=1)
-    path = tmp_path / "partition.txt"
-    save_partition(part, path)
-    loaded = load_partition(path, 3, 5)
-    assert loaded.assignment == part.assignment
-    assert loaded.k == 3 and loaded.balance_cap == 5

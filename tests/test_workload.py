@@ -41,6 +41,9 @@ def test_parse_dedups_accounts():
 def test_parse_ca_suffix():
     rec = parse_trace_line("0 tx1 0 aa,bb|CA", 1)
     assert rec.kind_flags[1] == CA
+    # a repeated account is a contract account if any spelling is marked
+    for line in ("0 t0 0 aa,AA|CA", "0 t0 0 aa|CA,AA"):
+        assert parse_trace_line(line, 1).kind_flags == (CA,)
 
 
 def test_parse_single_account_line_allowed():
