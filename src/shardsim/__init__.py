@@ -12,7 +12,6 @@ from .core import (
     MigrationOp,
     ShardState,
     Transaction,
-    involved_shards,
     update_alignments,
 )
 from .engine import FinalSummary, Livelock, RoundReport, SimConfig, Simulation, finalize, run
@@ -38,7 +37,6 @@ __all__ = [
     "finalize",
     "generate",
     "hash_place",
-    "involved_shards",
     "load_trace",
     "make_policy",
     "run",

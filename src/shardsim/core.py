@@ -93,16 +93,14 @@ class CostModel:
 
 
 class MappingService:
-    """Total account-to-shard assignment (phi)."""
+    """Total account-to-shard assignment (phi).
+
+    Readers look accounts up in ``assignment`` directly; writes go through
+    place and migrate, which check that the account is new or placed.
+    """
 
     def __init__(self):
         self.assignment: dict[AccountId, ShardId] = {}
-
-    def get(self, account: AccountId) -> ShardId | None:
-        return self.assignment.get(account)
-
-    def __contains__(self, account: AccountId) -> bool:
-        return account in self.assignment
 
     def place(self, account: AccountId, shard: ShardId) -> None:
         if account in self.assignment:
@@ -209,20 +207,6 @@ class AlignmentBook:
         self._ring[slot] = self._deltas = {}
 
 
-def involved_shards(write_set, mapping: MappingService) -> set[ShardId]:
-    """Shards of the already-placed accounts in the write set.
-
-    Unplaced (new) accounts are skipped; the result is empty iff every
-    account is new.
-    """
-    shards = set()
-    for account in write_set:
-        shard = mapping.get(account)
-        if shard is not None:
-            shards.add(shard)
-    return shards
-
-
 def update_alignments(
     tx: Transaction, mapping: MappingService, cost_model: CostModel, book: AlignmentBook
 ) -> None:
@@ -233,10 +217,17 @@ def update_alignments(
     gains charge * |{b != a : shard(b) = s}| toward each shard s; no ordered
     pair of accounts is enumerated.
     """
-    placed = mapping.assignment
-    shards = [placed.get(acc) for acc in tx.write_set]
+    shards = list(map(mapping.assignment.get, tx.write_set))
     if None in shards:
         raise ValueError("update_alignments requires a fully placed write set")
+    add = book.add
+    own, n = shards[0], len(shards)
+    if shards.count(own) == n:  # one shard: each account gains charge * (n - 1) toward it
+        if n > 1:
+            amount = cost_model.per_shard_charge(tx.base_cost, 1) * (n - 1)
+            for acc in tx.write_set:
+                add(acc, own, amount)
+        return
     count: dict[ShardId, int] = {}
     for shard in shards:
         count[shard] = count.get(shard, 0) + 1
@@ -246,4 +237,4 @@ def update_alignments(
             if shard == own:
                 n -= 1
             if n:
-                book.add(acc, shard, charge * n)
+                add(acc, shard, charge * n)

@@ -144,22 +144,18 @@ class IncentiveLedger:
         self.shard_collected = {s: 0 for s in range(k)}  # lifetime, all schemes
         self.epoch_rows = []  # (epoch, shard, deposit_total, miner, contribution, payout)
 
-    def leader(self, shard: ShardId, round_index: int) -> MinerId:
-        return rotate_leader(self.assignment, shard, round_index)
-
     def credit(self, shard: ShardId, round_index: int, fee: int) -> None:
         if fee <= 0:
             return
-        leader = self.leader(shard, round_index)
+        leader = rotate_leader(self.assignment, shard, round_index)
         self.shard_collected[shard] += fee
+        deposit = self.deposits[shard]
         if self.scheme == NAIVE:
             self.balances[leader] += fee
-            self.deposits[shard].contributions[leader] = (
-                self.deposits[shard].contributions.get(leader, 0) + fee
-            )
-            self.deposits[shard].total += fee
+            deposit.contributions[leader] = deposit.contributions.get(leader, 0) + fee
+            deposit.total += fee
         else:
-            record_fee(self.deposits[shard], self.assignment, leader, fee)
+            record_fee(deposit, self.assignment, leader, fee)
 
     def total_fees(self) -> int:
         return sum(self.shard_collected.values())

@@ -15,6 +15,12 @@ waits while every shard of its placed accounts has less residual than the
 transaction's base cost, which the main shard is always charged.  The
 alignment book is maintained only under the scheduler, the one policy that
 reads it.  A run whose state stops changing raises Livelock instead of spinning.
+
+Admission reuses what the plan already holds: a plan without migrations is
+checked and charged from its own per-shard charges, and a fee with one final
+shard is credited to that shard without a split.  Simulation rejects, with a
+ConfigError naming the account, any initial shard that is not an in-range int
+and any accounts entry that is not an Account under its own id.
 """
 
 from __future__ import annotations
@@ -86,6 +92,8 @@ class SimConfig:
             raise ConfigError(f"unknown fee scheme {self.fee_scheme!r}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ConfigError("max_rounds must be positive")
+        if self.default_fee < 0:
+            raise ConfigError("default_fee must be nonnegative")
 
     @property
     def mempool_size(self) -> int:
@@ -192,10 +200,17 @@ class Simulation:
         self.cost_model = CostModel(config.cross_shard_cost)
         self.mapping = MappingService()
         for acc, shard in (initial_assignment or {}).items():
+            if not isinstance(shard, int) or isinstance(shard, bool):
+                raise ConfigError(f"initial shard {shard!r} of account {acc!r} is not an int")
             if not 0 <= shard < config.k_shards:
-                raise ConfigError(f"initial shard {shard} out of range")
+                raise ConfigError(f"initial shard {shard} of account {acc!r} out of range")
             self.mapping.place(acc, shard)
         self.accounts = dict(accounts or {})  # account id -> Account (CA registry)
+        for acc, account in self.accounts.items():
+            if not isinstance(account, Account):
+                raise ConfigError(f"account {acc!r}: expected an Account, got {account!r}")
+            if account.id != acc:
+                raise ConfigError(f"account {acc!r}: Account id {account.id!r} differs from its key")
         self.shards = [
             ShardState(s, config.shard_capacity, config.window)
             for s in range(config.k_shards)
@@ -238,7 +253,7 @@ class Simulation:
 
     def _veto(self, tx: Transaction, plan: TxPlan) -> TxPlan:
         blocked = self.config.refuse_migrations_from
-        if not blocked or not plan.migrations:
+        if not plan.migrations:
             return plan
         kept = tuple(m for m in plan.migrations if m.source not in blocked)
         if len(kept) == len(plan.migrations):
@@ -256,14 +271,17 @@ class Simulation:
         )
 
     def try_execute(self, tx: Transaction, plan: TxPlan, round_index: int) -> str:
-        required: dict = {}
-        for m in plan.migrations:
-            required[m.source] = required.get(m.source, 0) + m.cost
-            required[m.dest] = required.get(m.dest, 0) + m.cost
-        for s, c in plan.per_shard_charges.items():
-            required[s] = required.get(s, 0) + c
+        shards = self.shards
+        required = plan.per_shard_charges
+        if plan.migrations:
+            required = {}
+            for m in plan.migrations:
+                required[m.source] = required.get(m.source, 0) + m.cost
+                required[m.dest] = required.get(m.dest, 0) + m.cost
+            for s, c in plan.per_shard_charges.items():
+                required[s] = required.get(s, 0) + c
         for s, amount in required.items():
-            if amount > self.shards[s].residual:
+            if amount > shards[s].residual:
                 return DEFERRED
         for acc, shard in plan.new_placements.items():
             self.mapping.place(acc, shard)
@@ -271,38 +289,32 @@ class Simulation:
             self.mapping.migrate(m.account, m.dest)
             self.book.reset(m.account)  # alignment is dropped on migration
         for s, amount in required.items():
-            self.shards[s].charge(amount)
+            shards[s].charge(amount)
         if not self.policy.static_placement:  # only the scheduler reads alignment
             update_alignments(tx, self.mapping, self.cost_model, self.book)
-        if self.ledger is not None:
-            fee = tx.fee if tx.fee > 0 else self.config.default_fee
-            for s, share in split_fee(fee, plan.final_shards).items():
-                self.ledger.credit(s, round_index, share)
+        ledger = self.ledger
+        if ledger is not None:
+            fee = tx.fee or self.config.default_fee
+            final = plan.final_shards
+            if len(final) > 1:
+                for s, share in split_fee(fee, final).items():
+                    ledger.credit(s, round_index, share)
+            elif fee:
+                (shard,) = final
+                ledger.credit(shard, round_index, fee)
         return EXECUTED
 
     # -- round loop --------------------------------------------------------
-
-    def _cannot_fit(self, tx: Transaction) -> bool:
-        """True if a scheduler plan of tx would surely be deferred.
-
-        The main shard is one of the placed accounts' shards and is charged
-        at least the base cost, so the plan cannot land while every such
-        shard has less residual than that.
-        """
-        assignment = self.mapping.assignment
-        placed = False
-        for acc in tx.write_set:
-            shard = assignment.get(acc)
-            if shard is not None:
-                if self.shards[shard].residual >= tx.base_cost:
-                    return False
-                placed = True
-        return placed
 
     def run(self):
         config = self.config
         source = iter(self.workload)
         static = self.policy.static_placement
+        blocked = config.refuse_migrations_from
+        shards = self.shards
+        assignment = self.mapping.assignment
+        retain = self.mempool.retain
+        first_seen = self.mempool.first_seen
         # static policies: tx_id -> (ShardState, charge) pairs of a deferred tx
         pending_charges: dict = {}
         idle_rounds = 0
@@ -312,38 +324,51 @@ class Simulation:
             added = self.mempool.top_up(source, round_index)
             if len(self.mempool) == 0:
                 break  # workload drained and nothing pending
-            for shard in self.shards:
+            for shard in shards:
                 shard.residual = shard.capacity_per_round
-            loads = LiveLoads(self.shards)
+            loads = LiveLoads(shards)
             processed = 0
             migrations = 0
             cross = 0
             latencies = []
-            cost_before = {s.id: s.window_sum for s in self.shards}
+            cost_before = {s.id: s.window_sum for s in shards}
             for tx in self.mempool.drain():
                 if static:
                     charges = pending_charges.get(tx.tx_id)
                     if charges is not None and _lacks_residual(charges):
-                        self.mempool.retain(tx)
+                        retain(tx)
                         continue
-                elif self._cannot_fit(tx):
-                    self.mempool.retain(tx)
-                    continue
-                plan = self._veto(tx, self.plan(tx, loads))
-                outcome = self.try_execute(tx, plan, round_index)
-                if outcome == EXECUTED:
+                else:
+                    # A scheduler plan charges its main shard, one of the
+                    # placed accounts' shards, at least the base cost, so it
+                    # cannot land while each of them has less residual.
+                    fits = True
+                    for acc in tx.write_set:
+                        shard = assignment.get(acc)
+                        if shard is not None:
+                            fits = shards[shard].residual >= tx.base_cost
+                            if fits:
+                                break
+                    if not fits:
+                        retain(tx)
+                        continue
+                plan = self.plan(tx, loads)
+                if blocked:
+                    plan = self._veto(tx, plan)
+                if self.try_execute(tx, plan, round_index) == EXECUTED:
                     processed += 1
                     migrations += len(plan.migrations)
                     if len(plan.final_shards) > 1:
                         cross += 1
-                    latencies.append(round_index - self.mempool.first_seen.pop(tx.tx_id))
-                    pending_charges.pop(tx.tx_id, None)
+                    latencies.append(round_index - first_seen.pop(tx.tx_id))
+                    if static:
+                        pending_charges.pop(tx.tx_id, None)
                 else:
                     if static:
                         pending_charges[tx.tx_id] = [
-                            (self.shards[s], c) for s, c in plan.per_shard_charges.items()
+                            (shards[s], c) for s, c in plan.per_shard_charges.items()
                         ]
-                    self.mempool.retain(tx)
+                    retain(tx)
             self.reports.append(
                 RoundReport(
                     round_index=round_index,
@@ -351,16 +376,14 @@ class Simulation:
                     mempool_start=mempool_start,
                     mempool_end=len(self.mempool),
                     processed_count=processed,
-                    processed_cost={
-                        s.id: s.window_sum - cost_before[s.id] for s in self.shards
-                    },
-                    residuals={s.id: s.residual for s in self.shards},
+                    processed_cost={s.id: s.window_sum - cost_before[s.id] for s in shards},
+                    residuals={s.id: s.residual for s in shards},
                     migrations_executed=migrations,
                     cross_shard_tx_count=cross,
                     latency_samples=tuple(latencies),
                 )
             )
-            for shard in self.shards:
+            for shard in shards:
                 shard.advance_block()
             self.book.advance_block()
             if self.ledger is not None and (round_index + 1) % config.epoch_length == 0:

@@ -21,7 +21,6 @@ from .core import (
     MigrationOp,
     ShardId,
     Transaction,
-    involved_shards,
 )
 
 HASH = "hash"
@@ -61,11 +60,20 @@ def select_main_shard(write_set, mapping: MappingService, loads: dict):
     Ties break toward the lowest shard id.  Returns the main shard together
     with the placements for the write set's new accounts.
     """
-    involved = involved_shards(write_set, mapping)
-    candidates = involved if involved else loads.keys()
-    main = min(candidates, key=lambda s: (loads[s], s))
-    new_placements = {acc: main for acc in write_set if mapping.get(acc) is None}
-    return main, new_placements
+    assignment = mapping.assignment
+    main = main_load = None
+    new = []
+    for acc in write_set:
+        shard = assignment.get(acc)
+        if shard is None:
+            new.append(acc)
+        elif shard != main:
+            load = loads[shard]
+            if main is None or load < main_load or (load == main_load and shard < main):
+                main, main_load = shard, load
+    if main is None:
+        main = min(loads.keys(), key=lambda s: (loads[s], s))
+    return main, dict.fromkeys(new, main)
 
 
 def should_migrate(current: ShardId, totals: dict, c_cross: int) -> bool:
@@ -80,8 +88,7 @@ def should_migrate(current: ShardId, totals: dict, c_cross: int) -> bool:
 
 
 def _charges(final_shards, base_cost: int, cost_model: CostModel) -> dict:
-    charge = cost_model.per_shard_charge(base_cost, len(final_shards))
-    return {s: charge for s in final_shards}
+    return dict.fromkeys(final_shards, cost_model.per_shard_charge(base_cost, len(final_shards)))
 
 
 class HashPolicy:
@@ -97,10 +104,11 @@ class HashPolicy:
         return hash_place(account, self.k)
 
     def plan(self, tx: Transaction, mapping, loads, book, cost_model, **_) -> TxPlan:
+        assignment = mapping.assignment
         new_placements = {}
         final = set()
         for acc in tx.write_set:
-            shard = mapping.get(acc)
+            shard = assignment.get(acc)
             if shard is None:
                 shard = self._place(acc)
                 new_placements[acc] = shard
@@ -153,12 +161,11 @@ class SchedulerPolicy:
         accounts: dict | None = None,
     ) -> TxPlan:
         main, new_placements = select_main_shard(tx.write_set, mapping, loads)
+        assignment = mapping.assignment
         migrations = []
         final = {main}
         for acc in tx.write_set:
-            if acc in new_placements:
-                continue
-            current = mapping.get(acc)
+            current = assignment.get(acc, main)  # a new account lands on main
             if current == main:
                 continue
             account = accounts.get(acc) if accounts else None

@@ -15,7 +15,6 @@ from shardsim.core import (
     MigrationOp,
     ShardState,
     Transaction,
-    involved_shards,
     update_alignments,
 )
 
@@ -83,9 +82,9 @@ def test_migration_cost_eoa_and_ca():
 def test_mapping_place_and_migrate():
     phi = MappingService()
     phi.place("aa", 3)
-    assert phi.get("aa") == 3 and "aa" in phi
+    assert phi.assignment == {"aa": 3}
     phi.migrate("aa", 1)
-    assert phi.get("aa") == 1
+    assert phi.assignment == {"aa": 1}
 
 
 def test_mapping_rejects_double_place():
@@ -98,14 +97,6 @@ def test_mapping_rejects_double_place():
 def test_mapping_migrate_unknown_account():
     with pytest.raises(KeyError):
         MappingService().migrate("aa", 0)
-
-
-def test_involved_shards_skips_new_accounts():
-    phi = MappingService()
-    phi.place("aa", 0)
-    phi.place("bb", 2)
-    assert involved_shards(("aa", "bb", "cc"), phi) == {0, 2}
-    assert involved_shards(("cc", "dd"), phi) == set()
 
 
 # ---------------------------------------------------------------------------

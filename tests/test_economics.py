@@ -207,7 +207,7 @@ def test_ledger_decoupled_pays_from_new_shard_deposit():
 
 def test_ledger_naive_pays_immediately():
     ledger = IncentiveLedger(k=2, miners_per_shard=2, seed=0, scheme=NAIVE)
-    leader = ledger.leader(0, 0)
+    leader = rotate_leader(ledger.assignment, 0, 0)
     ledger.credit(0, 0, 7)
     assert ledger.balances[leader] == 7
     ledger.close_epoch()

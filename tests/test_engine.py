@@ -3,7 +3,7 @@
 import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -49,9 +49,32 @@ def test_config_validation():
         dict(epoch_length=0),
         dict(fee_scheme="nope"),
         dict(max_rounds=0),
+        dict(economics=True, default_fee=-3),
     ):
         with pytest.raises(ConfigError):
             SimConfig(**bad).validate()
+    SimConfig(economics=True, default_fee=0).validate()
+
+
+def _pair_workload():
+    return [Transaction("t0", 0, ("aa", "bb"))]
+
+
+def test_accounts_value_must_be_an_account():
+    cfg = SimConfig(k_shards=2, policy="scheduler")
+    with pytest.raises(ConfigError, match="'aa'"):
+        Simulation(cfg, _pair_workload(), initial_assignment={"aa": 0, "bb": 1},
+                   accounts={"aa": "ca"})
+
+
+def test_account_id_must_match_its_key():
+    with pytest.raises(ConfigError, match="'aa'.*'bb'"):
+        Simulation(SimConfig(k_shards=2), _pair_workload(), accounts={"aa": Account("bb", CA)})
+
+
+def test_initial_shard_must_be_an_int():
+    with pytest.raises(ConfigError, match="'aa'"):
+        Simulation(SimConfig(k_shards=2), _pair_workload(), initial_assignment={"aa": 1.5})
 
 
 def test_mempool_size_formula():
@@ -145,7 +168,7 @@ def test_migration_charges_source_and_dest():
     assert sim.try_execute(tx, plan, 0) == "executed"
     assert sim.shards[0].residual == 10 - 2
     assert sim.shards[1].residual == 10 - 3
-    assert sim.mapping.get("aa") == 1
+    assert sim.mapping.assignment["aa"] == 1
 
 
 @pytest.mark.parametrize("source_residual,dest_residual,expected",
@@ -468,3 +491,30 @@ def test_golden_outputs_unchanged(name):
         digest.update(json.dumps(asdict(record), sort_keys=True).encode())
     assert summary.executed == len(txs)
     assert digest.hexdigest() == GOLDEN_DIGESTS[name]
+
+
+# Ledger cells: the golden workload with fee = arrival_index % 4, so that
+# zero-fee transactions fall back to default_fee and cross-shard splits leave
+# remainders.  SHA-256 over the epoch rows, the sorted balances and the
+# per-shard collected fees, recorded with every fee split by split_fee.
+_LEDGER_GRID = {
+    "scheduler-econ": _GOLDEN_GRID["scheduler-econ"],
+    "scheduler-econ-naive": dict(_GOLDEN_GRID["scheduler-econ"], fee_scheme="naive"),
+}
+LEDGER_DIGESTS = {
+    "scheduler-econ": "cb83244ef4d31691565b060de66f1684d1e69c944fa546e2704bde0c0b49bcd8",
+    "scheduler-econ-naive": "2334ce144377e4964dff138d5ff30e424b8e9b4ae3adcab4fa7a5e2289b2fddf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEDGER_DIGESTS))
+def test_golden_ledger_unchanged(name):
+    txs = [replace(tx, fee=tx.arrival_index % 4) for tx in _golden_workload()]
+    cfg = SimConfig(**{"shard_capacity": 10, "window": 5, "seed": 3, **_LEDGER_GRID[name]})
+    sim = Simulation(cfg, txs)
+    _, summary = sim.run()
+    ledger = sim.ledger
+    record = [ledger.epoch_rows, sorted(ledger.balances.items()), ledger.shard_collected]
+    assert summary.executed == len(txs)
+    assert summary.cross_shard_txs > 0
+    assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == LEDGER_DIGESTS[name]

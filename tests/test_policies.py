@@ -293,7 +293,7 @@ def test_scheduler_plans_are_internally_consistent(seed, k):
     )
     placed_after = {}
     for acc in accounts:
-        placed_after[acc] = phi.get(acc)
+        placed_after[acc] = phi.assignment.get(acc)
     placed_after.update(plan.new_placements)
     for mig in plan.migrations:
         assert placed_after[mig.account] == mig.source
