@@ -1,33 +1,43 @@
 """Round-based simulation loop.
 
 Each round tops up the fixed-size FIFO mempool from the workload, resets
-per-shard residual capacity, then walks the mempool in arrival order.  Every
-pending transaction is planned against snapshots of the mapping and the
-previous round's published loads, and admitted atomically: the transaction
-charge plus all enabling migration charges either land together or not at
-all.  Deferred transactions stay in the mempool in arrival order.
+per-shard residual capacity, then admits pending transactions in arrival
+order.  Each is admitted atomically under its plan: the transaction charge
+plus all enabling migration charges either land together or not at all.  The
+scheduler plans against snapshots of the mapping and the live shard loads.
+Deferred transactions stay in the mempool in arrival order.
 
-The walk skips work whose outcome is already decided.  A deferred
-transaction is re-planned only when it could fit: under the static hash and
-partition policies its per-shard charges are fixed by its first plan, so it
-waits while any of those shards lacks the residual; under the scheduler it
-waits while every shard of its placed accounts has less residual than the
-transaction's base cost, which the main shard is always charged.  The
-alignment book is maintained only under the scheduler, the one policy that
-reads it.  A run whose state stops changing raises Livelock instead of spinning.
+The walk skips work whose outcome is already decided.  Under the static
+hash and partition policies an account's shard is a pure function of the
+account, so top-up places each new account once and files the transaction
+into a FIFO lane keyed by its footprint: its sorted shards and its per-shard
+charge, which depends on its base cost.  The lanes share one plan per
+footprint.  Each round merges the lane heads in arrival order; once a head
+is deferred its lane is done for the round, because residuals only fall
+within a round, so every later transaction of that footprint would be
+deferred too.  Under the scheduler every pending transaction is walked in
+arrival order, and one waits unplanned while every shard of its placed
+accounts has less residual than its base cost, which the main shard is
+always charged.  The alignment book is maintained only under the scheduler,
+the one policy that reads it.  A run whose state stops changing raises
+Livelock instead of spinning.
 
 Admission reuses what the plan already holds: a plan without migrations is
 checked and charged from its own per-shard charges, and a fee with one final
-shard is credited to that shard without a split.  Simulation rejects, with a
-ConfigError naming the account, any initial shard that is not an in-range int
-and any accounts entry that is not an Account under its own id.
+shard is credited to that shard without a split.  SimConfig.validate rejects,
+with a ConfigError naming the field or shard, a field of the wrong type and a
+refused shard outside [0, k).  Simulation rejects, with a ConfigError naming
+the account, any initial shard that is not an in-range int and any accounts
+entry that is not an Account under its own id.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from heapq import heappop, heapreplace
+from typing import get_type_hints
 
 from .core import (
     Account,
@@ -40,7 +50,7 @@ from .core import (
 )
 from .economics import DECOUPLED, FEE_SCHEMES, IncentiveLedger, split_fee
 from .partitioner import graph_from_transactions, partition_greedy
-from .policies import MODE_2PC, MODES, POLICY_KINDS, SCHEDULER, TxPlan, make_policy
+from .policies import MODE_2PC, MODES, POLICY_KINDS, TxPlan, make_policy
 
 
 class ConfigError(Exception):
@@ -76,6 +86,15 @@ class SimConfig:
     refuse_migrations_from: frozenset = frozenset()
 
     def validate(self) -> None:
+        for name, hint in get_type_hints(SimConfig).items():
+            value = getattr(self, name)
+            if value is None and hint == int | None:
+                continue
+            kind = int if hint == int | None else hint
+            accepted = (int, float) if kind is float else kind
+            # bool is an int subclass: refuse it for an int and an int for a bool
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+                raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
         if self.k_shards < 1 or self.shard_capacity < 1 or self.window < 1:
             raise ConfigError("k_shards, shard_capacity and window must be positive")
         if self.cross_shard_cost < 1:
@@ -94,6 +113,13 @@ class SimConfig:
             raise ConfigError("max_rounds must be positive")
         if self.default_fee < 0:
             raise ConfigError("default_fee must be nonnegative")
+        for shard in sorted(self.refuse_migrations_from, key=repr):
+            if not isinstance(shard, int) or isinstance(shard, bool):
+                raise ConfigError(f"refuse_migrations_from shard {shard!r} is not an int")
+            if not 0 <= shard < self.k_shards:
+                raise ConfigError(
+                    f"refuse_migrations_from shard {shard} out of range [0, {self.k_shards})"
+                )
 
     @property
     def mempool_size(self) -> int:
@@ -119,23 +145,49 @@ class LiveLoads:
 
 
 class Mempool:
-    """Fixed-size FIFO of pending transactions."""
+    """Fixed-size FIFO of pending transactions.
 
-    def __init__(self, capacity: int):
+    Without ``lane_of`` it is one queue, walked with drain and retain.  With
+    ``lane_of``, top_up numbers each new transaction in arrival order and
+    files it into the FIFO lane that ``lane_of(tx)`` names, and walk_lanes
+    merges the lanes back into arrival order.
+    """
+
+    def __init__(self, capacity: int, lane_of=None):
         self.capacity = capacity
-        self._queue: deque = deque()
         self.first_seen: dict = {}
+        self._queue: deque = deque()
+        self._lane_of = lane_of
+        self._lanes: dict = {}  # lane key -> deque of (arrival number, tx)
+        # (arrival number, key) of each lane's oldest tx, kept sorted, so it is
+        # already a heap: walk_lanes refills it in pop order, and top_up adds
+        # each new lane last, since its first tx is the newest
+        self._heads: list = []
+        self._arrivals = 0
+        self._laned = 0
 
     def __len__(self):
-        return len(self._queue)
+        return len(self._queue) + self._laned
 
     def top_up(self, source, round_index: int) -> int:
+        lane_of = self._lane_of
+        room = self.capacity - len(self)
         added = 0
-        while len(self._queue) < self.capacity:
+        while added < room:
             tx = next(source, None)
             if tx is None:
                 break
-            self._queue.append(tx)
+            if lane_of is None:
+                self._queue.append(tx)
+            else:
+                key = lane_of(tx)
+                lane = self._lanes.get(key)
+                if lane is None:
+                    lane = self._lanes[key] = deque()
+                    self._heads.append((self._arrivals, key))
+                lane.append((self._arrivals, tx))
+                self._arrivals += 1
+                self._laned += 1
             self.first_seen[tx.tx_id] = round_index
             added += 1
         return added
@@ -148,8 +200,32 @@ class Mempool:
     def retain(self, tx: Transaction) -> None:
         self._queue.append(tx)
 
+    def walk_lanes(self, admit) -> None:
+        """Offer lane heads to ``admit(tx, key)`` in arrival order.
+
+        A tx it accepts leaves the mempool and its lane's next tx is offered
+        in turn; the first it refuses ends its lane's walk.
+        """
+        lanes = self._lanes
+        heap, self._heads = self._heads, []
+        while heap:
+            key = heap[0][1]
+            lane = lanes[key]
+            if not admit(lane[0][1], key):
+                self._heads.append(heappop(heap))
+                continue
+            lane.popleft()
+            self._laned -= 1
+            if lane:
+                heapreplace(heap, (lane[0][0], key))
+            else:
+                del lanes[key]
+                heappop(heap)
+
     def head(self) -> Transaction:
-        return self._queue[0]
+        if self._queue:
+            return self._queue[0]
+        return self._lanes[self._heads[0][1]][0][1]
 
 
 @dataclass
@@ -216,7 +292,6 @@ class Simulation:
             for s in range(config.k_shards)
         ]
         self.book = AlignmentBook(config.window)
-        self.mempool = Mempool(config.mempool_size)
         partition_assignment = None
         if config.policy == "partition":
             partition_assignment = self._precompute_partition()
@@ -226,6 +301,10 @@ class Simulation:
             mode=config.mode,
             partition_assignment=partition_assignment,
             ca_migration=config.ca_migration,
+        )
+        self._lane_plans: dict = {}  # static policies: lane key -> its shared TxPlan
+        self.mempool = Mempool(
+            config.mempool_size, lane_of=self._lane_of if self.policy.static_placement else None
         )
         self.ledger = (
             IncentiveLedger(config.k_shards, config.miners_per_shard, config.seed, config.fee_scheme)
@@ -304,19 +383,93 @@ class Simulation:
                 ledger.credit(shard, round_index, fee)
         return EXECUTED
 
+    def _lane_of(self, tx: Transaction):
+        """Place tx's new accounts on their fixed shards and return its lane
+        key, (sorted shards, per-shard charge), under a static policy."""
+        assignment = self.mapping.assignment
+        shards = set()
+        for acc in tx.write_set:
+            shard = assignment.get(acc)
+            if shard is None:
+                shard = self.policy.shard_of(acc)
+                self.mapping.place(acc, shard)
+            shards.add(shard)
+        key = (tuple(sorted(shards)), self.cost_model.per_shard_charge(tx.base_cost, len(shards)))
+        if key not in self._lane_plans:
+            self._lane_plans[key] = TxPlan(
+                new_placements={},
+                migrations=(),
+                final_shards=frozenset(shards),
+                per_shard_charges=dict.fromkeys(key[0], key[1]),
+            )
+        return key
+
     # -- round loop --------------------------------------------------------
+
+    def _admit_lanes(self, round_index: int, latencies: list) -> tuple[int, int]:
+        """Admit from the static policies' lanes, lane heads in arrival order.
+
+        Residuals only fall within a round, so once a lane's head is deferred
+        every later transaction of that lane, with the same shards and charge,
+        would be deferred too: the lane is done for the round.
+        """
+        plans = self._lane_plans
+        first_seen = self.mempool.first_seen
+        try_execute = self.try_execute
+        cross = 0
+
+        def admit(tx, key) -> bool:
+            nonlocal cross
+            if try_execute(tx, plans[key], round_index) != EXECUTED:
+                return False
+            if len(key[0]) > 1:
+                cross += 1
+            latencies.append(round_index - first_seen.pop(tx.tx_id))
+            return True
+
+        self.mempool.walk_lanes(admit)
+        return 0, cross
+
+    def _admit_fifo(self, round_index: int, latencies: list) -> tuple[int, int]:
+        """Plan and admit the scheduler's pending transactions in arrival order."""
+        shards = self.shards
+        assignment = self.mapping.assignment
+        blocked = self.config.refuse_migrations_from
+        retain = self.mempool.retain
+        first_seen = self.mempool.first_seen
+        loads = LiveLoads(shards)
+        migrations = cross = 0
+        for tx in self.mempool.drain():
+            # A scheduler plan charges its main shard, one of the placed
+            # accounts' shards, at least the base cost, so it cannot land
+            # while each of them has less residual.
+            fits = True
+            for acc in tx.write_set:
+                shard = assignment.get(acc)
+                if shard is not None:
+                    fits = shards[shard].residual >= tx.base_cost
+                    if fits:
+                        break
+            if not fits:
+                retain(tx)
+                continue
+            plan = self.plan(tx, loads)
+            if blocked:
+                plan = self._veto(tx, plan)
+            if self.try_execute(tx, plan, round_index) == EXECUTED:
+                migrations += len(plan.migrations)
+                if len(plan.final_shards) > 1:
+                    cross += 1
+                latencies.append(round_index - first_seen.pop(tx.tx_id))
+            else:
+                retain(tx)
+        return migrations, cross
 
     def run(self):
         config = self.config
         source = iter(self.workload)
-        static = self.policy.static_placement
-        blocked = config.refuse_migrations_from
+        admit = self._admit_lanes if self.policy.static_placement else self._admit_fifo
         shards = self.shards
-        assignment = self.mapping.assignment
-        retain = self.mempool.retain
-        first_seen = self.mempool.first_seen
-        # static policies: tx_id -> (ShardState, charge) pairs of a deferred tx
-        pending_charges: dict = {}
         idle_rounds = 0
         round_index = 0
         while True:
@@ -326,49 +479,10 @@ class Simulation:
                 break  # workload drained and nothing pending
             for shard in shards:
                 shard.residual = shard.capacity_per_round
-            loads = LiveLoads(shards)
-            processed = 0
-            migrations = 0
-            cross = 0
-            latencies = []
             cost_before = {s.id: s.window_sum for s in shards}
-            for tx in self.mempool.drain():
-                if static:
-                    charges = pending_charges.get(tx.tx_id)
-                    if charges is not None and _lacks_residual(charges):
-                        retain(tx)
-                        continue
-                else:
-                    # A scheduler plan charges its main shard, one of the
-                    # placed accounts' shards, at least the base cost, so it
-                    # cannot land while each of them has less residual.
-                    fits = True
-                    for acc in tx.write_set:
-                        shard = assignment.get(acc)
-                        if shard is not None:
-                            fits = shards[shard].residual >= tx.base_cost
-                            if fits:
-                                break
-                    if not fits:
-                        retain(tx)
-                        continue
-                plan = self.plan(tx, loads)
-                if blocked:
-                    plan = self._veto(tx, plan)
-                if self.try_execute(tx, plan, round_index) == EXECUTED:
-                    processed += 1
-                    migrations += len(plan.migrations)
-                    if len(plan.final_shards) > 1:
-                        cross += 1
-                    latencies.append(round_index - first_seen.pop(tx.tx_id))
-                    if static:
-                        pending_charges.pop(tx.tx_id, None)
-                else:
-                    if static:
-                        pending_charges[tx.tx_id] = [
-                            (shards[s], c) for s, c in plan.per_shard_charges.items()
-                        ]
-                    retain(tx)
+            latencies = []
+            migrations, cross = admit(round_index, latencies)
+            processed = len(latencies)
             self.reports.append(
                 RoundReport(
                     round_index=round_index,
@@ -407,14 +521,6 @@ class Simulation:
         return self.reports, finalize(
             self.reports, total_fees=self.ledger.total_fees() if self.ledger else 0
         )
-
-
-def _lacks_residual(charges) -> bool:
-    """True if some (ShardState, charge) pair's shard cannot take its charge."""
-    for shard, charge in charges:
-        if shard.residual < charge:
-            return True
-    return False
 
 
 def finalize(reports, total_fees: int = 0) -> FinalSummary:

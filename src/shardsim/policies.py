@@ -1,16 +1,17 @@
-"""Placement and migration policies behind a single planning interface.
+"""Placement and migration policies.
 
 Three policies are provided: a stable hash baseline, a precomputed-partition
-baseline, and the load/alignment-driven scheduler.  Planning is a pure
-function of the transaction plus snapshots of the mapping, the published
-shard loads, and the alignment totals, so any plan can be replayed and
-verified bit-for-bit.
+baseline, and the load/alignment-driven scheduler.  The two baselines place
+each account on a fixed shard, ``shard_of(account)``, and never migrate.  The
+scheduler plans each transaction as a pure function of the transaction plus
+snapshots of the mapping, the published shard loads, and the alignment
+totals, so any plan can be replayed and verified bit-for-bit.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     CA,
@@ -35,7 +36,6 @@ MODES = (MODE_2PC, MODE_MUTEX)
 
 @dataclass(frozen=True)
 class TxPlan:
-    tx_id: str
     new_placements: dict
     migrations: tuple
     final_shards: frozenset
@@ -87,39 +87,17 @@ def should_migrate(current: ShardId, totals: dict, c_cross: int) -> bool:
     return c_cross * own < rest
 
 
-def _charges(final_shards, base_cost: int, cost_model: CostModel) -> dict:
-    return dict.fromkeys(final_shards, cost_model.per_shard_charge(base_cost, len(final_shards)))
-
-
 class HashPolicy:
     kind = HASH
-    # An account's shard never changes once placed, so a plan's shards and
-    # charges are fixed by its first computation, and alignment is never read.
+    # An account's shard is a pure function of the account, so it is fixed
+    # before round 0, nothing migrates, and alignment is never read.
     static_placement = True
 
     def __init__(self, k: int):
         self.k = k
 
-    def _place(self, account: AccountId) -> ShardId:
+    def shard_of(self, account: AccountId) -> ShardId:
         return hash_place(account, self.k)
-
-    def plan(self, tx: Transaction, mapping, loads, book, cost_model, **_) -> TxPlan:
-        assignment = mapping.assignment
-        new_placements = {}
-        final = set()
-        for acc in tx.write_set:
-            shard = assignment.get(acc)
-            if shard is None:
-                shard = self._place(acc)
-                new_placements[acc] = shard
-            final.add(shard)
-        return TxPlan(
-            tx_id=tx.tx_id,
-            new_placements=new_placements,
-            migrations=(),
-            final_shards=frozenset(final),
-            per_shard_charges=_charges(final, tx.base_cost, cost_model),
-        )
 
 
 class PartitionPolicy(HashPolicy):
@@ -131,7 +109,7 @@ class PartitionPolicy(HashPolicy):
         super().__init__(k)
         self.assignment = assignment
 
-    def _place(self, account: AccountId) -> ShardId:
+    def shard_of(self, account: AccountId) -> ShardId:
         shard = self.assignment.get(account)
         if shard is None:
             return hash_place(account, self.k)
@@ -183,11 +161,12 @@ class SchedulerPolicy:
             else:
                 final.add(current)
         return TxPlan(
-            tx_id=tx.tx_id,
             new_placements=new_placements,
             migrations=tuple(migrations),
             final_shards=frozenset(final),
-            per_shard_charges=_charges(final, tx.base_cost, cost_model),
+            per_shard_charges=dict.fromkeys(
+                final, cost_model.per_shard_charge(tx.base_cost, len(final))
+            ),
         )
 
 

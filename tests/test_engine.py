@@ -10,17 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shardsim.core import CA, Account, Transaction
+from shardsim.economics import FEE_SCHEMES, IncentiveLedger, split_fee
 from shardsim.engine import (
     ConfigError,
     EmptyRun,
     LiveLoads,
     Livelock,
     Mempool,
+    RoundReport,
     SimConfig,
     Simulation,
     finalize,
     run,
 )
+from shardsim.partitioner import graph_from_transactions, partition_greedy
 from shardsim.policies import hash_place
 from shardsim.workload import SyntheticSpec, generate, load_trace
 
@@ -54,6 +57,27 @@ def test_config_validation():
         with pytest.raises(ConfigError):
             SimConfig(**bad).validate()
     SimConfig(economics=True, default_fee=0).validate()
+    SimConfig(mempool_ratio=2, refuse_migrations_from=frozenset({0, 15})).validate()
+
+
+_WRONG_CONFIGS = {
+    "shard_capacity": dict(shard_capacity=2.5),
+    "cross_shard_cost": dict(cross_shard_cost=1.5),
+    "k_shards": dict(k_shards=2.0),
+    "k_shards must be int, got True": dict(k_shards=True),
+    "max_rounds": dict(max_rounds=3.0),
+    "mempool_ratio": dict(mempool_ratio=True),
+    "economics": dict(economics=1),
+    "shard 4": dict(k_shards=4, refuse_migrations_from=frozenset({4})),
+    "shard -1": dict(k_shards=4, refuse_migrations_from=frozenset({-1})),
+    "shard '0'": dict(refuse_migrations_from=frozenset({"0"})),
+}
+
+
+@pytest.mark.parametrize("named", sorted(_WRONG_CONFIGS))
+def test_config_rejects_wrong_types_and_shards(named):
+    with pytest.raises(ConfigError, match=named):
+        SimConfig(**_WRONG_CONFIGS[named]).validate()
 
 
 def _pair_workload():
@@ -338,25 +362,190 @@ def test_unadmittable_transaction_raises_livelock(max_rounds):
     assert all(r.processed_count == 0 for r in sim.reports)
 
 
-@pytest.mark.parametrize("policy,plans", [("hash", 5), ("scheduler", 3)])
-def test_deferred_tx_not_replanned_while_its_shard_is_full(policy, plans):
+@pytest.mark.parametrize("policy,admits", [("hash", 5), ("scheduler", 3)])
+def test_deferred_tx_not_replanned_while_its_shard_is_full(policy, admits):
     # k=1, capacity 1, three txs on one account: one executes per round.
     # Planning every pending tx every round would cost 3 + 2 + 1 = 6 plans.
-    # hash plans a deferred tx once, then waits for residual: 3 + 1 + 1.
-    # The scheduler never plans a tx whose placed shard is full: 1 + 1 + 1.
+    # hash never plans; its one lane admits its head and tries the next,
+    # which is deferred and closes the lane for the round: 2 + 2 + 1 admits.
+    # The scheduler never plans a tx whose placed shard is full: 1 + 1 + 1
+    # plans, each admitted.
     cfg = SimConfig(k_shards=1, shard_capacity=1, mempool_ratio=3.0, policy=policy)
     sim = Simulation(cfg, [Transaction(f"t{i}", i, ("aa",)) for i in range(3)])
-    calls = []
-    plan = sim.plan
+    plans, attempts = [], []
+    plan, try_execute = sim.plan, sim.try_execute
 
-    def counted(tx, loads):
-        calls.append(tx.tx_id)
+    def counted_plan(tx, loads):
+        plans.append(tx.tx_id)
         return plan(tx, loads)
 
-    sim.plan = counted
+    def counted_admit(tx, tx_plan, round_index):
+        attempts.append(tx.tx_id)
+        return try_execute(tx, tx_plan, round_index)
+
+    sim.plan, sim.try_execute = counted_plan, counted_admit
     _, summary = sim.run()
     assert summary.executed == 3 and summary.rounds == 3
-    assert len(calls) == plans
+    assert len(attempts) == admits
+    assert len(plans) == (0 if policy == "hash" else admits)
+
+
+def test_deferred_lane_blocks_only_its_own_footprint():
+    # Capacity 2 on each of two shards.  t0 (cost 2) fills shard 0, so t1 on
+    # shard 0 is deferred, yet t2 on shard 1 still runs in round 0.  On
+    # shard 1, t3 (cost 2) no longer fits beside t2, but t4 (cost 1) does.
+    txs = [
+        Transaction("t0", 0, ("aa",), base_cost=2),
+        Transaction("t1", 1, ("aa",)),
+        Transaction("t2", 2, ("bb",)),
+        Transaction("t3", 3, ("bb",), base_cost=2),
+        Transaction("t4", 4, ("bb",)),
+    ]
+    cfg = SimConfig(k_shards=2, shard_capacity=2, mempool_ratio=2.0, policy="hash")
+    sim = Simulation(cfg, txs, initial_assignment={"aa": 0, "bb": 1})
+    admitted = []
+    try_execute = sim.try_execute
+
+    def recorded(tx, plan, round_index):
+        outcome = try_execute(tx, plan, round_index)
+        if outcome == "executed":
+            admitted.append((round_index, tx.tx_id))
+        return outcome
+
+    sim.try_execute = recorded
+    reports, _ = sim.run()
+    assert admitted == [(0, "t0"), (0, "t2"), (0, "t4"), (1, "t1"), (1, "t3")]
+    assert [r.processed_count for r in reports] == [3, 2]
+
+
+def _reference_static_run(cfg, txs, initial, shard_of):
+    """Literal round semantics of the hash and partition policies.
+
+    Every round, every pending transaction is planned from scratch in FIFO
+    order: its shards come from the mapping, else shard_of, and it runs if
+    each of them has the residual for its charge.  Every fee is split.
+    Returns (reports, ledger, mapping, stuck); stuck is None, or the head
+    transaction's (tx_id, first-seen round) once window + 1 rounds pass with
+    no execution and no arrival.
+    """
+    k, capacity = cfg.k_shards, cfg.shard_capacity
+    mapping = dict(initial)
+    ledger = (IncentiveLedger(k, cfg.miners_per_shard, cfg.seed, cfg.fee_scheme)
+              if cfg.economics else None)
+    source = iter(txs)
+    pending, first_seen, reports = [], {}, []
+    idle = round_index = 0
+    while True:
+        start, added = len(pending), 0
+        while len(pending) < math.ceil(cfg.mempool_ratio * k * capacity):
+            tx = next(source, None)
+            if tx is None:
+                break
+            pending.append(tx)
+            first_seen[tx.tx_id] = round_index
+            added += 1
+        if not pending:
+            break
+        residual = [capacity] * k
+        deferred, latencies, cross = [], [], 0
+        for tx in pending:
+            shards = {mapping.get(a, shard_of(a)) for a in tx.write_set}
+            charge = tx.base_cost * (cfg.cross_shard_cost if len(shards) > 1 else 1)
+            if any(residual[s] < charge for s in shards):
+                deferred.append(tx)
+                continue
+            for s in shards:
+                residual[s] -= charge
+            for a in tx.write_set:
+                mapping.setdefault(a, shard_of(a))
+            if ledger is not None:
+                for s, share in split_fee(tx.fee or cfg.default_fee, shards).items():
+                    ledger.credit(s, round_index, share)
+            cross += len(shards) > 1
+            latencies.append(round_index - first_seen.pop(tx.tx_id))
+        pending = deferred
+        reports.append(RoundReport(
+            round_index, added, start, len(pending), len(latencies),
+            {s: capacity - r for s, r in enumerate(residual)}, dict(enumerate(residual)),
+            0, cross, tuple(latencies),
+        ))
+        if ledger is not None and (round_index + 1) % cfg.epoch_length == 0:
+            ledger.close_epoch()
+        idle = 0 if latencies or added else idle + 1
+        if idle > cfg.window:
+            return reports, ledger, mapping, (pending[0].tx_id, first_seen[pending[0].tx_id])
+        round_index += 1
+        if cfg.max_rounds is not None and round_index >= cfg.max_rounds:
+            break
+    if ledger is not None:
+        ledger.close_epoch()
+    return reports, ledger, mapping, None
+
+
+@st.composite
+def _static_cases(draw):
+    k = draw(st.integers(1, 4))
+    accounts = [f"{i:02x}" for i in range(draw(st.integers(1, 8)))]
+    txs = [
+        Transaction(
+            f"t{i}", i,
+            tuple(draw(st.lists(st.sampled_from(accounts), min_size=1,
+                                max_size=min(3, len(accounts)), unique=True))),
+            fee=draw(st.integers(0, 3)), base_cost=draw(st.integers(1, 3)),
+        )
+        for i in range(draw(st.integers(1, 30)))
+    ]
+    initial = draw(st.dictionaries(st.sampled_from(accounts), st.integers(0, k - 1)))
+    cfg = SimConfig(
+        k_shards=k,
+        policy=draw(st.sampled_from(["hash", "partition"])),
+        cross_shard_cost=draw(st.integers(1, 3)),
+        shard_capacity=draw(st.integers(1, 9)),
+        mempool_ratio=draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])),
+        window=draw(st.integers(1, 3)),
+        economics=draw(st.booleans()),
+        fee_scheme=draw(st.sampled_from(FEE_SCHEMES)),
+        epoch_length=draw(st.integers(1, 3)),
+        miners_per_shard=draw(st.integers(1, 2)),
+        default_fee=draw(st.integers(0, 2)),
+        seed=draw(st.integers(0, 3)),
+        max_rounds=draw(st.none() | st.integers(1, 12)),
+    )
+    return cfg, txs, initial
+
+
+@given(case=_static_cases())
+@settings(max_examples=200, deadline=None)
+def test_static_lanes_match_literal_reference(case):
+    cfg, txs, initial = case
+    table = {}
+    if cfg.policy == "partition":
+        graph = graph_from_transactions(txs)
+        table = partition_greedy(graph, cfg.k_shards, math.ceil(len(graph) / cfg.k_shards),
+                                 seed=cfg.seed).assignment
+
+    def shard_of(account):
+        shard = table.get(account)
+        return hash_place(account, cfg.k_shards) if shard is None else shard
+
+    reports, ledger, mapping, stuck = _reference_static_run(cfg, txs, initial, shard_of)
+    sim = Simulation(cfg, txs, initial_assignment=initial)
+    if stuck is None:
+        _, summary = sim.run()
+        fees = ledger.total_fees() if ledger else 0
+        assert summary == finalize(reports, total_fees=fees)
+    else:
+        with pytest.raises(Livelock) as raised:
+            sim.run()
+        assert f"head transaction {stuck[0]!r} (pending since round {stuck[1]})" in str(
+            raised.value)
+    assert sim.reports == reports
+    if ledger is not None:
+        assert sim.ledger.epoch_rows == ledger.epoch_rows
+        assert sim.ledger.balances == ledger.balances
+        assert sim.ledger.shard_collected == ledger.shard_collected
+    if stuck is None and sum(r.processed_count for r in reports) == len(txs):
+        assert sim.mapping.assignment == mapping
 
 
 # bb, a contract account, is placed on shard 1; t2 aligns it toward shard 0,

@@ -16,6 +16,7 @@ from shardsim.core import (
     MappingService,
     Transaction,
 )
+from shardsim.engine import SimConfig, Simulation
 from shardsim.policies import (
     MODE_2PC,
     MODE_MUTEX,
@@ -27,10 +28,6 @@ from shardsim.policies import (
     select_main_shard,
     should_migrate,
 )
-
-
-def _uniform_loads(k, value=0):
-    return {s: value for s in range(k)}
 
 
 # ---------------------------------------------------------------------------
@@ -125,38 +122,28 @@ def test_should_migrate_boundary_is_strict():
 # hash / partition policies
 
 
-def test_hash_policy_plan_never_migrates():
+def test_hash_policy_shard_of_is_hash_place():
     policy = HashPolicy(16)
-    phi = MappingService()
-    tx = Transaction("t0", 0, ("00ff", "deadbeef"))
-    plan = policy.plan(tx, phi, _uniform_loads(16), AlignmentBook(10), CostModel(2))
-    assert plan.migrations == ()
-    assert plan.new_placements == {"00ff": 14, "deadbeef": 1}
-    assert plan.final_shards == frozenset({14, 1})
-    assert plan.per_shard_charges == {14: 2, 1: 2}
+    assert policy.static_placement
+    assert policy.shard_of("00ff") == 14
+    assert policy.shard_of("deadbeef") == 1
 
 
 def test_hash_policy_respects_existing_placement():
-    policy = HashPolicy(16)
-    phi = MappingService()
-    phi.place("00ff", 5)  # placed elsewhere than its hash shard
-    plan = policy.plan(
-        Transaction("t0", 0, ("00ff",)), phi, _uniform_loads(16), AlignmentBook(10),
-        CostModel(2),
-    )
-    assert plan.final_shards == frozenset({5})
-    assert plan.per_shard_charges == {5: 1}
+    # an initial placement elsewhere than the hash shard wins over shard_of
+    cfg = SimConfig(k_shards=16, policy="hash")
+    sim = Simulation(cfg, [Transaction("t0", 0, ("00ff", "deadbeef"))],
+                     initial_assignment={"00ff": 5})
+    reports, summary = sim.run()
+    assert sim.mapping.assignment == {"00ff": 5, "deadbeef": 1}
+    assert summary.migrations == 0
+    assert {s: c for s, c in reports[0].processed_cost.items() if c} == {5: 2, 1: 2}
 
 
 def test_partition_policy_uses_assignment_with_hash_fallback():
     policy = PartitionPolicy(16, {"aa": 7})
-    phi = MappingService()
-    plan = policy.plan(
-        Transaction("t0", 0, ("aa", "deadbeef")), phi, _uniform_loads(16),
-        AlignmentBook(10), CostModel(2),
-    )
-    assert plan.new_placements["aa"] == 7
-    assert plan.new_placements["deadbeef"] == 1  # hash fallback
+    assert policy.shard_of("aa") == 7
+    assert policy.shard_of("deadbeef") == 1  # hash fallback
 
 
 # ---------------------------------------------------------------------------
