@@ -99,8 +99,9 @@ class SimConfig:
             raise ConfigError("k_shards, shard_capacity and window must be positive")
         if self.cross_shard_cost < 1:
             raise ConfigError("cross_shard_cost must be positive")
-        if self.mempool_ratio <= 0:
-            raise ConfigError("mempool_ratio must be positive")
+        # the mempool holds ceil(mempool_ratio * k_shards * shard_capacity) txs
+        if not 0 < self.mempool_ratio * self.k_shards * self.shard_capacity < math.inf:
+            raise ConfigError(f"mempool_ratio must be positive and finite, got {self.mempool_ratio!r}")
         if self.policy not in POLICY_KINDS:
             raise ConfigError(f"unknown policy {self.policy!r}")
         if self.mode not in MODES:

@@ -77,14 +77,26 @@ class Partition:
 
 
 def graph_from_transactions(txs) -> WeightedGraph:
-    """Co-occurrence graph: edge weight counts write-set pairings."""
+    """Co-occurrence graph: edge weight counts write-set pairings.
+
+    Vertices and neighbours appear in ``adj`` in order of first occurrence,
+    as if every pairing were added with ``add_edge``; write sets hold distinct
+    accounts, so no pairing is a self-loop.
+    """
     g = WeightedGraph()
+    adj = g.adj
+    pairs = {}  # (u, v) with u < v -> weight, in order of first pairing
     for tx in txs:
         ws = tx.write_set
         for acc in ws:
-            g.add_vertex(acc)
+            if acc not in adj:
+                adj[acc] = {}
         for a, b in itertools.combinations(ws, 2):
-            g.add_edge(a, b, 1)
+            key = (a, b) if a < b else (b, a)
+            pairs[key] = pairs.get(key, 0) + 1
+    for (u, v), weight in pairs.items():
+        adj[u][v] = weight
+        adj[v][u] = weight
     return g
 
 

@@ -6,18 +6,28 @@ Trace files are UTF-8 text, one record per line:
 
 Fields are whitespace-separated, accounts comma-separated hex; an account may
 carry a ``|CA`` suffix to mark it as a contract account.  Records are ordered
-by (block, file order), which defines the arrival index.
+by (block, file order), which defines the arrival index.  Account ids are
+interned per load: every spelling of an account (any letter case, with or
+without ``|CA``) becomes one lower-case string object, shared by all of its
+transactions.
 
 Synthetic generators reproduce the workload characteristics the policies are
 designed around: Zipf hot spots, interaction communities, activity bursts,
-and purely intra-/cross-shard reference workloads.
+and purely intra-/cross-shard reference workloads.  A zipf_hotspot,
+communities or bursty workload is a function of the spec and of PCG64's raw
+stream for ``spec.seed``, which numpy keeps stable, not of numpy's
+bounded-integer code: these generators replay numpy's draws from the raw
+words (see ``_Stream``).  all_intra and all_cross still draw through
+``Generator.choice``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -82,6 +92,10 @@ class SyntheticSpec:
     def validate(self) -> None:
         if self.generator not in GENERATORS:
             raise InvalidSpec(f"unknown generator {self.generator!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidSpec(f"{f.name} must be finite, got {value!r}")
         if self.n_accounts < 2 or self.n_txs < 1:
             raise InvalidSpec("need at least 2 accounts and 1 transaction")
         if not 2 <= self.accounts_per_tx <= self.n_accounts:
@@ -104,7 +118,15 @@ class SyntheticSpec:
                 raise InvalidSpec("burst period >= 1 and amplitude >= 1 required")
 
 
-def parse_trace_line(line: str, line_no: int) -> TraceRecord:
+def _parse_fields(line: str, line_no: int, tokens: dict) -> tuple:
+    """Split one record into (block, tx_id, fee, accounts, contracts).
+
+    ``accounts`` holds the record's distinct lower-case account ids in order
+    of first appearance; ``contracts`` those of them that any spelling on the
+    line marks ``|CA``.  ``tokens`` caches every raw account token as
+    (id, kind) across the lines of one load, so each token is checked once
+    and every spelling of an account yields the same id object.
+    """
     parts = line.split()
     if len(parts) != 4:
         raise ParseError(line_no, f"expected 4 fields, got {len(parts)}")
@@ -117,25 +139,38 @@ def parse_trace_line(line: str, line_no: int) -> TraceRecord:
     if block < 0 or fee < 0:
         raise ParseError(line_no, "block and fee must be nonnegative")
     accounts = []
-    kinds = []
+    contracts = ()
     for token in accounts_s.split(","):
-        if not token:
-            continue
-        if token.endswith("|CA"):
-            acc, kind = token[:-3], CA
-        else:
-            acc, kind = token, EOA
-        if not _is_hex(acc):
-            raise ParseError(line_no, f"malformed account {token!r}")
-        acc = acc.lower()
+        try:
+            acc, kind = tokens[token]
+        except KeyError:
+            if not token:
+                continue
+            if token.endswith("|CA"):
+                acc, kind = token[:-3], CA
+            else:
+                acc, kind = token, EOA
+            if not _is_hex(acc):
+                raise ParseError(line_no, f"malformed account {token!r}")
+            acc = acc.lower()
+            # the lower-case unmarked spelling is itself a token meaning (acc, EOA)
+            acc = tokens.setdefault(acc, (acc, EOA))[0]
+            tokens[token] = acc, kind
         if acc not in accounts:
             accounts.append(acc)
-            kinds.append(kind)
-        elif kind == CA:
-            kinds[accounts.index(acc)] = CA
+        if kind == CA:
+            contracts += (acc,)
     if not accounts:
         raise EmptyWriteSet(line_no)
-    return TraceRecord(block, tx_id, tuple(accounts), fee, tuple(kinds))
+    if contracts:
+        contracts = tuple(acc for acc in accounts if acc in contracts)
+    return block, tx_id, fee, tuple(accounts), contracts
+
+
+def parse_trace_line(line: str, line_no: int) -> TraceRecord:
+    block, tx_id, fee, accounts, contracts = _parse_fields(line, line_no, {})
+    kinds = tuple(CA if acc in contracts else EOA for acc in accounts)
+    return TraceRecord(block, tx_id, accounts, fee, kinds)
 
 
 def load_trace(path) -> tuple[list[Transaction], dict]:
@@ -143,28 +178,30 @@ def load_trace(path) -> tuple[list[Transaction], dict]:
 
     Returns the transactions in arrival order plus the accounts flagged as
     contract accounts ({account: Account(account, CA)}), ready to pass to
-    ``Simulation(accounts=...)``.
+    ``Simulation(accounts=...)``.  Each account id is one string object,
+    shared by every transaction that writes the account.
     """
-    records = []
+    rows = []  # (block, tx_id, fee, accounts, contracts) per record
+    tokens = {}
     first_line = {}  # tx_id -> line of its first occurrence
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rec = parse_trace_line(line, line_no)
-            first = first_line.setdefault(rec.tx_id, line_no)
+            row = _parse_fields(line, line_no, tokens)
+            first = first_line.setdefault(row[1], line_no)
             if first != line_no:
-                raise ParseError(line_no, f"duplicate tx_id {rec.tx_id!r} (first on line {first})")
-            records.append(rec)
-    records.sort(key=lambda r: r.block)  # stable: file order within a block
+                raise ParseError(line_no, f"duplicate tx_id {row[1]!r} (first on line {first})")
+            rows.append(row)
+    rows.sort(key=itemgetter(0))  # stable: file order within a block
     contracts = {}
     txs = []
-    for index, rec in enumerate(records):
-        for acc, kind in zip(rec.accounts, rec.kind_flags):
-            if kind == CA and acc not in contracts:
+    for index, (_, tx_id, fee, accounts, marked) in enumerate(rows):
+        for acc in marked:
+            if acc not in contracts:
                 contracts[acc] = Account(acc, CA)
-        txs.append(Transaction(rec.tx_id, index, rec.accounts, fee=rec.fee))
+        txs.append(Transaction(tx_id, index, accounts, fee=fee))
     return txs, contracts
 
 
@@ -191,7 +228,6 @@ def _hash_buckets(ids, k):
 def generate(spec: SyntheticSpec) -> list[Transaction]:
     """Deterministically generate a synthetic transaction list."""
     spec.validate()
-    rng = np.random.default_rng(spec.seed)
     ids = [account_id(spec.seed, i) for i in range(spec.n_accounts)]
     make = {
         "all_intra": _gen_all_intra,
@@ -200,6 +236,10 @@ def generate(spec: SyntheticSpec) -> list[Transaction]:
         "communities": _gen_communities,
         "bursty": _gen_bursty,
     }[spec.generator]
+    if spec.generator in ("all_intra", "all_cross"):  # these draw via Generator.choice
+        rng = np.random.default_rng(spec.seed)
+    else:
+        rng = _Stream(spec.seed)
     write_sets = make(spec, rng, ids)
     return [
         Transaction(f"t{index}", index, ws)
@@ -230,22 +270,111 @@ def _gen_all_cross(spec, rng, ids):
     return out
 
 
-class _WeightedSampler:
-    """Batched inverse-CDF sampling; much faster than per-draw rng.choice."""
+_RAW_BLOCK = 4096  # PCG64 words fetched per refill
+_TO_UNIT = 2.0**-53
 
-    def __init__(self, rng, weights, batch=65536):
-        self._rng = rng
+
+class _Stream:
+    """The draws of ``np.random.default_rng(seed)``, replayed from PCG64's raw
+    64-bit words without numpy's per-call overhead.
+
+    Each method returns exactly what the same call on the ``Generator`` would
+    return at the same point of the stream:
+
+    - ``random()`` is ``(word >> 11) * 2**-53``;
+    - ``integers(n)``, for 1 <= n <= 2**32, is numpy's 32-bit Lemire rejection
+      (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+      2019) on ``next_uint32``, which returns the low half of a fresh word and
+      keeps the high half for the next 32-bit draw; ``random()`` leaves the
+      kept half alone, and ``integers(1)`` draws nothing;
+    - ``random_batch(k)`` is ``random(k)``: the next k words, converted by numpy.
+
+    A test compares the replay with the installed numpy.
+    """
+
+    __slots__ = ("_bitgen", "_words", "_pos", "_half")
+
+    def __init__(self, seed: int):
+        self._bitgen = np.random.default_rng(seed).bit_generator
+        self._words = []  # the current block of raw words, as Python ints
+        self._pos = 0
+        self._half = None  # upper half of a word split by a 32-bit draw
+
+    def random(self) -> float:
+        if self._pos == len(self._words):
+            self._words = self._bitgen.random_raw(_RAW_BLOCK).tolist()
+            self._pos = 0
+        self._pos += 1
+        return (self._words[self._pos - 1] >> 11) * _TO_UNIT
+
+    def integers(self, n: int) -> int:
+        (value,) = self.distinct(range(n), 1)
+        return value
+
+    def distinct(self, pool, size: int) -> set:
+        """``pool[integers(len(pool))]``, drawn until ``size`` distinct items
+        are drawn; ``integers(n)`` is one draw from ``range(n)``.  This is the
+        generators' hot loop, so it keeps the stream state in locals."""
+        n = len(pool)
+        if n == 1:
+            return {pool[0]}
+        threshold = (0x100000000 - n) % n  # Lemire accepts a leftover >= this
+        words, pos, half = self._words, self._pos, self._half
+        chosen = set()
+        while len(chosen) < size:
+            if half is None:  # next_uint32: a fresh word's low half, keeping the high half
+                if pos == len(words):
+                    words = self._bitgen.random_raw(_RAW_BLOCK).tolist()
+                    pos = 0
+                word = words[pos]
+                pos += 1
+                half = word >> 32
+                m = (word & 0xFFFFFFFF) * n
+            else:
+                m = half * n
+                half = None
+            if m & 0xFFFFFFFF >= threshold:
+                chosen.add(pool[m >> 32])
+        self._words, self._pos, self._half = words, pos, half
+        return chosen
+
+    def random_batch(self, k: int) -> np.ndarray:
+        taken = self._words[self._pos : self._pos + k]
+        self._pos += len(taken)
+        raw = np.array(taken, dtype=np.uint64)
+        if len(taken) < k:
+            raw = np.concatenate((raw, self._bitgen.random_raw(k - len(taken))))
+        return (raw >> np.uint64(11)) * _TO_UNIT
+
+
+class _WeightedSampler:
+    """Batched inverse-CDF sampling; much faster than per-draw rng.choice.
+
+    ``distinct`` is the most distinct indices one ``draw_distinct`` call asks
+    for.  Weights whose float CDF reaches fewer indices than that would make
+    the call loop forever, so they are refused before any draw.
+    """
+
+    def __init__(self, stream, weights, distinct=1, batch=65536):
+        self._stream = stream
         self._cdf = np.cumsum(weights)
         self._cdf[-1] = 1.0
+        reachable = int(np.count_nonzero(np.diff(self._cdf, prepend=0.0) > 0))
+        if reachable < distinct:
+            raise InvalidSpec(
+                f"weights reach {reachable} of {len(self._cdf)} accounts, "
+                f"fewer than the {distinct} distinct picks asked"
+            )
         self._batch = batch
-        self._buf = np.empty(0, dtype=np.int64)
+        self._buf = []
         self._pos = 0
 
     def draw(self) -> int:
-        if self._pos >= len(self._buf):
-            self._buf = np.searchsorted(self._cdf, self._rng.random(self._batch))
+        if self._pos == len(self._buf):
+            u = self._stream.random_batch(self._batch)
+            self._buf = np.searchsorted(self._cdf, u).tolist()
             self._pos = 0
-        value = int(self._buf[self._pos])
+        value = self._buf[self._pos]
         self._pos += 1
         return value
 
@@ -259,11 +388,9 @@ class _WeightedSampler:
 
 
 def _gen_zipf(spec, rng, ids):
-    sampler = _WeightedSampler(rng, _zipf_weights(spec.n_accounts, spec.zipf_exponent))
-    return [
-        tuple(ids[j] for j in sampler.draw_distinct(spec.accounts_per_tx))
-        for _ in range(spec.n_txs)
-    ]
+    n = spec.accounts_per_tx
+    sampler = _WeightedSampler(rng, _zipf_weights(spec.n_accounts, spec.zipf_exponent), n)
+    return [tuple(ids[j] for j in sampler.draw_distinct(n)) for _ in range(spec.n_txs)]
 
 
 def _community_slices(n_accounts, n_communities):
@@ -284,49 +411,43 @@ def _gen_communities(spec, rng, ids):
     else:
         popularity = np.full(spec.n_communities, 1.0 / spec.n_communities)
     pick_community = _WeightedSampler(rng, popularity)
+    n = spec.accounts_per_tx
     hub_sampler = None
     if spec.p_hotspot > 0:
-        hub_sampler = _WeightedSampler(rng, _zipf_weights(spec.n_accounts, spec.zipf_exponent))
-    out = []
-    n = spec.accounts_per_tx
-    last_seen: dict = {}
+        weights = _zipf_weights(spec.n_accounts, spec.zipf_exponent)
+        hub_sampler = _WeightedSampler(rng, weights, n)
+    random, integers = rng.random, rng.integers
+    last_seen = [-1] * spec.n_accounts  # index of each account's latest transaction
     recency = max(1, spec.n_txs // 25)
-
-    def emit(picks):
+    out = []
+    for t in range(spec.n_txs):
+        if hub_sampler is not None and random() < spec.p_hotspot:
+            picks = hub_sampler.draw_distinct(n)
+        else:
+            picks = None
+            c = pick_community.draw()
+            members = slices[c]
+            if random() < spec.p_inter:
+                d = integers(spec.n_communities - 1)
+                if d >= c:
+                    d += 1
+                # An outsider joins a home-community group: n-1 members plus
+                # one account from another community.  Inter-community
+                # transactions only involve recently active accounts; a fresh
+                # account always makes its first appearance inside its own
+                # community.
+                horizon = max(0, t - recency)
+                active = [j for j in members if last_seen[j] >= horizon]
+                active_d = [j for j in slices[d] if last_seen[j] >= horizon]
+                if len(active) >= n - 1 and active_d:
+                    outsider = active_d[integers(len(active_d))]
+                    picks = (*sorted(rng.distinct(active, n - 1)), outsider)
+                # else fall through to an intra-community transaction
+            if picks is None:
+                picks = sorted(rng.distinct(members, min(n, len(members))))
         for j in picks:
-            last_seen[j] = len(out)
-        out.append(tuple(ids[j] for j in picks))
-
-    for _ in range(spec.n_txs):
-        if hub_sampler is not None and rng.random() < spec.p_hotspot:
-            emit(hub_sampler.draw_distinct(n))
-            continue
-        c = pick_community.draw()
-        members = slices[c]
-        if rng.random() < spec.p_inter:
-            d = int(rng.integers(spec.n_communities - 1))
-            if d >= c:
-                d += 1
-            # An outsider joins a home-community group: n-1 members plus one
-            # account from another community.  Inter-community transactions
-            # only involve recently active accounts; a fresh account always
-            # makes its first appearance inside its own community.
-            horizon = max(0, len(out) - recency)
-            active = [j for j in members if last_seen.get(j, -1) >= horizon]
-            active_d = [j for j in slices[d] if last_seen.get(j, -1) >= horizon]
-            if len(active) >= n - 1 and active_d:
-                outsider = active_d[int(rng.integers(len(active_d)))]
-                locals_ = set()
-                while len(locals_) < n - 1:
-                    locals_.add(active[int(rng.integers(len(active)))])
-                emit((*sorted(locals_), outsider))
-                continue
-            # fall through to an intra-community transaction
-        size = min(n, len(members))
-        picks = set()
-        while len(picks) < size:
-            picks.add(members[int(rng.integers(len(members)))])
-        emit(sorted(picks))
+            last_seen[j] = t
+        out.append(tuple([ids[j] for j in picks]))
     return out
 
 
@@ -345,6 +466,6 @@ def _gen_bursty(spec, rng, ids):
             weights = np.full(spec.n_accounts, 1.0)
             for j in range(hot_size):
                 weights[(hot_start + j) % spec.n_accounts] = spec.burst_amplitude
-            sampler = _WeightedSampler(rng, weights / weights.sum())
+            sampler = _WeightedSampler(rng, weights / weights.sum(), n)
         out.append(tuple(ids[j] for j in sampler.draw_distinct(n)))
     return out

@@ -80,6 +80,13 @@ def test_config_rejects_wrong_types_and_shards(named):
         SimConfig(**_WRONG_CONFIGS[named]).validate()
 
 
+@pytest.mark.parametrize("ratio", [float("nan"), float("inf"), 1e308])
+def test_config_rejects_non_finite_mempool_ratio(ratio):
+    # before, Simulation(...) failed in mempool_size with ValueError/OverflowError
+    with pytest.raises(ConfigError, match="mempool_ratio"):
+        Simulation(SimConfig(k_shards=2, mempool_ratio=ratio), _pair_workload())
+
+
 def _pair_workload():
     return [Transaction("t0", 0, ("aa", "bb"))]
 

@@ -74,6 +74,25 @@ def test_graph_from_transactions_counts_pairings():
     assert "d" in g.vertices and not g.adj["d"]
 
 
+@given(write_sets=st.lists(
+    st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=4, unique=True), max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_graph_from_transactions_matches_add_edge_order(write_sets):
+    # partition_greedy walks adj in insertion order, so the order must match
+    # a graph built pairing by pairing through the checked API
+    expected = WeightedGraph()
+    for ws in write_sets:
+        for acc in ws:
+            expected.add_vertex(acc)
+        for a, b in itertools.combinations(ws, 2):
+            expected.add_edge(a, b)
+    txs = [Transaction(f"t{i}", i, tuple(ws)) for i, ws in enumerate(write_sets)]
+    got = graph_from_transactions(txs).adj
+    assert [(v, list(nbrs.items())) for v, nbrs in got.items()] == [
+        (v, list(nbrs.items())) for v, nbrs in expected.adj.items()
+    ]
+
+
 # ---------------------------------------------------------------------------
 # cut weight
 

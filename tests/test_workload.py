@@ -1,7 +1,11 @@
 """Trace parsing and synthetic generator tests."""
 
+import hashlib
+import signal
 from collections import Counter
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,7 @@ from shardsim.workload import (
     load_trace,
     parse_trace_line,
 )
+from shardsim.workload import _Stream
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +93,24 @@ def test_load_trace_orders_by_block(tmp_path):
     assert [t.tx_id for t in txs] == ["t0", "t1", "t2", "t3"]
     assert [t.arrival_index for t in txs] == [0, 1, 2, 3]
     assert kinds == {"dd": Account("dd", CA)}
+
+
+def test_load_trace_interns_every_spelling_of_an_account(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_text(
+        "0 t0 1 ABcd,01\n"
+        "0 t1 1 abcd|CA,02\n"
+        "1 t2 1 03,aBCd\n"
+        "1 t3 1 abcd,ABCD|CA\n"
+    )
+    txs, contracts = load_trace(path)
+    ids = [acc for tx in txs for acc in tx.write_set if acc == "abcd"]
+    assert len(ids) == 4 and all(acc is ids[0] for acc in ids)
+    assert [tx.write_set for tx in txs] == [
+        ("abcd", "01"), ("abcd", "02"), ("03", "abcd"), ("abcd",)
+    ]
+    assert contracts == {"abcd": Account("abcd", CA)}
+    assert contracts["abcd"].id is ids[0]
 
 
 _HEX = "0123456789abcdef"
@@ -173,6 +196,38 @@ def test_unknown_generator_rejected():
 def test_invalid_spec_parameters(kwargs):
     with pytest.raises(InvalidSpec):
         SyntheticSpec(**kwargs).validate()
+
+
+@contextmanager
+def _fails_after(seconds):
+    """Turn a hang into a test failure (POSIX main thread)."""
+    def timed_out(*_):
+        raise AssertionError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(generator="zipf_hotspot", zipf_exponent=float("nan")),
+        dict(generator="zipf_hotspot", zipf_exponent=float("inf")),
+        dict(generator="bursty", burst_amplitude=float("nan")),
+        dict(generator="bursty", burst_amplitude=float("inf")),
+        dict(generator="communities", p_hotspot=0.5, zipf_exponent=float("nan")),
+        # 2**-60 vanishes next to 1.0: the CDF reaches one of the 3 accounts
+        dict(generator="zipf_hotspot", n_accounts=3, accounts_per_tx=3, zipf_exponent=60.0),
+    ],
+)
+def test_specs_that_cannot_fill_a_write_set_are_refused(kwargs):
+    # each of these used to make generate loop forever
+    with _fails_after(10), pytest.raises(InvalidSpec):
+        generate(SyntheticSpec(n_txs=10, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +356,75 @@ def test_generators_emit_valid_transactions(seed, generator):
     assert len(txs) == 80
     for t in txs:
         assert len(t.write_set) == len(set(t.write_set)) == 2
+
+
+# ---------------------------------------------------------------------------
+# exact replay of numpy's Generator
+
+
+def test_stream_replays_numpy_generator():
+    """The replay must track the installed numpy draw for draw: scalar
+    random(), random(k) batches and integers(n) interleaved, with n at the
+    edges of numpy's 32-bit Lemire path and in between."""
+    seed = 2024
+    ref = np.random.default_rng(seed)
+    stream = _Stream(seed)
+    plan = np.random.default_rng(99)  # chooses the call sequence only
+    edges = [1, 2, 3, 399, 2**31 + 1, 2**32 - 1]
+    for step in range(30_000):
+        op = plan.integers(10)
+        if op < 3:
+            assert stream.random() == ref.random()
+        elif op == 3 and step % 50 == 0:
+            k = int(plan.integers(1, 9000))
+            assert np.array_equal(stream.random_batch(k), ref.random(k))
+        elif op < 7:
+            n = edges[plan.integers(len(edges))]
+            assert stream.integers(n) == ref.integers(n)
+        elif op < 9:
+            n = int(plan.integers(1, 2**32))
+            assert stream.integers(n) == ref.integers(n)
+        else:  # small pools, and pools where Lemire rejects often
+            pool = range(int(plan.integers(1, 40)) if step % 2 else edges[plan.integers(len(edges))])
+            size = int(plan.integers(1, min(len(pool), 6) + 1))
+            expected = set()
+            while len(expected) < size:
+                expected.add(pool[ref.integers(len(pool))])
+            assert stream.distinct(pool, size) == expected
+    assert stream.random() == ref.random()
+
+
+# SHA-256 of generate()'s output, recorded before the generators drew from
+# _Stream; each spec draws from every path of its generator.
+_PINNED_SPECS = {
+    "all_intra": dict(n_accounts=200, n_txs=500, accounts_per_tx=3, k_shards=5),
+    "all_cross": dict(n_accounts=200, n_txs=500, accounts_per_tx=3, k_shards=4),
+    # > 65,536 draws: the sampler refills its batch
+    "zipf_hotspot": dict(n_accounts=300, n_txs=40_000, zipf_exponent=1.1),
+    # hub traffic, inter- and intra-community transactions
+    "communities": dict(n_accounts=600, n_txs=5000, accounts_per_tx=3, n_communities=30,
+                        p_inter=0.2, community_zipf_exponent=0.6, p_hotspot=0.1,
+                        zipf_exponent=0.9),
+    "bursty": dict(n_accounts=200, n_txs=3000, accounts_per_tx=3, burst_period=700,
+                   burst_amplitude=30.0),
+}
+_PINNED_DIGESTS = {
+    ("all_intra", 0): "4c6f54ea54e3e3162ea2d37d473cced5a7d0678f1da46ccb5b7e25ce84c1f7ea",
+    ("all_intra", 7): "73cb25826166f0ddb14a4f3a120a613efc554152ec22380984e3e4e5b6d64a2b",
+    ("all_cross", 0): "f9d649d526d44ba23597629c3c16be46176c7babf3e8179620f4a8402b26cc3d",
+    ("all_cross", 7): "990178a3b0ab1b47c482450a481bc50e9ed784a26ceafae181b17139e684bf93",
+    ("zipf_hotspot", 0): "a10cf9ceb5d6c8ed40bfb4c8c8304145a2bb5080cf005fc1902c5a14c0b5c7f9",
+    ("zipf_hotspot", 7): "5cddb9402a7ad8e3398bf7efd55ec68188f0bdcd0e8fae05a4a90f43ff7cd479",
+    ("communities", 0): "7054974c64598ab31334f13c63a6b635e35270cc0d676d6b42b1cd6d959bffbf",
+    ("communities", 7): "5655fec03073dd13c1b50498bc1ac3edba04a2bffef526ea06878d1c63914877",
+    ("bursty", 0): "7a8ebab74123841469841c54ef4018689a7513c0e5b1733c835af7be3bf38c27",
+    ("bursty", 7): "ecf6490d4a2e33742a5fa8c05d03f4715212927df508b6452ea2eb24aa98fd4c",
+}
+
+
+@pytest.mark.parametrize("generator,seed", sorted(_PINNED_DIGESTS))
+def test_generated_workloads_are_pinned(generator, seed):
+    h = hashlib.sha256()
+    for tx in generate(SyntheticSpec(generator, seed=seed, **_PINNED_SPECS[generator])):
+        h.update(repr((tx.tx_id, tx.arrival_index, tx.write_set, tx.fee, tx.base_cost)).encode())
+    assert h.hexdigest() == _PINNED_DIGESTS[generator, seed]
