@@ -15,7 +15,7 @@ from .core import (
     update_alignments,
 )
 from .engine import FinalSummary, Livelock, RoundReport, SimConfig, Simulation, finalize, run
-from .policies import TxPlan, hash_place, make_policy, select_main_shard, should_migrate
+from .policies import TxPlan, hash_place, make_policy, should_migrate
 from .workload import SyntheticSpec, generate, load_trace
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "load_trace",
     "make_policy",
     "run",
-    "select_main_shard",
     "should_migrate",
     "update_alignments",
 ]

@@ -187,6 +187,7 @@ SUMMARY_FIELDS = (
     "latency",
     "wasted_capacity",
     "cross_shard_ratio",
+    "total_fees",
 )
 
 

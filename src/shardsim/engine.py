@@ -24,11 +24,20 @@ Livelock instead of spinning.
 
 Admission reuses what the plan already holds: a plan without migrations is
 checked and charged from its own per-shard charges, and a fee with one final
-shard is credited to that shard without a split.  SimConfig.validate rejects,
-with a ConfigError naming the field or shard, a field of the wrong type and a
-refused shard outside [0, k).  Simulation rejects, with a ConfigError naming
-the account, any initial shard that is not an in-range int and any accounts
-entry that is not an Account under its own id.
+shard goes to that shard without a split.  Fees are credited once per shard
+per round: admission adds each fee share to the round's per-shard tally, and
+run() credits each shard's tally right after the round's admissions, before
+the round report, an epoch close, Livelock or the max_rounds exit.  This is
+exact because a shard's leader is fixed by the epoch assignment, the shard
+and the round, and deposits, contributions, collected fees and naive-scheme
+balances are all sums of integers (the balances are integer-valued floats far
+below 2**53, so their sums do not depend on grouping).
+
+SimConfig.validate rejects, with a ConfigError naming the field or shard, a
+field of the wrong type and a refused shard outside [0, k).  Simulation
+rejects, with a ConfigError naming the account, any initial shard that is not
+an in-range int and any accounts entry that is not an Account under its own
+id.
 """
 
 from __future__ import annotations
@@ -312,6 +321,8 @@ class Simulation:
             if config.economics
             else None
         )
+        # shard -> fees of the transactions admitted so far this round
+        self._round_fees = [0] * config.k_shards if self.ledger is not None else None
         self.reports: list[RoundReport] = []
 
     def _precompute_partition(self) -> dict:
@@ -351,6 +362,11 @@ class Simulation:
         )
 
     def try_execute(self, tx: Transaction, plan: TxPlan, round_index: int) -> str:
+        """Admit tx under plan in round round_index, or defer it untouched.
+
+        An admitted fee goes into the round's tally, which run() credits at
+        the end of the round's admissions.
+        """
         shards = self.shards
         required = plan.per_shard_charges
         if plan.migrations:
@@ -372,16 +388,16 @@ class Simulation:
             shards[s].charge(amount)
         if not self.policy.static_placement:  # only the scheduler reads alignment
             update_alignments(tx, self.mapping, self.cost_model, self.book)
-        ledger = self.ledger
-        if ledger is not None:
+        fees = self._round_fees
+        if fees is not None:  # run() credits the round's tally once per shard
             fee = tx.fee or self.config.default_fee
             final = plan.final_shards
             if len(final) > 1:
                 for s, share in split_fee(fee, final).items():
-                    ledger.credit(s, round_index, share)
-            elif fee:
+                    fees[s] += share
+            else:
                 (shard,) = final
-                ledger.credit(shard, round_index, fee)
+                fees[shard] += fee
         return EXECUTED
 
     def _lane_of(self, tx: Transaction):
@@ -471,6 +487,7 @@ class Simulation:
         source = iter(self.workload)
         admit = self._admit_lanes if self.policy.static_placement else self._admit_fifo
         shards = self.shards
+        ledger = self.ledger
         idle_rounds = 0
         round_index = 0
         while True:
@@ -483,6 +500,12 @@ class Simulation:
             cost_before = {s.id: s.window_sum for s in shards}
             latencies = []
             migrations, cross = admit(round_index, latencies)
+            if ledger is not None:
+                fees = self._round_fees
+                for shard, fee in enumerate(fees):
+                    if fee:
+                        ledger.credit(shard, round_index, fee)
+                        fees[shard] = 0
             processed = len(latencies)
             self.reports.append(
                 RoundReport(
@@ -501,8 +524,8 @@ class Simulation:
             for shard in shards:
                 shard.advance_block()
             self.book.advance_block()
-            if self.ledger is not None and (round_index + 1) % config.epoch_length == 0:
-                self.ledger.close_epoch()
+            if ledger is not None and (round_index + 1) % config.epoch_length == 0:
+                ledger.close_epoch()
             # After window + 1 rounds with no execution and no arrival every
             # load and alignment window is empty, so each later round would
             # repeat this one exactly.
@@ -517,10 +540,10 @@ class Simulation:
             round_index += 1
             if config.max_rounds is not None and round_index >= config.max_rounds:
                 break
-        if self.ledger is not None:
-            self.ledger.close_epoch()  # flush the final (possibly partial) epoch
+        if ledger is not None:
+            ledger.close_epoch()  # flush the final (possibly partial) epoch
         return self.reports, finalize(
-            self.reports, total_fees=self.ledger.total_fees() if self.ledger else 0
+            self.reports, total_fees=ledger.total_fees() if ledger else 0
         )
 
 

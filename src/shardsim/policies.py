@@ -34,7 +34,9 @@ MODE_MUTEX = "mutex"
 MODES = (MODE_2PC, MODE_MUTEX)
 
 
-@dataclass(frozen=True)
+# Not frozen: a frozen dataclass's __init__ sets each field through
+# object.__setattr__, a cost the scheduler pays on every plan it builds.
+@dataclass(slots=True)
 class TxPlan:
     new_placements: dict
     migrations: tuple
@@ -52,28 +54,6 @@ def hash_place(account: AccountId, k: int) -> ShardId:
         raise ValueError("k must be positive")
     digest = hashlib.sha256(account.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % k
-
-
-def select_main_shard(write_set, mapping: MappingService, loads: dict):
-    """Least-loaded involved shard (or least-loaded overall if all-new).
-
-    Ties break toward the lowest shard id.  Returns the main shard together
-    with the placements for the write set's new accounts.
-    """
-    assignment = mapping.assignment
-    main = main_load = None
-    new = []
-    for acc in write_set:
-        shard = assignment.get(acc)
-        if shard is None:
-            new.append(acc)
-        elif shard != main:
-            load = loads[shard]
-            if main is None or load < main_load or (load == main_load and shard < main):
-                main, main_load = shard, load
-    if main is None:
-        main = min(loads.keys(), key=lambda s: (loads[s], s))
-    return main, dict.fromkeys(new, main)
 
 
 def should_migrate(current: ShardId, totals: dict, c_cross: int) -> bool:
@@ -138,12 +118,27 @@ class SchedulerPolicy:
         cost_model: CostModel,
         accounts: dict | None = None,
     ) -> TxPlan:
-        main, new_placements = select_main_shard(tx.write_set, mapping, loads)
-        assignment = mapping.assignment
+        # One pass reads each account's shard and picks the main shard: the
+        # least-loaded shard among the placed accounts', ties to the lowest id.
+        get = mapping.assignment.get
+        placed = []
+        main = main_load = None
+        for acc in tx.write_set:
+            shard = get(acc)
+            placed.append(shard)
+            if shard is not None and shard != main:
+                load = loads[shard]
+                if main is None or load < main_load or (load == main_load and shard < main):
+                    main, main_load = shard, load
+        if main is None:  # an all-new write set goes to the least-loaded shard overall
+            main = min(loads.keys(), key=lambda s: (loads[s], s))
+        new_placements = {}
         migrations = []
         final = {main}
-        for acc in tx.write_set:
-            current = assignment.get(acc, main)  # a new account lands on main
+        for acc, current in zip(tx.write_set, placed):
+            if current is None:
+                new_placements[acc] = main  # a new account lands on main
+                continue
             if current == main:
                 continue
             account = accounts.get(acc) if accounts else None

@@ -40,6 +40,10 @@ GENERATORS = ("all_intra", "all_cross", "zipf_hotspot", "communities", "bursty")
 # across account counts.
 DEFAULT_ZIPF_EXPONENT = 1.6
 
+# Most sampler draws one write set may take in expectation; weights that
+# could need more are refused rather than left to run practically forever.
+MAX_DRAWS_PER_WRITE_SET = 10**8
+
 _is_hex = re.compile("[0-9a-fA-F]+").fullmatch
 
 
@@ -352,18 +356,33 @@ class _WeightedSampler:
 
     ``distinct`` is the most distinct indices one ``draw_distinct`` call asks
     for.  Weights whose float CDF reaches fewer indices than that would make
-    the call loop forever, so they are refused before any draw.
+    the call loop forever, and weights that leave almost no mass outside the
+    ``distinct - 1`` heaviest indices would make it run practically forever,
+    so both are refused before any draw.
     """
 
     def __init__(self, stream, weights, distinct=1, batch=65536):
         self._stream = stream
         self._cdf = np.cumsum(weights)
         self._cdf[-1] = 1.0
-        reachable = int(np.count_nonzero(np.diff(self._cdf, prepend=0.0) > 0))
+        steps = np.maximum(np.diff(self._cdf, prepend=0.0), 0.0)
+        reachable = int(np.count_nonzero(steps))
         if reachable < distinct:
             raise InvalidSpec(
                 f"weights reach {reachable} of {len(self._cdf)} accounts, "
                 f"fewer than the {distinct} distinct picks asked"
+            )
+        # Whatever fewer than `distinct` indices are already picked, a draw
+        # finds a new one with at least the probability mass outside the
+        # distinct - 1 heaviest, so a call takes at most distinct / outside
+        # draws in expectation.
+        outside = float(np.sort(steps)[: len(steps) - distinct + 1].sum())
+        if distinct > MAX_DRAWS_PER_WRITE_SET * outside:
+            raise InvalidSpec(
+                f"weights leave {outside:.3g} of their mass outside the {distinct - 1} "
+                f"heaviest accounts, so a write set of {distinct} could take "
+                f"{distinct / outside:.3g} draws, above the bound of "
+                f"{MAX_DRAWS_PER_WRITE_SET:.0e}"
             )
         self._batch = batch
         self._buf = []

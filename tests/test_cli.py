@@ -177,6 +177,20 @@ def test_run_economics_writes_epochs(tmp_path):
     }
 
 
+def test_summary_reports_total_fees(tmp_path):
+    # t1 pays no fee, so the default fee of 1 is collected in its place
+    trace = tmp_path / "trace.txt"
+    trace.write_text("0 t0 5 aa,bb\n0 t1 0 cc\n1 t2 3 dd,aa\n")
+    fees = {}
+    for flags in ([], ["--economics"]):
+        out = tmp_path / f"out{len(flags)}"
+        args = ["run", "--trace", str(trace), "--shards", "2", "--policy", "scheduler",
+                "--out", str(out), *flags]
+        assert main(args) == 0
+        fees[bool(flags)] = _read_csv(out / "summary.csv")[0]["total_fees"]
+    assert fees == {False: "0", True: str(5 + 1 + 3)}
+
+
 def test_run_from_trace(tmp_path):
     trace = tmp_path / "trace.txt"
     trace.write_text("0 t0 1 aa,bb\n1 t1 2 cc\n")

@@ -4,12 +4,13 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardsim.core import CA, Account, Transaction
+from shardsim.core import CA, Account, AlignmentBook, CostModel, Transaction, update_alignments
 from shardsim.economics import FEE_SCHEMES, IncentiveLedger, split_fee
 from shardsim.engine import (
     ConfigError,
@@ -24,7 +25,7 @@ from shardsim.engine import (
     run,
 )
 from shardsim.partitioner import graph_from_transactions, partition_greedy
-from shardsim.policies import hash_place
+from shardsim.policies import MODES, hash_place
 from shardsim.workload import SyntheticSpec, generate, load_trace
 
 
@@ -553,6 +554,179 @@ def test_static_lanes_match_literal_reference(case):
         assert sim.ledger.shard_collected == ledger.shard_collected
     if stuck is None and sum(r.processed_count for r in reports) == len(txs):
         assert sim.mapping.assignment == mapping
+
+
+def _reference_scheduler_run(cfg, txs, initial, contracts):
+    """Literal round semantics of the scheduler.
+
+    Every round, every pending transaction is planned from scratch in FIFO
+    order against the live loads: the main shard is the least-loaded shard of
+    the placed accounts (of all shards if none is placed), ties to the lowest
+    id; new accounts land on main; every other account migrates to main under
+    mutex, stays if it is a contract account without contract migration, and
+    otherwise migrates iff c * alignment(current) < alignment(elsewhere); a
+    migration out of a refusing shard is dropped and its account stays.  The
+    plan runs if every shard has the residual for its charges.  Each fee is
+    split at admission, remainder to the lowest shard, and each share is
+    credited at once.  Returns (reports, ledger, mapping, stuck) as
+    _reference_static_run does.
+    """
+    k, capacity, c = cfg.k_shards, cfg.shard_capacity, cfg.cross_shard_cost
+    mapping = dict(initial)
+    book = AlignmentBook(cfg.window)
+    blocks = [[0] * cfg.window for _ in range(k)]  # per-shard charges, last W blocks
+    ledger = (IncentiveLedger(k, cfg.miners_per_shard, cfg.seed, cfg.fee_scheme)
+              if cfg.economics else None)
+    source = iter(txs)
+    pending, first_seen, reports = [], {}, []
+    idle = round_index = 0
+    while True:
+        start, added = len(pending), 0
+        while len(pending) < math.ceil(cfg.mempool_ratio * k * capacity):
+            tx = next(source, None)
+            if tx is None:
+                break
+            pending.append(tx)
+            first_seen[tx.tx_id] = round_index
+            added += 1
+        if not pending:
+            break
+        residual = [capacity] * k
+        deferred, latencies, cross, moved = [], [], 0, 0
+        for tx in pending:
+            placed = {mapping[a] for a in tx.write_set if a in mapping}
+            main = min(placed or range(k), key=lambda s: (sum(blocks[s]), s))
+            final, migrations = {main}, []
+            for a in tx.write_set:
+                current = mapping.get(a, main)
+                if current == main:
+                    continue
+                if cfg.mode == "mutex":
+                    move = True
+                elif a in contracts and not cfg.ca_migration:
+                    move = False
+                else:
+                    totals = book.totals(a)
+                    own = totals.get(current, 0)
+                    move = c * own < sum(totals.values()) - own
+                if move and current not in cfg.refuse_migrations_from:
+                    migrations.append((a, current, c * contracts.get(a, 1)))
+                else:
+                    final.add(current)
+            charge = tx.base_cost * (c if len(final) > 1 else 1)
+            required = dict.fromkeys(range(k), 0)
+            for s in final:
+                required[s] += charge
+            for _, src, cost in migrations:
+                required[src] += cost
+                required[main] += cost
+            if any(residual[s] < need for s, need in required.items()):
+                deferred.append(tx)
+                continue
+            for s, need in required.items():
+                residual[s] -= need
+                blocks[s][-1] += need
+            for a in tx.write_set:
+                mapping.setdefault(a, main)
+            for a, _, _ in migrations:
+                mapping[a] = main
+                book.reset(a)
+            update_alignments(tx, SimpleNamespace(assignment=mapping), CostModel(c), book)
+            if ledger is not None:
+                fee = tx.fee or cfg.default_fee
+                order = sorted(final)
+                share, remainder = divmod(fee, len(order))
+                for s in order:
+                    amount = share + (remainder if s == order[0] else 0)
+                    if amount:
+                        ledger.credit(s, round_index, amount)
+            moved += len(migrations)
+            cross += len(final) > 1
+            latencies.append(round_index - first_seen.pop(tx.tx_id))
+        pending = deferred
+        reports.append(RoundReport(
+            round_index, added, start, len(pending), len(latencies),
+            {s: capacity - r for s, r in enumerate(residual)}, dict(enumerate(residual)),
+            moved, cross, tuple(latencies),
+        ))
+        for window in blocks:
+            window.pop(0)
+            window.append(0)
+        book.advance_block()
+        if ledger is not None and (round_index + 1) % cfg.epoch_length == 0:
+            ledger.close_epoch()
+        idle = 0 if latencies or added else idle + 1
+        if idle > cfg.window:
+            return reports, ledger, mapping, (pending[0].tx_id, first_seen[pending[0].tx_id])
+        round_index += 1
+        if cfg.max_rounds is not None and round_index >= cfg.max_rounds:
+            break
+    if ledger is not None:
+        ledger.close_epoch()
+    return reports, ledger, mapping, None
+
+
+@st.composite
+def _scheduler_cases(draw):
+    k = draw(st.integers(1, 4))
+    accounts = [f"{i:02x}" for i in range(draw(st.integers(2, 6)))]
+    txs = [
+        Transaction(
+            f"t{i}", i,
+            tuple(draw(st.lists(st.sampled_from(accounts), min_size=1,
+                                max_size=min(3, len(accounts)), unique=True))),
+            fee=draw(st.integers(0, 5)), base_cost=draw(st.integers(1, 2)),
+        )
+        for i in range(draw(st.integers(1, 30)))
+    ]
+    # most accounts start placed, so that plans span shards and migrate
+    shards = draw(st.lists(st.none() | st.integers(0, k - 1),
+                           min_size=len(accounts), max_size=len(accounts)))
+    initial = {a: s for a, s in zip(accounts, shards) if s is not None}
+    contracts = draw(st.dictionaries(st.sampled_from(accounts), st.integers(1, 3)))
+    cfg = SimConfig(
+        k_shards=k,
+        policy="scheduler",
+        mode=draw(st.sampled_from(MODES)),
+        ca_migration=draw(st.booleans()),
+        refuse_migrations_from=frozenset(draw(st.sets(st.integers(0, k - 1), max_size=2))),
+        cross_shard_cost=draw(st.integers(1, 3)),
+        shard_capacity=draw(st.integers(2, 16)),
+        mempool_ratio=draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])),
+        window=draw(st.integers(1, 3)),
+        economics=draw(st.sampled_from([True, True, False])),
+        fee_scheme=draw(st.sampled_from(FEE_SCHEMES)),
+        epoch_length=draw(st.integers(1, 3)),
+        miners_per_shard=draw(st.integers(1, 2)),
+        default_fee=draw(st.integers(0, 2)),
+        seed=draw(st.integers(0, 3)),
+        max_rounds=draw(st.none() | st.integers(1, 12)),
+    )
+    return cfg, txs, initial, contracts
+
+
+@given(case=_scheduler_cases())
+@settings(max_examples=150, deadline=None)
+def test_scheduler_matches_literal_reference(case):
+    cfg, txs, initial, contracts = case
+    reports, ledger, mapping, stuck = _reference_scheduler_run(cfg, txs, initial, contracts)
+    registry = {a: Account(a, kind=CA, size=size) for a, size in contracts.items()}
+    sim = Simulation(cfg, txs, initial_assignment=initial, accounts=registry)
+    if stuck is None:
+        _, summary = sim.run()
+        fees = ledger.total_fees() if ledger else 0
+        assert summary == finalize(reports, total_fees=fees)
+    else:
+        with pytest.raises(Livelock) as raised:
+            sim.run()
+        assert f"head transaction {stuck[0]!r} (pending since round {stuck[1]})" in str(
+            raised.value)
+    assert sim.reports == reports
+    if ledger is not None:
+        assert sim.ledger.epoch_rows == ledger.epoch_rows
+        assert sim.ledger.balances == ledger.balances
+        assert sim.ledger.shard_collected == ledger.shard_collected
+    assert sim.mapping.assignment == mapping
 
 
 # bb, a contract account, is placed on shard 1; t2 aligns it toward shard 0,

@@ -25,7 +25,6 @@ from shardsim.policies import (
     SchedulerPolicy,
     hash_place,
     make_policy,
-    select_main_shard,
     should_migrate,
 )
 
@@ -69,38 +68,43 @@ def test_hash_place_is_roughly_uniform():
 # main shard selection
 
 
-def test_main_shard_least_loaded_involved():
+def _mutex_plan(placed, write_set, loads):
+    # under mutex every placed account moves to the main shard, so the plan's
+    # only final shard is the main shard
     phi = MappingService()
-    phi.place("aa", 0)
-    phi.place("bb", 1)
-    loads = {0: 90, 1: 20, 2: 0}
-    main, new = select_main_shard(("aa", "bb"), phi, loads)
-    assert main == 1  # shard 2 is lighter but not involved
-    assert new == {}
+    for acc, shard in placed.items():
+        phi.place(acc, shard)
+    tx = Transaction("t0", 0, write_set)
+    return SchedulerPolicy(len(loads), mode=MODE_MUTEX).plan(
+        tx, phi, loads, AlignmentBook(10), CostModel(2)
+    )
+
+
+def test_main_shard_least_loaded_involved():
+    plan = _mutex_plan({"aa": 0, "bb": 1}, ("aa", "bb"), {0: 90, 1: 20, 2: 0})
+    assert plan.final_shards == {1}  # shard 2 is lighter but not involved
+    assert [(m.account, m.source, m.dest) for m in plan.migrations] == [("aa", 0, 1)]
+    assert plan.new_placements == {}
 
 
 def test_main_shard_all_new_uses_global_minimum():
-    phi = MappingService()
-    loads = {0: 5, 1: 3, 2: 7}
-    main, new = select_main_shard(("aa", "bb"), phi, loads)
-    assert main == 1
-    assert new == {"aa": 1, "bb": 1}
+    plan = _mutex_plan({}, ("aa", "bb"), {0: 5, 1: 3, 2: 7})
+    assert plan.final_shards == {1}
+    assert plan.new_placements == {"aa": 1, "bb": 1}
+    assert plan.migrations == ()
 
 
 def test_main_shard_tie_breaks_to_lowest_id():
-    phi = MappingService()
-    phi.place("aa", 2)
-    phi.place("bb", 1)
-    main, _ = select_main_shard(("aa", "bb"), phi, {0: 0, 1: 4, 2: 4})
-    assert main == 1
+    plan = _mutex_plan({"aa": 2, "bb": 1}, ("aa", "bb"), {0: 0, 1: 4, 2: 4})
+    assert plan.final_shards == {1}
+    assert [(m.account, m.source, m.dest) for m in plan.migrations] == [("aa", 2, 1)]
 
 
 def test_main_shard_partial_write_set():
-    phi = MappingService()
-    phi.place("aa", 2)
-    main, new = select_main_shard(("aa", "new1"), phi, {0: 0, 1: 0, 2: 9})
-    assert main == 2  # only involved shard
-    assert new == {"new1": 2}
+    plan = _mutex_plan({"aa": 2}, ("aa", "new1"), {0: 0, 1: 0, 2: 9})
+    assert plan.final_shards == {2}  # only involved shard
+    assert plan.new_placements == {"new1": 2}
+    assert plan.migrations == ()
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,8 @@ def _fails_after(seconds):
         dict(generator="communities", p_hotspot=0.5, zipf_exponent=float("nan")),
         # 2**-60 vanishes next to 1.0: the CDF reaches one of the 3 accounts
         dict(generator="zipf_hotspot", n_accounts=3, accounts_per_tx=3, zipf_exponent=60.0),
+        # the CDF reaches all 3, but the third only with probability about 5e-15
+        dict(generator="zipf_hotspot", n_accounts=3, accounts_per_tx=3, zipf_exponent=30.0),
     ],
 )
 def test_specs_that_cannot_fill_a_write_set_are_refused(kwargs):
