@@ -7,20 +7,20 @@ plus all enabling migration charges either land together or not at all.  The
 scheduler plans against snapshots of the mapping and the live shard loads.
 Deferred transactions stay in the mempool in arrival order.
 
-The walk skips work whose outcome is already decided.  Under the static
-hash and partition policies an account's shard is a pure function of the
-account, so top-up places each new account once and files the transaction
-into a FIFO lane keyed by its footprint: its sorted shards and its per-shard
-charge, which depends on its base cost.  The lanes share one plan per
-footprint.  Each round merges the lane heads in arrival order; once a head
-is deferred its lane is done for the round, because residuals only fall
-within a round, so every later transaction of that footprint would be
-deferred too.  Under the scheduler every pending transaction is walked in
-arrival order, and one waits unplanned while every shard of its placed
-accounts has less residual than its base cost, which the main shard is
-always charged.  The alignment book is maintained only under the scheduler,
-the one policy that reads it.  A run whose state stops changing raises
-Livelock instead of spinning.
+Every policy walks the one mempool queue in arrival order and skips work
+whose outcome is already decided.  Under the static hash and partition
+policies an account's shard is a pure function of the account, so top-up
+places each new account once and files the transaction into a lane named by
+its footprint: its sorted shards and its per-shard charge, which depends on
+its base cost.  Each lane has one shared plan.  Once a transaction is
+deferred its lane is blocked for the round and its later transactions are
+retained without being offered, because residuals only fall within a round,
+so every later transaction of that footprint would be deferred too.  Under
+the scheduler a pending transaction waits unplanned while every shard of its
+placed accounts has less residual than its base cost, which the main shard
+is always charged.  The alignment book is maintained only under the
+scheduler, the one policy that reads it.  A run whose state stops changing
+raises Livelock instead of spinning.
 
 Admission reuses what the plan already holds: a plan without migrations is
 checked and charged from its own per-shard charges, and a fee with one final
@@ -44,8 +44,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
-from heapq import heappop, heapreplace
+from dataclasses import dataclass
 from typing import get_type_hints
 
 from .core import (
@@ -155,49 +154,24 @@ class LiveLoads:
 
 
 class Mempool:
-    """Fixed-size FIFO of pending transactions.
+    """Fixed-size FIFO of pending transactions, walked with drain and retain."""
 
-    Without ``lane_of`` it is one queue, walked with drain and retain.  With
-    ``lane_of``, top_up numbers each new transaction in arrival order and
-    files it into the FIFO lane that ``lane_of(tx)`` names, and walk_lanes
-    merges the lanes back into arrival order.
-    """
-
-    def __init__(self, capacity: int, lane_of=None):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self.first_seen: dict = {}
         self._queue: deque = deque()
-        self._lane_of = lane_of
-        self._lanes: dict = {}  # lane key -> deque of (arrival number, tx)
-        # (arrival number, key) of each lane's oldest tx, kept sorted, so it is
-        # already a heap: walk_lanes refills it in pop order, and top_up adds
-        # each new lane last, since its first tx is the newest
-        self._heads: list = []
-        self._arrivals = 0
-        self._laned = 0
 
     def __len__(self):
-        return len(self._queue) + self._laned
+        return len(self._queue)
 
     def top_up(self, source, round_index: int) -> int:
-        lane_of = self._lane_of
-        room = self.capacity - len(self)
+        room = self.capacity - len(self._queue)
         added = 0
         while added < room:
             tx = next(source, None)
             if tx is None:
                 break
-            if lane_of is None:
-                self._queue.append(tx)
-            else:
-                key = lane_of(tx)
-                lane = self._lanes.get(key)
-                if lane is None:
-                    lane = self._lanes[key] = deque()
-                    self._heads.append((self._arrivals, key))
-                lane.append((self._arrivals, tx))
-                self._arrivals += 1
-                self._laned += 1
+            self._queue.append(tx)
             self.first_seen[tx.tx_id] = round_index
             added += 1
         return added
@@ -210,32 +184,8 @@ class Mempool:
     def retain(self, tx: Transaction) -> None:
         self._queue.append(tx)
 
-    def walk_lanes(self, admit) -> None:
-        """Offer lane heads to ``admit(tx, key)`` in arrival order.
-
-        A tx it accepts leaves the mempool and its lane's next tx is offered
-        in turn; the first it refuses ends its lane's walk.
-        """
-        lanes = self._lanes
-        heap, self._heads = self._heads, []
-        while heap:
-            key = heap[0][1]
-            lane = lanes[key]
-            if not admit(lane[0][1], key):
-                self._heads.append(heappop(heap))
-                continue
-            lane.popleft()
-            self._laned -= 1
-            if lane:
-                heapreplace(heap, (lane[0][0], key))
-            else:
-                del lanes[key]
-                heappop(heap)
-
     def head(self) -> Transaction:
-        if self._queue:
-            return self._queue[0]
-        return self._lanes[self._heads[0][1]][0][1]
+        return self._queue[0]
 
 
 @dataclass
@@ -311,11 +261,13 @@ class Simulation:
             mode=config.mode,
             partition_assignment=partition_assignment,
             ca_migration=config.ca_migration,
+            refuse_migrations_from=config.refuse_migrations_from,
         )
-        self._lane_plans: dict = {}  # static policies: lane key -> its shared TxPlan
-        self.mempool = Mempool(
-            config.mempool_size, lane_of=self._lane_of if self.policy.static_placement else None
-        )
+        # static policies: footprint -> lane index, and each lane's shared plan
+        self._lanes: dict = {}
+        self._lane_plans: list[TxPlan] = []
+        self._pending_lane: dict = {}  # tx_id -> lane index, while the tx is pending
+        self.mempool = Mempool(config.mempool_size)
         self.ledger = (
             IncentiveLedger(config.k_shards, config.miners_per_shard, config.seed, config.fee_scheme)
             if config.economics
@@ -340,25 +292,6 @@ class Simulation:
     def plan(self, tx: Transaction, loads: dict) -> TxPlan:
         return self.policy.plan(
             tx, self.mapping, loads, self.book, self.cost_model, accounts=self.accounts
-        )
-
-    def _veto(self, tx: Transaction, plan: TxPlan) -> TxPlan:
-        blocked = self.config.refuse_migrations_from
-        if not plan.migrations:
-            return plan
-        kept = tuple(m for m in plan.migrations if m.source not in blocked)
-        if len(kept) == len(plan.migrations):
-            return plan
-        final = set(plan.final_shards)
-        for m in plan.migrations:
-            if m.source in blocked:
-                final.add(m.source)
-        charge = self.cost_model.per_shard_charge(tx.base_cost, len(final))
-        return replace(
-            plan,
-            migrations=kept,
-            final_shards=frozenset(final),
-            per_shard_charges={s: charge for s in final},
         )
 
     def try_execute(self, tx: Transaction, plan: TxPlan, round_index: int) -> str:
@@ -400,9 +333,10 @@ class Simulation:
                 fees[shard] += fee
         return EXECUTED
 
-    def _lane_of(self, tx: Transaction):
-        """Place tx's new accounts on their fixed shards and return its lane
-        key, (sorted shards, per-shard charge), under a static policy."""
+    def _file(self, tx: Transaction) -> Transaction:
+        """Place tx's new accounts on their fixed shards and record its lane,
+        the index of its footprint (sorted shards, per-shard charge), under a
+        static policy."""
         assignment = self.mapping.assignment
         shards = set()
         for acc in tx.write_set:
@@ -412,46 +346,56 @@ class Simulation:
                 self.mapping.place(acc, shard)
             shards.add(shard)
         key = (tuple(sorted(shards)), self.cost_model.per_shard_charge(tx.base_cost, len(shards)))
-        if key not in self._lane_plans:
-            self._lane_plans[key] = TxPlan(
-                new_placements={},
-                migrations=(),
-                final_shards=frozenset(shards),
-                per_shard_charges=dict.fromkeys(key[0], key[1]),
+        lane = self._lanes.get(key)
+        if lane is None:
+            lane = self._lanes[key] = len(self._lane_plans)
+            self._lane_plans.append(
+                TxPlan(
+                    new_placements={},
+                    migrations=(),
+                    final_shards=frozenset(shards),
+                    per_shard_charges=dict.fromkeys(key[0], key[1]),
+                )
             )
-        return key
+        self._pending_lane[tx.tx_id] = lane
+        return tx
 
     # -- round loop --------------------------------------------------------
 
     def _admit_lanes(self, round_index: int, latencies: list) -> tuple[int, int]:
-        """Admit from the static policies' lanes, lane heads in arrival order.
+        """Admit the static policies' pending transactions in arrival order.
 
-        Residuals only fall within a round, so once a lane's head is deferred
-        every later transaction of that lane, with the same shards and charge,
-        would be deferred too: the lane is done for the round.
+        Residuals only fall within a round, so once a transaction is deferred
+        every later one of its lane, with the same shards and charge, would be
+        deferred too: the lane is blocked and retained unoffered for the round.
         """
         plans = self._lane_plans
+        pending_lane = self._pending_lane
+        retain = self.mempool.retain
         first_seen = self.mempool.first_seen
         try_execute = self.try_execute
+        blocked = set()
         cross = 0
-
-        def admit(tx, key) -> bool:
-            nonlocal cross
-            if try_execute(tx, plans[key], round_index) != EXECUTED:
-                return False
-            if len(key[0]) > 1:
-                cross += 1
-            latencies.append(round_index - first_seen.pop(tx.tx_id))
-            return True
-
-        self.mempool.walk_lanes(admit)
+        for tx in self.mempool.drain():
+            lane = pending_lane[tx.tx_id]
+            if lane in blocked:
+                retain(tx)
+                continue
+            plan = plans[lane]
+            if try_execute(tx, plan, round_index) == EXECUTED:
+                del pending_lane[tx.tx_id]
+                if len(plan.final_shards) > 1:
+                    cross += 1
+                latencies.append(round_index - first_seen.pop(tx.tx_id))
+            else:
+                blocked.add(lane)
+                retain(tx)
         return 0, cross
 
     def _admit_fifo(self, round_index: int, latencies: list) -> tuple[int, int]:
         """Plan and admit the scheduler's pending transactions in arrival order."""
         shards = self.shards
         assignment = self.mapping.assignment
-        blocked = self.config.refuse_migrations_from
         retain = self.mempool.retain
         first_seen = self.mempool.first_seen
         loads = LiveLoads(shards)
@@ -471,8 +415,6 @@ class Simulation:
                 retain(tx)
                 continue
             plan = self.plan(tx, loads)
-            if blocked:
-                plan = self._veto(tx, plan)
             if self.try_execute(tx, plan, round_index) == EXECUTED:
                 migrations += len(plan.migrations)
                 if len(plan.final_shards) > 1:
@@ -484,8 +426,10 @@ class Simulation:
 
     def run(self):
         config = self.config
-        source = iter(self.workload)
-        admit = self._admit_lanes if self.policy.static_placement else self._admit_fifo
+        if self.policy.static_placement:
+            source, admit = map(self._file, self.workload), self._admit_lanes
+        else:
+            source, admit = iter(self.workload), self._admit_fifo
         shards = self.shards
         ledger = self.ledger
         idle_rounds = 0
@@ -497,7 +441,6 @@ class Simulation:
                 break  # workload drained and nothing pending
             for shard in shards:
                 shard.residual = shard.capacity_per_round
-            cost_before = {s.id: s.window_sum for s in shards}
             latencies = []
             migrations, cross = admit(round_index, latencies)
             if ledger is not None:
@@ -514,7 +457,7 @@ class Simulation:
                     mempool_start=mempool_start,
                     mempool_end=len(self.mempool),
                     processed_count=processed,
-                    processed_cost={s.id: s.window_sum - cost_before[s.id] for s in shards},
+                    processed_cost={s.id: s.capacity_per_round - s.residual for s in shards},
                     residuals={s.id: s.residual for s in shards},
                     migrations_executed=migrations,
                     cross_shard_tx_count=cross,

@@ -5,7 +5,9 @@ baseline, and the load/alignment-driven scheduler.  The two baselines place
 each account on a fixed shard, ``shard_of(account)``, and never migrate.  The
 scheduler plans each transaction as a pure function of the transaction plus
 snapshots of the mapping, the published shard loads, and the alignment
-totals, so any plan can be replayed and verified bit-for-bit.
+totals, so any plan can be replayed and verified bit-for-bit.  A migration
+out of a shard in ``refuse_migrations_from`` is dropped: the account stays and
+its shard joins the final shards.
 """
 
 from __future__ import annotations
@@ -102,12 +104,15 @@ class SchedulerPolicy:
     kind = SCHEDULER
     static_placement = False
 
-    def __init__(self, k: int, mode: str = MODE_2PC, ca_migration: bool = False):
+    def __init__(self, k: int, mode: str = MODE_2PC, ca_migration: bool = False,
+                 refuse_migrations_from: frozenset = frozenset()):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.k = k
         self.mode = mode
         self.ca_migration = ca_migration
+        # scripted adversary: an account on one of these shards never migrates
+        self.refuse_migrations_from = refuse_migrations_from
 
     def plan(
         self,
@@ -135,6 +140,7 @@ class SchedulerPolicy:
         new_placements = {}
         migrations = []
         final = {main}
+        refused = self.refuse_migrations_from
         for acc, current in zip(tx.write_set, placed):
             if current is None:
                 new_placements[acc] = main  # a new account lands on main
@@ -149,7 +155,7 @@ class SchedulerPolicy:
                 migrate = False
             else:
                 migrate = should_migrate(current, book.totals(acc), cost_model.cross_shard_cost)
-            if migrate:
+            if migrate and current not in refused:
                 migrations.append(
                     MigrationOp(acc, current, main, cost_model.migration_cost(account))
                 )
@@ -166,11 +172,13 @@ class SchedulerPolicy:
 
 
 def make_policy(kind: str, k: int, mode: str = MODE_2PC, partition_assignment=None,
-                ca_migration: bool = False):
+                ca_migration: bool = False, refuse_migrations_from: frozenset = frozenset()):
     if kind == HASH:
         return HashPolicy(k)
     if kind == PARTITION:
         return PartitionPolicy(k, partition_assignment or {})
     if kind == SCHEDULER:
-        return SchedulerPolicy(k, mode=mode, ca_migration=ca_migration)
+        return SchedulerPolicy(
+            k, mode=mode, ca_migration=ca_migration, refuse_migrations_from=refuse_migrations_from
+        )
     raise ValueError(f"unknown policy {kind!r}")

@@ -239,7 +239,7 @@ def test_migration_veto_hook_blocks_sources():
                     refuse_migrations_from=frozenset({0}))
     sim = Simulation(cfg, [tx], initial_assignment={"aa": 0, "bb": 1})
     sim.book.add("aa", 1, 8)
-    plan = sim._veto(tx, sim.plan(tx, {0: 90, 1: 20}))
+    plan = sim.plan(tx, {0: 90, 1: 20})
     assert plan.migrations == ()
     assert plan.final_shards == frozenset({0, 1})
     assert plan.per_shard_charges == {0: 2, 1: 2}  # back to a cross-shard tx
@@ -348,11 +348,15 @@ def test_run_invariants_random_workloads(seed, policy, k, capacity):
             assert r.processed_cost[s] + residual == capacity
 
 
-def test_first_seen_pruned_on_execution():
-    cfg = SimConfig(k_shards=2, shard_capacity=3, policy="hash")
+@pytest.mark.parametrize("policy", ["hash", "partition", "scheduler"])
+def test_first_seen_pruned_on_execution(policy):
+    cfg = SimConfig(k_shards=2, shard_capacity=3, policy=policy)
     sim = Simulation(cfg, _unit_txs(20, accounts_per_tx=2))
-    sim.run()
+    _, summary = sim.run()
+    assert summary.executed == 20 and len(sim.mempool) == 0
+    # no per-transaction state outlives its execution
     assert sim.mempool.first_seen == {}
+    assert sim._pending_lane == {}
 
 
 @pytest.mark.parametrize("max_rounds", [None, 1000])
