@@ -5,12 +5,19 @@ authoritative account-to-shard assignment; shard states track per-round
 residual capacity and a rolling per-block load window; the alignment book
 accumulates each account's per-shard transaction costs over the same window
 in one ring of per-block deltas.
+
+``Transaction`` is a slotted dataclass, not a frozen one: a frozen dataclass's
+``__init__`` sets each field through ``object.__setattr__``, a cost paid once
+per transaction when a trace is loaded or a workload generated.  Nothing
+mutates a transaction after construction, and it keeps value equality and
+``dataclasses.replace``; being unfrozen, it is unhashable.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import get_type_hints
 
 AccountId = str
 ShardId = int
@@ -38,7 +45,7 @@ class Account:
             raise ValueError("account size must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Transaction:
     tx_id: str
     arrival_index: int
@@ -90,6 +97,24 @@ class CostModel:
         if account is None or account.kind == EOA:
             return self.cross_shard_cost
         return self.cross_shard_cost * account.size
+
+
+def field_type_error(instance) -> str | None:
+    """Name the first dataclass field whose value does not match its type.
+
+    A float field also takes an int, and an ``int | None`` field takes None;
+    bool, an int subclass, is refused for an int and an int for a bool.
+    Returns None when every field matches.
+    """
+    for name, hint in get_type_hints(type(instance)).items():
+        value = getattr(instance, name)
+        if value is None and hint == int | None:
+            continue
+        kind = int if hint == int | None else hint
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            return f"{name} must be {kind.__name__}, got {value!r}"
+    return None
 
 
 class MappingService:

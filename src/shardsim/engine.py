@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import get_type_hints
 
 from .core import (
     Account,
@@ -54,6 +53,7 @@ from .core import (
     MappingService,
     ShardState,
     Transaction,
+    field_type_error,
     update_alignments,
 )
 from .economics import DECOUPLED, FEE_SCHEMES, IncentiveLedger, split_fee
@@ -94,15 +94,9 @@ class SimConfig:
     refuse_migrations_from: frozenset = frozenset()
 
     def validate(self) -> None:
-        for name, hint in get_type_hints(SimConfig).items():
-            value = getattr(self, name)
-            if value is None and hint == int | None:
-                continue
-            kind = int if hint == int | None else hint
-            accepted = (int, float) if kind is float else kind
-            # bool is an int subclass: refuse it for an int and an int for a bool
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-                raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+        wrong_type = field_type_error(self)
+        if wrong_type:
+            raise ConfigError(wrong_type)
         if self.k_shards < 1 or self.shard_capacity < 1 or self.window < 1:
             raise ConfigError("k_shards, shard_capacity and window must be positive")
         if self.cross_shard_cost < 1:
@@ -226,11 +220,13 @@ class Simulation:
         config.validate()
         if not workload:
             raise ConfigError("workload must be nonempty")
-        seen = set()
-        for tx in workload:
-            if tx.tx_id in seen:
-                raise ConfigError(f"duplicate tx_id {tx.tx_id!r} in workload")
-            seen.add(tx.tx_id)
+        ids = [tx.tx_id for tx in workload]
+        if len(set(ids)) != len(ids):  # walk again only to name the first repeat
+            seen = set()
+            for tx_id in ids:
+                if tx_id in seen:
+                    raise ConfigError(f"duplicate tx_id {tx_id!r} in workload")
+                seen.add(tx_id)
         self.config = config
         self.workload = workload
         self.cost_model = CostModel(config.cross_shard_cost)

@@ -2,8 +2,12 @@
 
 Implements the offline partitioning used by the partition baseline policy:
 heavy-edge coarsening followed by greedy single-vertex refinement moves under
-a hard per-cluster vertex cap.  A brute-force enumerator serves as the exact
-oracle for small instances.
+a hard per-cluster vertex cap.  Coarsening matches each vertex with its
+heaviest unmatched neighbour that fits the merge limit, ties going to the
+smallest name; the initial assignment puts each coarse node in the cluster
+with the highest gain that has room, then the smallest, then the lowest
+index.  Each choice is one linear scan.  A brute-force enumerator serves as
+the exact oracle for small instances.
 """
 
 from __future__ import annotations
@@ -155,11 +159,14 @@ def _coarsen(adj: dict, node_weight: dict, balance_cap: int):
     for v in order:
         if v in matched:
             continue
-        best = None
-        for n, w in sorted(adj[v].items(), key=lambda kv: (-kv[1], kv[0])):
-            if n not in matched and node_weight[v] + node_weight[n] <= merge_limit:
-                best = n
-                break
+        # the heaviest eligible neighbour, ties to the smallest name
+        best = best_w = None
+        room = merge_limit - node_weight[v]
+        for n, w in adj[v].items():
+            if n in matched or node_weight[n] > room:
+                continue
+            if best is None or w > best_w or (w == best_w and n < best):
+                best, best_w = n, w
         matched[v] = best if best is not None else v
         if best is not None:
             matched[best] = v
@@ -190,14 +197,20 @@ def _initial_assign(adj, node_weight, k, balance_cap):
         for n, w in adj[v].items():
             if n in assignment:
                 gains[assignment[n]] += w
-        candidates = [
-            c for c in range(k) if sizes[c] + node_weight[v] <= balance_cap
-        ]
-        if not candidates:
+        # highest gain, then smallest size, then lowest index, within the cap
+        best = best_gain = best_size = None
+        room = balance_cap - node_weight[v]
+        for c in range(k):
+            size = sizes[c]
+            if size > room:
+                continue
+            gain = gains[c]
+            if best is None or gain > best_gain or (gain == best_gain and size < best_size):
+                best, best_gain, best_size = c, gain, size
+        if best is None:
             raise Infeasible("no cluster can absorb a coarse node within the cap")
-        c = max(candidates, key=lambda c: (gains[c], -sizes[c], -c))
-        assignment[v] = c
-        sizes[c] += node_weight[v]
+        assignment[v] = best
+        sizes[best] += node_weight[v]
     return assignment
 
 

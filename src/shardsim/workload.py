@@ -31,7 +31,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import CA, EOA, Account, Transaction
+from .core import CA, EOA, Account, Transaction, field_type_error
 
 GENERATORS = ("all_intra", "all_cross", "zipf_hotspot", "communities", "bursty")
 
@@ -94,8 +94,16 @@ class SyntheticSpec:
     burst_amplitude: float = 20.0
 
     def validate(self) -> None:
+        """Raise InvalidSpec for a field of the wrong type (the rule of
+        SimConfig.validate), a negative seed, a non-finite float or a value
+        out of range, before any generator runs."""
+        wrong_type = field_type_error(self)
+        if wrong_type:
+            raise InvalidSpec(wrong_type)
         if self.generator not in GENERATORS:
             raise InvalidSpec(f"unknown generator {self.generator!r}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be nonnegative, got {self.seed!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -183,21 +191,27 @@ def load_trace(path) -> tuple[list[Transaction], dict]:
     Returns the transactions in arrival order plus the accounts flagged as
     contract accounts ({account: Account(account, CA)}), ready to pass to
     ``Simulation(accounts=...)``.  Each account id is one string object,
-    shared by every transaction that writes the account.
+    shared by every transaction that writes the account.  Duplicate tx_ids
+    are checked once every line has parsed, so a malformed line is reported
+    before a repeated id.
     """
     rows = []  # (block, tx_id, fee, accounts, contracts) per record
+    line_nos = []  # the line of each record
     tokens = {}
-    first_line = {}  # tx_id -> line of its first occurrence
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            row = _parse_fields(line, line_no, tokens)
-            first = first_line.setdefault(row[1], line_no)
+            rows.append(_parse_fields(line, line_no, tokens))
+            line_nos.append(line_no)
+    ids = [row[1] for row in rows]
+    if len(set(ids)) != len(ids):  # walk again only to name the first repeat
+        first_line = {}  # tx_id -> line of its first occurrence
+        for tx_id, line_no in zip(ids, line_nos):
+            first = first_line.setdefault(tx_id, line_no)
             if first != line_no:
-                raise ParseError(line_no, f"duplicate tx_id {row[1]!r} (first on line {first})")
-            rows.append(row)
+                raise ParseError(line_no, f"duplicate tx_id {tx_id!r} (first on line {first})")
     rows.sort(key=itemgetter(0))  # stable: file order within a block
     contracts = {}
     txs = []

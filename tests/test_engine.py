@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from shardsim.core import CA, Account, AlignmentBook, CostModel, Transaction, update_alignments
@@ -494,6 +494,12 @@ def _reference_static_run(cfg, txs, initial, shard_of):
     return reports, ledger, mapping, None
 
 
+# The literal-reference tests skip Hypothesis's shrink phase: they generate
+# the same examples, so a regression is still caught, but a failure is
+# reported in seconds instead of after minutes of shrinking.
+_NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+
+
 @st.composite
 def _static_cases(draw):
     k = draw(st.integers(1, 4))
@@ -527,7 +533,7 @@ def _static_cases(draw):
 
 
 @given(case=_static_cases())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=_NO_SHRINK)
 def test_static_lanes_match_literal_reference(case):
     cfg, txs, initial = case
     table = {}
@@ -710,7 +716,7 @@ def _scheduler_cases(draw):
 
 
 @given(case=_scheduler_cases())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=_NO_SHRINK)
 def test_scheduler_matches_literal_reference(case):
     cfg, txs, initial, contracts = case
     reports, ledger, mapping, stuck = _reference_scheduler_run(cfg, txs, initial, contracts)

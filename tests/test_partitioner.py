@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from shardsim import partitioner
 from shardsim.core import Transaction
 from shardsim.partitioner import (
     Infeasible,
@@ -241,3 +243,100 @@ def test_greedy_cut_matches_recount(seed):
         w for u, v, w in g.edges() if part.assignment[u] != part.assignment[v]
     )
     assert cut_weight(g, part) == naive
+
+
+# ---------------------------------------------------------------------------
+# differential test against the sort-based coarsening and initial assignment
+
+
+def _reference_coarsen(adj, node_weight, balance_cap):
+    matched = {}
+    merge_limit = max(2, balance_cap // 2)
+    order = sorted(adj, key=lambda v: (-max(adj[v].values(), default=0), v))
+    for v in order:
+        if v in matched:
+            continue
+        best = None
+        for n, w in sorted(adj[v].items(), key=lambda kv: (-kv[1], kv[0])):
+            if n not in matched and node_weight[v] + node_weight[n] <= merge_limit:
+                best = n
+                break
+        matched[v] = best if best is not None else v
+        if best is not None:
+            matched[best] = v
+    rep = {}
+    for v, m in matched.items():
+        rep[v] = v if m == v else min(v, m)
+    coarse_adj = {}
+    coarse_weight = {}
+    for v in adj:
+        r = rep[v]
+        coarse_adj.setdefault(r, {})
+        coarse_weight[r] = coarse_weight.get(r, 0) + node_weight[v]
+    for v, nbrs in adj.items():
+        rv = rep[v]
+        for n, w in nbrs.items():
+            rn = rep[n]
+            if rv != rn:
+                coarse_adj[rv][rn] = coarse_adj[rv].get(rn, 0) + w
+    return coarse_adj, coarse_weight, rep
+
+
+def _reference_initial_assign(adj, node_weight, k, balance_cap):
+    assignment = {}
+    sizes = [0] * k
+    for v in sorted(adj, key=lambda v: (-node_weight[v], v)):
+        gains = [0] * k
+        for n, w in adj[v].items():
+            if n in assignment:
+                gains[assignment[n]] += w
+        candidates = [
+            c for c in range(k) if sizes[c] + node_weight[v] <= balance_cap
+        ]
+        if not candidates:
+            raise Infeasible("no cluster can absorb a coarse node within the cap")
+        c = max(candidates, key=lambda c: (gains[c], -sizes[c], -c))
+        assignment[v] = c
+        sizes[c] += node_weight[v]
+    return assignment
+
+
+_NAMES = ["".join(t) for size in (1, 2, 3, 4) for t in itertools.product("abc", repeat=size)]
+
+
+@st.composite
+def _partition_cases(draw):
+    # short names inserted in random order, so name order and insertion
+    # order disagree; few distinct weights, so ties are common
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    names = rng.sample(_NAMES, draw(st.integers(1, 60)))
+    density = draw(st.sampled_from([0.05, 0.15, 0.4]))
+    max_weight = draw(st.integers(1, 3))
+    g = WeightedGraph()
+    for v in names:
+        g.add_vertex(v)
+    for u, v in itertools.combinations(names, 2):
+        if rng.random() < density:
+            g.add_edge(u, v, rng.randint(1, max_weight))
+    k = draw(st.integers(1, 8))
+    cap = -(-len(names) // k) + draw(st.integers(0, 3))  # slack 0 leaves no room
+    return g, k, cap, draw(st.integers(0, 100))
+
+
+@given(case=_partition_cases())
+# no shrink phase: a failure is reported in seconds, not after minutes
+@settings(max_examples=300, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+def test_greedy_matches_sort_based_reference(case):
+    g, k, cap, seed = case
+    try:
+        with mock.patch.multiple(partitioner, _coarsen=_reference_coarsen,
+                                 _initial_assign=_reference_initial_assign):
+            expected = partition_greedy(g, k, cap, seed=seed).assignment
+    except Infeasible as exc:
+        expected = type(exc)
+    try:
+        got = partition_greedy(g, k, cap, seed=seed).assignment
+    except Infeasible as exc:
+        got = type(exc)
+    assert got == expected

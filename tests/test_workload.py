@@ -198,6 +198,26 @@ def test_invalid_spec_parameters(kwargs):
         SyntheticSpec(**kwargs).validate()
 
 
+@pytest.mark.parametrize(
+    "field,kwargs",
+    [
+        ("n_txs", dict(generator="all_intra", n_txs=10.0)),
+        ("n_accounts", dict(generator="all_intra", n_accounts=10.5)),
+        ("k_shards", dict(generator="all_intra", k_shards=2.0)),
+        ("accounts_per_tx", dict(generator="zipf_hotspot", accounts_per_tx=2.0)),
+        ("burst_period", dict(generator="bursty", burst_period=2.5)),
+        ("zipf_exponent", dict(generator="zipf_hotspot", zipf_exponent="1.6")),
+        ("seed", dict(generator="zipf_hotspot", seed=-1)),
+        ("p_inter", dict(generator="communities", p_inter=True)),
+    ],
+)
+def test_spec_field_of_wrong_type_or_negative_seed_is_refused(field, kwargs):
+    # each of these used to crash deep in a generator, or to run
+    spec = SyntheticSpec(**{"n_txs": 10, "n_accounts": 100, "n_communities": 10, **kwargs})
+    with pytest.raises(InvalidSpec, match=f"^{field} must be "):
+        generate(spec)
+
+
 @contextmanager
 def _fails_after(seconds):
     """Turn a hang into a test failure (POSIX main thread)."""
