@@ -1,15 +1,17 @@
 """Experiment orchestration: single runs, parameter sweeps, CSV reports.
 
 Configuration precedence is flags > key=value config file > defaults.  All
-randomness derives from the single --seed; workload generation and epoch
-shuffles use labeled sub-seeds so each stage is independently reproducible.
+randomness derives from the single --seed: a synthetic workload is generated
+with it as its own seed, so ``shardsim run --synthetic ... --seed s`` runs the
+workload ``generate(SyntheticSpec(..., seed=s))``, and it seeds the epoch
+shuffles.  The committed experiments under ``experiments/`` are config files
+for ``--config``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -29,7 +31,7 @@ RENAMES = {
     "generator": "synthetic",
 }
 CHOICES = {"policy": POLICY_KINDS, "mode": MODES, "synthetic": GENERATORS}
-# API-only fields; the spec's seed and k_shards derive from the run's seed and shards
+# API-only fields; the spec's seed and k_shards are the run's seed and shards
 WITHHELD = {
     SimConfig: {"fee_scheme", "default_fee", "refuse_migrations_from"},
     SyntheticSpec: {"seed", "k_shards"},
@@ -66,12 +68,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def sub_seed(seed: int, label: str) -> int:
-    """Labeled 32-bit sub-seed so stages draw from independent streams."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return int.from_bytes(digest[:4], "big")
 
 
 def _fmt(value) -> str:
@@ -158,18 +154,22 @@ def make_config(settings) -> SimConfig:
     return _build(SimConfig, settings)
 
 
-def build_workload(settings, config: SimConfig):
-    """(transactions, contract accounts); only traces mark contract accounts."""
+def workload_source(settings):
+    """The trace path, or the resolved SyntheticSpec, that the run's workload is built from."""
     if settings["trace"] and settings["synthetic"]:
         raise ConfigError("pass either a trace or a synthetic generator, not both")
     if settings["trace"]:
-        return load_trace(settings["trace"])
+        return settings["trace"]
     if not settings["synthetic"]:
         raise ConfigError("no workload: pass --trace or --synthetic")
-    spec = _build(
-        SyntheticSpec, settings, seed=sub_seed(config.seed, "workload"), k_shards=config.k_shards
-    )
-    return generate(spec), {}
+    return _build(SyntheticSpec, settings, seed=settings["seed"], k_shards=settings["shards"])
+
+
+def build_workload(source):
+    """(transactions, contract accounts); only traces mark contract accounts."""
+    if isinstance(source, SyntheticSpec):
+        return generate(source), {}
+    return load_trace(source)
 
 
 SUMMARY_FIELDS = (
@@ -252,7 +252,7 @@ def _run_single(config: SimConfig, workload, out_dir) -> dict:
 def cmd_run(args) -> int:
     settings = resolve_settings(args)
     config = make_config(settings)
-    _run_single(config, build_workload(settings, config), args.out)
+    _run_single(config, build_workload(workload_source(settings)), args.out)
     return 0
 
 
@@ -271,13 +271,17 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--values: {exc}") from None
     policies = _split(args.policies, "--policies")
+    workloads = {}  # workload source -> its workload, built once per sweep
     rows = []
     for value in values:
         for policy in policies:
             point = dict(settings, policy=policy, **{name: value})
             config = make_config(point)
+            source = workload_source(point)
+            if source not in workloads:
+                workloads[source] = build_workload(source)
             out_dir = os.path.join(args.out, f"{policy}_{args.axis}_{value}")
-            rows.append(_run_single(config, build_workload(point, config), out_dir))
+            rows.append(_run_single(config, workloads[source], out_dir))
     os.makedirs(args.out, exist_ok=True)
     write_summary_csv(os.path.join(args.out, "sweep.csv"), rows)
     return 0

@@ -21,7 +21,6 @@ from typing import get_type_hints
 
 AccountId = str
 ShardId = int
-BlockHeight = int
 
 EOA = "eoa"
 CA = "ca"
@@ -36,7 +35,6 @@ class Account:
     id: AccountId
     kind: str = EOA
     size: int = 1
-    created_at: BlockHeight = 0
 
     def __post_init__(self):
         if self.kind == EOA and self.size != 1:

@@ -37,7 +37,9 @@ SimConfig.validate rejects, with a ConfigError naming the field or shard, a
 field of the wrong type and a refused shard outside [0, k).  Simulation
 rejects, with a ConfigError naming the account, any initial shard that is not
 an in-range int and any accounts entry that is not an Account under its own
-id.
+id; and, naming the tx_id and the field, a transaction whose fee or base_cost
+is not an int (bool is refused), whose write_set is not a tuple or holds an
+account id that is not a str.
 """
 
 from __future__ import annotations
@@ -220,7 +222,20 @@ class Simulation:
         config.validate()
         if not workload:
             raise ConfigError("workload must be nonempty")
-        ids = [tx.tx_id for tx in workload]
+        ids = []
+        for tx in workload:
+            ids.append(tx.tx_id)
+            # the exact-type test is cheap; field_type_error names the wrong field
+            fee, cost, write_set = tx.fee, tx.base_cost, tx.write_set
+            if type(fee) is not int or type(cost) is not int or type(write_set) is not tuple:
+                wrong_type = field_type_error(tx)
+                if wrong_type:
+                    raise ConfigError(f"transaction {tx.tx_id!r}: {wrong_type}")
+            for acc in write_set:
+                if not isinstance(acc, str):
+                    raise ConfigError(
+                        f"transaction {tx.tx_id!r}: write_set account {acc!r} is not a str"
+                    )
         if len(set(ids)) != len(ids):  # walk again only to name the first repeat
             seen = set()
             for tx_id in ids:

@@ -73,12 +73,6 @@ class Partition:
     k: int
     balance_cap: int
 
-    def cluster_sizes(self) -> list:
-        sizes = [0] * self.k
-        for c in self.assignment.values():
-            sizes[c] += 1
-        return sizes
-
 
 def graph_from_transactions(txs) -> WeightedGraph:
     """Co-occurrence graph: edge weight counts write-set pairings.

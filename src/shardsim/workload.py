@@ -63,15 +63,6 @@ class InvalidSpec(Exception):
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    block: int
-    tx_id: str
-    accounts: tuple
-    fee: int
-    kind_flags: tuple  # per-account EOA/CA markers, parallel to accounts
-
-
-@dataclass(frozen=True)
 class SyntheticSpec:
     generator: str
     n_accounts: int = 1000
@@ -177,12 +168,6 @@ def _parse_fields(line: str, line_no: int, tokens: dict) -> tuple:
     if contracts:
         contracts = tuple(acc for acc in accounts if acc in contracts)
     return block, tx_id, fee, tuple(accounts), contracts
-
-
-def parse_trace_line(line: str, line_no: int) -> TraceRecord:
-    block, tx_id, fee, accounts, contracts = _parse_fields(line, line_no, {})
-    kinds = tuple(CA if acc in contracts else EOA for acc in accounts)
-    return TraceRecord(block, tx_id, accounts, fee, kinds)
 
 
 def load_trace(path) -> tuple[list[Transaction], dict]:

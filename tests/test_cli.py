@@ -7,6 +7,7 @@ from dataclasses import fields
 
 import pytest
 
+from shardsim import cli
 from shardsim.cli import (
     SETTINGS,
     WITHHELD,
@@ -15,10 +16,10 @@ from shardsim.cli import (
     main,
     make_config,
     resolve_settings,
-    sub_seed,
+    summary_row,
 )
-from shardsim.engine import ConfigError, SimConfig
-from shardsim.workload import SyntheticSpec
+from shardsim.engine import ConfigError, SimConfig, run
+from shardsim.workload import SyntheticSpec, generate
 
 
 def _read_csv(path):
@@ -28,12 +29,6 @@ def _read_csv(path):
 
 # ---------------------------------------------------------------------------
 # configuration resolution
-
-
-def test_sub_seed_is_stable_and_labeled():
-    assert sub_seed(0, "workload") == 1612300292
-    assert sub_seed(0, "workload") != sub_seed(0, "other")
-    assert sub_seed(1, "workload") != sub_seed(0, "workload")
 
 
 def test_load_config_file(tmp_path):
@@ -169,6 +164,19 @@ def test_run_is_byte_identical_across_invocations(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_run_seeds_the_workload_with_its_seed(tmp_path):
+    # the CLI runs the workload that generate() builds from the same seed, so
+    # a CLI run reproduces a direct API run
+    assert main(["run", "--synthetic", "communities", "--n-accounts", "300", "--n-txs", "2000",
+                 "--n-communities", "30", "--policy", "scheduler", "--shards", "4",
+                 "--capacity", "30", "--seed", "7", "--out", str(tmp_path)]) == 0
+    spec = SyntheticSpec(generator="communities", n_accounts=300, n_txs=2000,
+                         n_communities=30, seed=7, k_shards=4)
+    config = SimConfig(k_shards=4, shard_capacity=30, policy="scheduler", seed=7)
+    _, summary = run(config, generate(spec))
+    assert _read_csv(tmp_path / "summary.csv") == [summary_row(config, summary)]
+
+
 def test_run_economics_writes_epochs(tmp_path):
     assert main(_run_args(tmp_path, "--economics", "--epoch-length", "5")) == 0
     epochs = _read_csv(tmp_path / "out" / "epochs.csv")
@@ -219,7 +227,19 @@ def test_ca_migration_flag_applies_to_trace_markers(tmp_path):
 # sweep command
 
 
-def test_sweep_writes_per_point_and_combined(tmp_path):
+def _count_generate(monkeypatch):
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return generate(spec)
+
+    monkeypatch.setattr(cli, "generate", counting)
+    return calls
+
+
+def test_sweep_writes_per_point_and_combined(tmp_path, monkeypatch):
+    generated = _count_generate(monkeypatch)
     args = [
         "sweep", "--synthetic", "zipf_hotspot", "--axis", "shards",
         "--values", "2,4", "--policies", "hash,scheduler",
@@ -232,18 +252,22 @@ def test_sweep_writes_per_point_and_combined(tmp_path):
     assert {r["shards"] for r in combined} == {"2", "4"}
     assert os.path.isdir(tmp_path / "sweep" / "hash_shards_2")
     assert os.path.isdir(tmp_path / "sweep" / "scheduler_shards_4")
+    # the shard count is part of the spec, so each value builds its workload once
+    assert [spec.k_shards for spec in generated] == [2, 4]
 
 
-def test_sweep_cross_cost_axis(tmp_path):
+def test_sweep_cross_cost_axis(tmp_path, monkeypatch):
+    generated = _count_generate(monkeypatch)
     args = [
         "sweep", "--synthetic", "communities", "--axis", "cross-cost",
-        "--values", "1,4", "--policies", "scheduler", "--shards", "2",
+        "--values", "1,2,4", "--policies", "hash,scheduler", "--shards", "2",
         "--capacity", "20", "--seed", "1", "--out", str(tmp_path / "s"),
         "--max-rounds", "30",
     ]
     assert main(args) == 0
     combined = _read_csv(tmp_path / "s" / "sweep.csv")
-    assert [r["cross_cost"] for r in combined] == ["1", "4"]
+    assert [r["cross_cost"] for r in combined] == ["1", "1", "2", "2", "4", "4"]
+    assert len(generated) == 1  # the cost does not change the workload
 
 
 # ---------------------------------------------------------------------------

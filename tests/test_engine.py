@@ -126,6 +126,27 @@ def test_duplicate_tx_ids_rejected():
         Simulation(SimConfig(), txs)
 
 
+@pytest.mark.parametrize(
+    "field, changes",
+    [
+        ("fee", {"fee": 1.5}),
+        ("fee", {"fee": True}),
+        ("base_cost", {"base_cost": 1.5}),
+        ("base_cost", {"base_cost": True}),
+        ("write_set", {"write_set": ["ab", "cd"]}),
+        ("write_set account 7", {"write_set": ("ab", 7)}),
+    ],
+    ids=["float-fee", "bool-fee", "float-cost", "bool-cost", "list-write-set", "int-account"],
+)
+def test_transaction_of_wrong_type_rejected(field, changes):
+    # before this check a float fee ran and summed into total_fees, and an
+    # int account id crashed hash_place
+    txs = _unit_txs(3)
+    txs[1] = replace(txs[1], **changes)
+    with pytest.raises(ConfigError, match=f"transaction 't1': {field}"):
+        Simulation(SimConfig(economics=True), txs)
+
+
 def test_finalize_requires_rounds():
     with pytest.raises(EmptyRun):
         finalize([])

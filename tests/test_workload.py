@@ -21,7 +21,6 @@ from shardsim.workload import (
     account_id,
     generate,
     load_trace,
-    parse_trace_line,
 )
 from shardsim.workload import _Stream
 
@@ -30,31 +29,39 @@ from shardsim.workload import _Stream
 # line parsing
 
 
-def test_parse_basic_line():
-    rec = parse_trace_line("5 tx1 3 00ff,ab12", 1)
-    assert rec.block == 5
-    assert rec.tx_id == "tx1"
-    assert rec.fee == 3
-    assert rec.accounts == ("00ff", "ab12")
+def _load(tmp_path, *lines):
+    path = tmp_path / "trace.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    return load_trace(path)
 
 
-def test_parse_dedups_accounts():
-    rec = parse_trace_line("0 tx1 0 aa,aa,bb", 1)
-    assert rec.accounts == ("aa", "bb")
+def test_parse_basic_line(tmp_path):
+    # block 5 sorts between blocks 4 and 6
+    txs, _ = _load(tmp_path, "6 late 1 aa", "5 tx1 3 00ff,ab12", "4 early 1 bb")
+    assert [tx.tx_id for tx in txs] == ["early", "tx1", "late"]
+    assert txs[1] == Transaction("tx1", 1, ("00ff", "ab12"), fee=3)
 
 
-def test_parse_ca_suffix():
-    rec = parse_trace_line("0 tx1 0 aa,bb|CA", 1)
-    assert rec.kind_flags[1] == CA
+def test_parse_dedups_accounts(tmp_path):
+    txs, _ = _load(tmp_path, "0 tx1 0 aa,aa,bb")
+    assert txs[0].write_set == ("aa", "bb")
+
+
+def test_parse_ca_suffix(tmp_path):
+    txs, contracts = _load(tmp_path, "0 tx1 0 aa,bb|CA")
+    assert txs[0].write_set == ("aa", "bb")
+    assert contracts == {"bb": Account("bb", CA)}
     # a repeated account is a contract account if any spelling is marked
     for line in ("0 t0 0 aa,AA|CA", "0 t0 0 aa|CA,AA"):
-        assert parse_trace_line(line, 1).kind_flags == (CA,)
+        txs, contracts = _load(tmp_path, line)
+        assert txs[0].write_set == ("aa",)
+        assert contracts == {"aa": Account("aa", CA)}
 
 
-def test_parse_single_account_line_allowed():
+def test_parse_single_account_line_allowed(tmp_path):
     # coinbase-like records have a one-element write set
-    rec = parse_trace_line("0 cb 0 aa", 1)
-    assert rec.accounts == ("aa",)
+    txs, _ = _load(tmp_path, "0 cb 0 aa")
+    assert txs[0].write_set == ("aa",)
 
 
 @pytest.mark.parametrize(
@@ -68,15 +75,18 @@ def test_parse_single_account_line_allowed():
         "0 tx1 0 aa bb cc",
     ],
 )
-def test_parse_malformed_lines(line):
+def test_parse_malformed_lines(tmp_path, line):
+    # lines 1-6: a comment, a blank line and four good records
+    good = ["# trace", ""] + [f"0 g{i} 1 aa" for i in range(4)]
     with pytest.raises(ParseError) as err:
-        parse_trace_line(line, 7)
+        _load(tmp_path, *good, line)
     assert err.value.line_no == 7
 
 
-def test_parse_empty_write_set():
-    with pytest.raises(EmptyWriteSet):
-        parse_trace_line("0 tx1 0 ,", 3)
+def test_parse_empty_write_set(tmp_path):
+    with pytest.raises(EmptyWriteSet) as err:
+        _load(tmp_path, "0 t0 1 aa", "", "0 tx1 0 ,")
+    assert err.value.line_no == 3
 
 
 def test_load_trace_orders_by_block(tmp_path):
