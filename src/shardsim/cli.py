@@ -19,7 +19,15 @@ from typing import NamedTuple, get_args, get_type_hints
 
 from .engine import ConfigError, Livelock, SimConfig, Simulation
 from .policies import MODES, POLICY_KINDS
-from .workload import GENERATORS, InvalidSpec, ParseError, SyntheticSpec, generate, load_trace
+from .workload import (
+    GENERATORS,
+    SHARD_AWARE,
+    InvalidSpec,
+    ParseError,
+    SyntheticSpec,
+    generate,
+    load_trace,
+)
 
 # Every run and workload setting is a field of SimConfig or SyntheticSpec; the
 # tables below hold only what the fields cannot say.  Setting names double as
@@ -31,7 +39,8 @@ RENAMES = {
     "generator": "synthetic",
 }
 CHOICES = {"policy": POLICY_KINDS, "mode": MODES, "synthetic": GENERATORS}
-# API-only fields; the spec's seed and k_shards are the run's seed and shards
+# API-only fields; the spec's seed is the run's seed, and its k_shards the
+# run's shards for a shard-aware generator
 WITHHELD = {
     SimConfig: {"fee_scheme", "default_fee", "refuse_migrations_from"},
     SyntheticSpec: {"seed", "k_shards"},
@@ -68,12 +77,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
 
 
 def _parse_value(name: str, raw: str):
@@ -162,7 +165,10 @@ def workload_source(settings):
         return settings["trace"]
     if not settings["synthetic"]:
         raise ConfigError("no workload: pass --trace or --synthetic")
-    return _build(SyntheticSpec, settings, seed=settings["seed"], k_shards=settings["shards"])
+    # only a shard-aware generator reads k_shards; leaving it at its default
+    # elsewhere lets a sweep over shards build the workload once
+    derived = {"k_shards": settings["shards"]} if settings["synthetic"] in SHARD_AWARE else {}
+    return _build(SyntheticSpec, settings, seed=settings["seed"], **derived)
 
 
 def build_workload(source):
@@ -192,11 +198,15 @@ SUMMARY_FIELDS = (
 
 
 def summary_row(config: SimConfig, summary) -> dict:
-    """The run's settings, then its FinalSummary fields, under SUMMARY_FIELDS names."""
+    """The run's settings, then its FinalSummary fields, under SUMMARY_FIELDS names.
+
+    A float's str is its repr, the shortest text that parses back to the same
+    float, so every cell reads back as the exact simulated value.
+    """
     row = {}
     for name in SUMMARY_FIELDS:
         source, attr = (config, SETTINGS[name].field) if name in SETTINGS else (summary, name)
-        row[name] = _fmt(getattr(source, attr))
+        row[name] = str(getattr(source, attr))
     return row
 
 
@@ -233,7 +243,7 @@ def write_epochs_csv(path, ledger) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "shard", "deposit_total", "miner", "contribution", "payout"])
         for epoch, shard, total, miner, contribution, payout in ledger.epoch_rows:
-            writer.writerow([epoch, shard, total, miner, contribution, _fmt(payout)])
+            writer.writerow([epoch, shard, total, miner, contribution, payout])
 
 
 def _run_single(config: SimConfig, workload, out_dir) -> dict:

@@ -4,7 +4,9 @@ Accounts are identified by opaque hex strings.  The mapping service holds the
 authoritative account-to-shard assignment; shard states track per-round
 residual capacity and a rolling per-block load window; the alignment book
 accumulates each account's per-shard transaction costs over the same window
-in one ring of per-block deltas.
+in one ring of per-block flat lists of (account, shard, amount) triples, so
+an add allocates no container, and a reset is one entry in that list that
+eviction honours, not a scan of the window.
 
 ``Transaction`` is a slotted dataclass, not a frozen one: a frozen dataclass's
 ``__init__`` sets each field through ``object.__setattr__``, a cost paid once
@@ -172,9 +174,14 @@ class ShardState:
 class AlignmentBook:
     """Sliding-window per-shard cost totals of every account.
 
-    One ring holds the last W blocks' deltas (account -> {shard: amount});
-    totals hold their sum.  advance_block subtracts the block that leaves the
-    window at once, so only accounts with in-window activity occupy memory.
+    One ring of W slots holds the last W blocks' deltas, each slot one flat
+    list of (account, shard, amount) triples in the order they were added;
+    totals hold their per-account sum.  advance_block subtracts the block that
+    leaves the window at once, so only accounts with in-window activity occupy
+    memory.  reset drops an account's totals in O(1): it leaves the account's
+    earlier triples in the ring and appends a reset entry, (account, None, 0),
+    behind them.  Eviction skips every triple of an account that still has a
+    reset entry in the window, since each such triple lies before that reset.
     """
 
     def __init__(self, window: int):
@@ -182,20 +189,17 @@ class AlignmentBook:
             raise ValueError("window must be positive")
         self.window = window
         self.block = 0
-        self._ring: list[dict] = [{} for _ in range(window)]  # block % W -> deltas
+        self._ring: list[list] = [[] for _ in range(window)]  # block % W -> triples
         self._deltas = self._ring[0]  # the current block's
         self._totals: dict[AccountId, dict[ShardId, int]] = {}
+        self._resets: dict[AccountId, int] = {}  # account -> its reset entries in the window
 
     def add(self, account: AccountId, shard: ShardId, amount: int) -> None:
         if amount <= 0:
             if amount < 0:
                 raise ValueError("negative alignment delta")
             return
-        delta = self._deltas.get(account)
-        if delta is None:
-            self._deltas[account] = {shard: amount}
-        else:
-            delta[shard] = delta.get(shard, 0) + amount
+        self._deltas += (account, shard, amount)
         totals = self._totals.get(account)
         if totals is None:
             self._totals[account] = {shard: amount}
@@ -207,27 +211,36 @@ class AlignmentBook:
         return self._totals.get(account, {})
 
     def reset(self, account: AccountId) -> None:
-        # Alignment is dropped entirely when the owner migrates; its in-window
-        # deltas go too, so their later eviction cannot subtract them again.
+        # Alignment is dropped entirely when the owner migrates; the reset entry
+        # keeps the later eviction of its earlier triples from subtracting them.
         if self._totals.pop(account, None) is not None:
-            for deltas in self._ring:
-                deltas.pop(account, None)
+            self._deltas += (account, None, 0)
+            self._resets[account] = self._resets.get(account, 0) + 1
 
     def advance_block(self) -> None:
         self.block += 1
         slot = self.block % self.window
         all_totals = self._totals
-        for account, delta in self._ring[slot].items():
+        resets = self._resets
+        triples = iter(self._ring[slot])
+        for account, shard, amount in zip(triples, triples, triples):
+            pending = resets.get(account)
+            if pending:  # the triple lies before the account's earliest reset
+                if shard is None:  # that reset entry itself leaves the window
+                    if pending == 1:
+                        del resets[account]
+                    else:
+                        resets[account] = pending - 1
+                continue
             totals = all_totals[account]
-            for shard, amount in delta.items():
-                remaining = totals[shard] - amount
-                if remaining:
-                    totals[shard] = remaining
-                else:
-                    del totals[shard]
-            if not totals:
-                del all_totals[account]
-        self._ring[slot] = self._deltas = {}
+            remaining = totals[shard] - amount
+            if remaining:
+                totals[shard] = remaining
+            else:
+                del totals[shard]
+                if not totals:
+                    del all_totals[account]
+        self._ring[slot] = self._deltas = []
 
 
 def update_alignments(

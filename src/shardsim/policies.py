@@ -8,6 +8,11 @@ snapshots of the mapping, the published shard loads, and the alignment
 totals, so any plan can be replayed and verified bit-for-bit.  A migration
 out of a shard in ``refuse_migrations_from`` is dropped: the account stays and
 its shard joins the final shards.
+
+Plans are read-only.  A transaction whose accounts are all placed on one shard
+runs there with nothing to place or migrate, so the scheduler returns one
+shared plan per (shard, base cost), as the engine shares one plan per
+footprint lane under the static policies, instead of building a new one.
 """
 
 from __future__ import annotations
@@ -113,6 +118,7 @@ class SchedulerPolicy:
         self.ca_migration = ca_migration
         # scripted adversary: an account on one of these shards never migrates
         self.refuse_migrations_from = refuse_migrations_from
+        self._one_shard_plans: dict = {}  # (shard, base_cost) -> shared TxPlan
 
     def plan(
         self,
@@ -123,14 +129,30 @@ class SchedulerPolicy:
         cost_model: CostModel,
         accounts: dict | None = None,
     ) -> TxPlan:
-        # One pass reads each account's shard and picks the main shard: the
-        # least-loaded shard among the placed accounts', ties to the lowest id.
-        get = mapping.assignment.get
-        placed = []
+        # A write set placed on one shard runs there: its shared plan.
+        placed = list(map(mapping.assignment.get, tx.write_set))
+        own = placed[0]
+        if own is not None and placed.count(own) == len(placed):
+            key = (own, tx.base_cost)
+            plan = self._one_shard_plans.get(key)
+            if plan is None:
+                plan = self._one_shard_plans[key] = TxPlan(
+                    new_placements={},
+                    migrations=(),
+                    final_shards=frozenset((own,)),
+                    per_shard_charges={own: cost_model.per_shard_charge(tx.base_cost, 1)},
+                )
+            return plan
+        return self._general_plan(tx, placed, loads, book, cost_model, accounts)
+
+    def _general_plan(self, tx, placed, loads, book, cost_model, accounts) -> TxPlan:
+        """Plan tx from placed, its accounts' current shards (None if new).
+
+        The main shard is the least-loaded shard among the placed accounts',
+        ties to the lowest id.
+        """
         main = main_load = None
-        for acc in tx.write_set:
-            shard = get(acc)
-            placed.append(shard)
+        for shard in placed:
             if shard is not None and shard != main:
                 load = loads[shard]
                 if main is None or load < main_load or (load == main_load and shard < main):

@@ -34,6 +34,8 @@ import numpy as np
 from .core import CA, EOA, Account, Transaction, field_type_error
 
 GENERATORS = ("all_intra", "all_cross", "zipf_hotspot", "communities", "bursty")
+# the generators that read SyntheticSpec.k_shards
+SHARD_AWARE = ("all_intra", "all_cross")
 
 # Top 20% of 1000 accounts draw >= 92% of appearances.  The minimal
 # exponent is ~1.28 (see scripts/tune_zipf.py); 1.6 keeps that margin
@@ -69,7 +71,7 @@ class SyntheticSpec:
     n_txs: int = 10000
     seed: int = 0
     accounts_per_tx: int = 2
-    # all_intra / all_cross: reference hash placement shard count
+    # SHARD_AWARE generators: reference hash placement shard count
     k_shards: int = 16
     # zipf_hotspot
     zipf_exponent: float = DEFAULT_ZIPF_EXPONENT
@@ -103,7 +105,7 @@ class SyntheticSpec:
             raise InvalidSpec("need at least 2 accounts and 1 transaction")
         if not 2 <= self.accounts_per_tx <= self.n_accounts:
             raise InvalidSpec("accounts_per_tx out of range")
-        if self.generator in ("all_intra", "all_cross") and self.k_shards < 1:
+        if self.generator in SHARD_AWARE and self.k_shards < 1:
             raise InvalidSpec("k_shards must be positive")
         if self.generator == "all_cross" and self.k_shards < 2:
             raise InvalidSpec("all_cross needs at least 2 shards")

@@ -177,6 +177,21 @@ def test_run_seeds_the_workload_with_its_seed(tmp_path):
     assert _read_csv(tmp_path / "summary.csv") == [summary_row(config, summary)]
 
 
+def test_summary_floats_read_back_exactly(tmp_path):
+    assert main(["run", "--synthetic", "communities", "--n-accounts", "300", "--n-txs", "2000",
+                 "--n-communities", "30", "--policy", "scheduler", "--shards", "3",
+                 "--capacity", "30", "--seed", "7", "--out", str(tmp_path)]) == 0
+    spec = SyntheticSpec(generator="communities", n_accounts=300, n_txs=2000,
+                         n_communities=30, seed=7)
+    _, summary = run(SimConfig(k_shards=3, shard_capacity=30, policy="scheduler", seed=7),
+                     generate(spec))
+    row = _read_csv(tmp_path / "summary.csv")[0]
+    floats = [f.name for f in fields(summary) if isinstance(getattr(summary, f.name), float)]
+    assert floats == ["throughput", "latency", "cross_shard_ratio"]
+    for name in floats:
+        assert float(row[name]) == getattr(summary, name), name
+
+
 def test_run_economics_writes_epochs(tmp_path):
     assert main(_run_args(tmp_path, "--economics", "--epoch-length", "5")) == 0
     epochs = _read_csv(tmp_path / "out" / "epochs.csv")
@@ -252,7 +267,19 @@ def test_sweep_writes_per_point_and_combined(tmp_path, monkeypatch):
     assert {r["shards"] for r in combined} == {"2", "4"}
     assert os.path.isdir(tmp_path / "sweep" / "hash_shards_2")
     assert os.path.isdir(tmp_path / "sweep" / "scheduler_shards_4")
-    # the shard count is part of the spec, so each value builds its workload once
+    # zipf_hotspot does not read the shard count, so one workload serves both values
+    assert len(generated) == 1
+
+
+def test_sweep_over_shards_rebuilds_a_shard_aware_workload(tmp_path, monkeypatch):
+    generated = _count_generate(monkeypatch)
+    args = [
+        "sweep", "--synthetic", "all_intra", "--axis", "shards", "--values", "2,4",
+        "--policies", "hash,scheduler", "--capacity", "20", "--seed", "0",
+        "--n-txs", "200", "--out", str(tmp_path / "sweep"),
+    ]
+    assert main(args) == 0
+    # all_intra draws its write sets from the shard count's hash buckets
     assert [spec.k_shards for spec in generated] == [2, 4]
 
 

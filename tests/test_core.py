@@ -191,6 +191,24 @@ def test_alignment_reset_on_migration():
     assert book.totals("aa") == {}
 
 
+def test_reset_drops_only_earlier_triples():
+    book = AlignmentBook(window=2)
+    book.add("aa", 0, 5)
+    book.add("bb", 1, 1)
+    book.reset("aa")
+    book.add("aa", 1, 3)  # same block, after the reset
+    assert book.totals("aa") == {1: 3}
+    book.advance_block()
+    book.add("aa", 0, 2)
+    book.reset("aa")  # a second reset drops every triple so far
+    book.add("aa", 2, 4)
+    assert book.totals("aa") == {2: 4}
+    book.advance_block()  # evicts block 0: both of aa's triples lie before a reset
+    assert book.totals("aa") == {2: 4} and book.totals("bb") == {}
+    book.advance_block()  # evicts block 1, the post-reset triple included
+    assert book._totals == {} and book._resets == {}
+
+
 def test_inactive_vectors_are_dropped():
     book = AlignmentBook(window=2)
     book.add("aa", 0, 1)
@@ -198,8 +216,8 @@ def test_inactive_vectors_are_dropped():
     book.reset("bb")
     for _ in range(2):
         book.advance_block()
-    # once the window has passed, no account or delta is held any more
-    assert book._totals == {} and not any(book._ring)
+    # once the window has passed, no account, delta or reset is held any more
+    assert book._totals == {} and not any(book._ring) and book._resets == {}
 
 
 _ACCOUNTS = ("aa", "bb", "cc")

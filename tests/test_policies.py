@@ -249,6 +249,38 @@ def test_scheduler_all_new_write_set_is_intra():
     assert plan.per_shard_charges == {1: 1}
 
 
+def _one_shard_plan(policy, base_cost, **placed):
+    phi = MappingService()
+    for acc, shard in placed.items():
+        phi.place(acc, shard)
+    tx = Transaction("t0", 0, tuple(placed), base_cost=base_cost)
+    return policy.plan(tx, phi, {0: 9, 1: 0, 2: 5}, AlignmentBook(10), CostModel(3))
+
+
+def test_one_shard_plans_are_shared_per_shard_and_base_cost():
+    policy = SchedulerPolicy(3)
+    cheap = _one_shard_plan(policy, 1, aa=2, bb=2)
+    dear = _one_shard_plan(policy, 2, cc=2, dd=2, ee=2)
+    assert cheap.per_shard_charges == {2: 1} and dear.per_shard_charges == {2: 2}
+    assert _one_shard_plan(policy, 2, ff=2) is dear
+    assert _one_shard_plan(policy, 2, gg=0) is not dear
+
+
+@pytest.mark.parametrize("mode", [MODE_2PC, MODE_MUTEX])
+@pytest.mark.parametrize("base_cost", [1, 2])
+def test_shared_one_shard_plan_equals_the_general_plan(mode, base_cost):
+    phi = MappingService()
+    for acc in ("aa", "bb", "cc"):
+        phi.place(acc, 1)
+    book = AlignmentBook(10)
+    book.add("aa", 0, 50)  # a pull elsewhere does not matter: nothing leaves main
+    tx = Transaction("t0", 0, ("aa", "bb", "cc"), base_cost=base_cost)
+    loads, model, policy = {0: 0, 1: 7}, CostModel(2), SchedulerPolicy(2, mode=mode)
+    shared = policy.plan(tx, phi, loads, book, model)
+    general = policy._general_plan(tx, [1, 1, 1], loads, book, model, None)
+    assert shared is not general and shared == general
+
+
 def test_make_policy_factory():
     assert isinstance(make_policy("hash", 4), HashPolicy)
     assert isinstance(make_policy("partition", 4), PartitionPolicy)
