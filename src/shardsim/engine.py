@@ -37,9 +37,13 @@ SimConfig.validate rejects, with a ConfigError naming the field or shard, a
 field of the wrong type and a refused shard outside [0, k).  Simulation
 rejects, with a ConfigError naming the account, any initial shard that is not
 an in-range int and any accounts entry that is not an Account under its own
-id; and, naming the tx_id and the field, a transaction whose fee or base_cost
-is not an int (bool is refused), whose write_set is not a tuple or holds an
-account id that is not a str.
+id; naming the tx_id and the field, a transaction whose fee or base_cost is
+not an int (bool is refused), whose write_set is not a tuple or holds an
+account id that is not a str; and, naming the tx_id, its base_cost and the
+shard_capacity, a transaction whose base_cost exceeds shard_capacity, which no
+plan can admit because every plan charges its main shard at least the base
+cost.  A Simulation runs once: a second run() call raises RuntimeError instead
+of replaying the workload into the same state.
 """
 
 from __future__ import annotations
@@ -223,14 +227,19 @@ class Simulation:
         if not workload:
             raise ConfigError("workload must be nonempty")
         ids = []
+        capacity = config.shard_capacity
         for tx in workload:
             ids.append(tx.tx_id)
             # the exact-type test is cheap; field_type_error names the wrong field
             fee, cost, write_set = tx.fee, tx.base_cost, tx.write_set
-            if type(fee) is not int or type(cost) is not int or type(write_set) is not tuple:
+            if (type(fee) is not int or type(cost) is not int or type(write_set) is not tuple
+                    or cost > capacity):
                 wrong_type = field_type_error(tx)
                 if wrong_type:
                     raise ConfigError(f"transaction {tx.tx_id!r}: {wrong_type}")
+                if cost > capacity:
+                    raise ConfigError(f"transaction {tx.tx_id!r}: base_cost {cost} exceeds "
+                                      f"shard_capacity {capacity}, so no plan can admit it")
             for acc in write_set:
                 if not isinstance(acc, str):
                     raise ConfigError(
@@ -305,8 +314,8 @@ class Simulation:
             tx, self.mapping, loads, self.book, self.cost_model, accounts=self.accounts
         )
 
-    def try_execute(self, tx: Transaction, plan: TxPlan, round_index: int) -> str:
-        """Admit tx under plan in round round_index, or defer it untouched.
+    def try_execute(self, tx: Transaction, plan: TxPlan) -> str:
+        """Admit tx under plan, or defer it untouched.
 
         An admitted fee goes into the round's tally, which run() credits at
         the end of the round's admissions.
@@ -393,7 +402,7 @@ class Simulation:
                 retain(tx)
                 continue
             plan = plans[lane]
-            if try_execute(tx, plan, round_index) == EXECUTED:
+            if try_execute(tx, plan) == EXECUTED:
                 del pending_lane[tx.tx_id]
                 if len(plan.final_shards) > 1:
                     cross += 1
@@ -426,7 +435,7 @@ class Simulation:
                 retain(tx)
                 continue
             plan = self.plan(tx, loads)
-            if self.try_execute(tx, plan, round_index) == EXECUTED:
+            if self.try_execute(tx, plan) == EXECUTED:
                 migrations += len(plan.migrations)
                 if len(plan.final_shards) > 1:
                     cross += 1
@@ -436,6 +445,8 @@ class Simulation:
         return migrations, cross
 
     def run(self):
+        if self.reports:
+            raise RuntimeError("this Simulation has already run; build a new one to run again")
         config = self.config
         if self.policy.static_placement:
             source, admit = map(self._file, self.workload), self._admit_lanes

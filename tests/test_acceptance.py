@@ -345,8 +345,8 @@ def test_criterion_9_invariant_fuzzing(announce):
         migration_alignment_ok = True
         original = sim.try_execute
 
-        def checked(tx, plan, round_index):
-            outcome = original(tx, plan, round_index)
+        def checked(tx, plan):
+            outcome = original(tx, plan)
             if outcome == "executed":
                 charge = sim.cost_model.per_shard_charge(
                     tx.base_cost, len(plan.final_shards))

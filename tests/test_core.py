@@ -18,6 +18,8 @@ from shardsim.core import (
     update_alignments,
 )
 
+from reference_engine import pairwise_deltas
+
 
 # ---------------------------------------------------------------------------
 # construction guards
@@ -267,18 +269,6 @@ def test_alignment_totals_match_bucket_oracle(events, window):
 # pairwise alignment update
 
 
-def _pairwise_oracle(write_set, shard_of, charge):
-    """Independent enumeration of the ordered-pair update rule."""
-    deltas = {acc: {} for acc in write_set}
-    for i in write_set:
-        for j in write_set:
-            if i == j:
-                continue
-            target = shard_of[j]
-            deltas[i][target] = deltas[i].get(target, 0) + charge
-    return deltas
-
-
 def test_two_account_cross_shard_update():
     # a in shard 0, b in shard 1, c_cross=2: each gains 2 toward the other
     phi = MappingService()
@@ -342,6 +332,6 @@ def test_pairwise_update_matches_oracle(n_accounts, shard_seed, c_cross, base_co
     book = AlignmentBook(window=10)
     tx = Transaction("t0", 0, tuple(accounts), base_cost=base_cost)
     update_alignments(tx, phi, model, book)
-    expected = _pairwise_oracle(accounts, shard_of, charge)
+    expected = pairwise_deltas(accounts, shard_of, charge)
     for acc in accounts:
         assert book.totals(acc) == expected[acc]

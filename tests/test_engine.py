@@ -4,29 +4,27 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, replace
-from types import SimpleNamespace
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardsim.core import CA, Account, AlignmentBook, CostModel, Transaction, update_alignments
-from shardsim.economics import FEE_SCHEMES, IncentiveLedger, split_fee
+from shardsim.core import CA, Account, Transaction
 from shardsim.engine import (
     ConfigError,
     EmptyRun,
     LiveLoads,
     Livelock,
     Mempool,
-    RoundReport,
     SimConfig,
     Simulation,
     finalize,
     run,
 )
-from shardsim.partitioner import graph_from_transactions, partition_greedy
-from shardsim.policies import MODES, hash_place
+from shardsim.policies import hash_place
 from shardsim.workload import SyntheticSpec, generate, load_trace
+
+from reference_engine import NO_SHRINK, check_engine_against_reference, engine_cases
 
 
 def _unit_txs(n, accounts_per_tx=1, prefix="a"):
@@ -218,7 +216,7 @@ def test_migration_charges_source_and_dest():
         shard.residual = shard.capacity_per_round
     plan = sim.plan(tx, {0: 90, 1: 20})
     assert len(plan.migrations) == 1
-    assert sim.try_execute(tx, plan, 0) == "executed"
+    assert sim.try_execute(tx, plan) == "executed"
     assert sim.shards[0].residual == 10 - 2
     assert sim.shards[1].residual == 10 - 3
     assert sim.mapping.assignment["aa"] == 1
@@ -231,7 +229,7 @@ def test_all_or_nothing_admission(source_residual, dest_residual, expected):
     plan = sim.plan(tx, {0: 90, 1: 20})
     sim.shards[0].residual = source_residual
     sim.shards[1].residual = dest_residual
-    assert sim.try_execute(tx, plan, 0) == expected
+    assert sim.try_execute(tx, plan) == expected
 
 
 def test_deferred_transaction_mutates_nothing():
@@ -240,7 +238,7 @@ def test_deferred_transaction_mutates_nothing():
     sim.shards[0].residual = 0
     before_mapping = dict(sim.mapping.assignment)
     before_totals = dict(sim.book.totals("aa"))
-    assert sim.try_execute(tx, plan, 0) == "deferred"
+    assert sim.try_execute(tx, plan) == "deferred"
     assert sim.mapping.assignment == before_mapping
     assert sim.book.totals("aa") == before_totals
     assert sim.shards[1].residual == 10
@@ -249,7 +247,7 @@ def test_deferred_transaction_mutates_nothing():
 def test_migration_resets_alignment():
     sim, tx = _single_shard_pair_sim()
     plan = sim.plan(tx, {0: 90, 1: 20})
-    assert sim.try_execute(tx, plan, 0) == "executed"
+    assert sim.try_execute(tx, plan) == "executed"
     # the old vector is gone; only this transaction's own update remains
     assert sim.book.totals("aa") == {1: 1}
 
@@ -395,6 +393,32 @@ def test_unadmittable_transaction_raises_livelock(max_rounds):
     assert all(r.processed_count == 0 for r in sim.reports)
 
 
+@pytest.mark.parametrize("max_rounds", [None, 5])
+def test_base_cost_over_capacity_is_refused(max_rounds):
+    # every plan charges its main shard at least the base cost, so no round
+    # can admit t1: the run must not idle into Livelock or truncate silently
+    txs = _unit_txs(3)
+    cfg = SimConfig(k_shards=2, shard_capacity=2, max_rounds=max_rounds)
+    with pytest.raises(ConfigError, match="transaction 't1': base_cost 3 exceeds shard_capacity 2"):
+        Simulation(cfg, [txs[0], replace(txs[1], base_cost=3), txs[2]])
+    # a wrong type is still named first
+    with pytest.raises(ConfigError, match="transaction 't1': fee"):
+        Simulation(cfg, [txs[0], replace(txs[1], fee=1.5, base_cost=3)])
+    _, summary = run(cfg, [txs[0], replace(txs[1], base_cost=2)])
+    assert summary.executed == 2
+
+
+@pytest.mark.parametrize("policy", ["hash", "scheduler"])
+def test_second_run_is_refused(policy):
+    # a second call would replay the workload into the same state
+    sim = Simulation(SimConfig(k_shards=2, shard_capacity=3, policy=policy),
+                     _unit_txs(5, accounts_per_tx=2))
+    _, summary = sim.run()
+    with pytest.raises(RuntimeError, match="already run"):
+        sim.run()
+    assert summary.executed == 5 and len(sim.reports) == summary.rounds
+
+
 @pytest.mark.parametrize("policy,admits", [("hash", 5), ("scheduler", 3)])
 def test_deferred_tx_not_replanned_while_its_shard_is_full(policy, admits):
     # k=1, capacity 1, three txs on one account: one executes per round.
@@ -412,9 +436,9 @@ def test_deferred_tx_not_replanned_while_its_shard_is_full(policy, admits):
         plans.append(tx.tx_id)
         return plan(tx, loads)
 
-    def counted_admit(tx, tx_plan, round_index):
+    def counted_admit(tx, tx_plan):
         attempts.append(tx.tx_id)
-        return try_execute(tx, tx_plan, round_index)
+        return try_execute(tx, tx_plan)
 
     sim.plan, sim.try_execute = counted_plan, counted_admit
     _, summary = sim.run()
@@ -439,10 +463,10 @@ def test_deferred_lane_blocks_only_its_own_footprint():
     admitted = []
     try_execute = sim.try_execute
 
-    def recorded(tx, plan, round_index):
-        outcome = try_execute(tx, plan, round_index)
+    def recorded(tx, plan):
+        outcome = try_execute(tx, plan)
         if outcome == "executed":
-            admitted.append((round_index, tx.tx_id))
+            admitted.append((len(sim.reports), tx.tx_id))
         return outcome
 
     sim.try_execute = recorded
@@ -451,313 +475,20 @@ def test_deferred_lane_blocks_only_its_own_footprint():
     assert [r.processed_count for r in reports] == [3, 2]
 
 
-def _reference_static_run(cfg, txs, initial, shard_of):
-    """Literal round semantics of the hash and partition policies.
-
-    Every round, every pending transaction is planned from scratch in FIFO
-    order: its shards come from the mapping, else shard_of, and it runs if
-    each of them has the residual for its charge.  Every fee is split.
-    Returns (reports, ledger, mapping, stuck); stuck is None, or the head
-    transaction's (tx_id, first-seen round) once window + 1 rounds pass with
-    no execution and no arrival.
-    """
-    k, capacity = cfg.k_shards, cfg.shard_capacity
-    mapping = dict(initial)
-    ledger = (IncentiveLedger(k, cfg.miners_per_shard, cfg.seed, cfg.fee_scheme)
-              if cfg.economics else None)
-    source = iter(txs)
-    pending, first_seen, reports = [], {}, []
-    idle = round_index = 0
-    while True:
-        start, added = len(pending), 0
-        while len(pending) < math.ceil(cfg.mempool_ratio * k * capacity):
-            tx = next(source, None)
-            if tx is None:
-                break
-            pending.append(tx)
-            first_seen[tx.tx_id] = round_index
-            added += 1
-        if not pending:
-            break
-        residual = [capacity] * k
-        deferred, latencies, cross = [], [], 0
-        for tx in pending:
-            shards = {mapping.get(a, shard_of(a)) for a in tx.write_set}
-            charge = tx.base_cost * (cfg.cross_shard_cost if len(shards) > 1 else 1)
-            if any(residual[s] < charge for s in shards):
-                deferred.append(tx)
-                continue
-            for s in shards:
-                residual[s] -= charge
-            for a in tx.write_set:
-                mapping.setdefault(a, shard_of(a))
-            if ledger is not None:
-                for s, share in split_fee(tx.fee or cfg.default_fee, shards).items():
-                    ledger.credit(s, round_index, share)
-            cross += len(shards) > 1
-            latencies.append(round_index - first_seen.pop(tx.tx_id))
-        pending = deferred
-        reports.append(RoundReport(
-            round_index, added, start, len(pending), len(latencies),
-            {s: capacity - r for s, r in enumerate(residual)}, dict(enumerate(residual)),
-            0, cross, tuple(latencies),
-        ))
-        if ledger is not None and (round_index + 1) % cfg.epoch_length == 0:
-            ledger.close_epoch()
-        idle = 0 if latencies or added else idle + 1
-        if idle > cfg.window:
-            return reports, ledger, mapping, (pending[0].tx_id, first_seen[pending[0].tx_id])
-        round_index += 1
-        if cfg.max_rounds is not None and round_index >= cfg.max_rounds:
-            break
-    if ledger is not None:
-        ledger.close_epoch()
-    return reports, ledger, mapping, None
+# Differential tests against the literal reference engine in
+# tests/reference_engine.py, one per policy family over its one strategy.
 
 
-# The literal-reference tests skip Hypothesis's shrink phase: they generate
-# the same examples, so a regression is still caught, but a failure is
-# reported in seconds instead of after minutes of shrinking.
-_NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
-
-
-@st.composite
-def _static_cases(draw):
-    k = draw(st.integers(1, 4))
-    accounts = [f"{i:02x}" for i in range(draw(st.integers(1, 8)))]
-    txs = [
-        Transaction(
-            f"t{i}", i,
-            tuple(draw(st.lists(st.sampled_from(accounts), min_size=1,
-                                max_size=min(3, len(accounts)), unique=True))),
-            fee=draw(st.integers(0, 3)), base_cost=draw(st.integers(1, 3)),
-        )
-        for i in range(draw(st.integers(1, 30)))
-    ]
-    initial = draw(st.dictionaries(st.sampled_from(accounts), st.integers(0, k - 1)))
-    cfg = SimConfig(
-        k_shards=k,
-        policy=draw(st.sampled_from(["hash", "partition"])),
-        cross_shard_cost=draw(st.integers(1, 3)),
-        shard_capacity=draw(st.integers(1, 9)),
-        mempool_ratio=draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])),
-        window=draw(st.integers(1, 3)),
-        economics=draw(st.booleans()),
-        fee_scheme=draw(st.sampled_from(FEE_SCHEMES)),
-        epoch_length=draw(st.integers(1, 3)),
-        miners_per_shard=draw(st.integers(1, 2)),
-        default_fee=draw(st.integers(0, 2)),
-        seed=draw(st.integers(0, 3)),
-        max_rounds=draw(st.none() | st.integers(1, 12)),
-    )
-    return cfg, txs, initial
-
-
-@given(case=_static_cases())
-@settings(max_examples=200, deadline=None, phases=_NO_SHRINK)
+@given(case=engine_cases(("hash", "partition")))
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
 def test_static_lanes_match_literal_reference(case):
-    cfg, txs, initial = case
-    table = {}
-    if cfg.policy == "partition":
-        graph = graph_from_transactions(txs)
-        table = partition_greedy(graph, cfg.k_shards, math.ceil(len(graph) / cfg.k_shards),
-                                 seed=cfg.seed).assignment
-
-    def shard_of(account):
-        shard = table.get(account)
-        return hash_place(account, cfg.k_shards) if shard is None else shard
-
-    reports, ledger, mapping, stuck = _reference_static_run(cfg, txs, initial, shard_of)
-    sim = Simulation(cfg, txs, initial_assignment=initial)
-    if stuck is None:
-        _, summary = sim.run()
-        fees = ledger.total_fees() if ledger else 0
-        assert summary == finalize(reports, total_fees=fees)
-    else:
-        with pytest.raises(Livelock) as raised:
-            sim.run()
-        assert f"head transaction {stuck[0]!r} (pending since round {stuck[1]})" in str(
-            raised.value)
-    assert sim.reports == reports
-    if ledger is not None:
-        assert sim.ledger.epoch_rows == ledger.epoch_rows
-        assert sim.ledger.balances == ledger.balances
-        assert sim.ledger.shard_collected == ledger.shard_collected
-    if stuck is None and sum(r.processed_count for r in reports) == len(txs):
-        assert sim.mapping.assignment == mapping
+    check_engine_against_reference(case)
 
 
-def _reference_scheduler_run(cfg, txs, initial, contracts):
-    """Literal round semantics of the scheduler.
-
-    Every round, every pending transaction is planned from scratch in FIFO
-    order against the live loads: the main shard is the least-loaded shard of
-    the placed accounts (of all shards if none is placed), ties to the lowest
-    id; new accounts land on main; every other account migrates to main under
-    mutex, stays if it is a contract account without contract migration, and
-    otherwise migrates iff c * alignment(current) < alignment(elsewhere); a
-    migration out of a refusing shard is dropped and its account stays.  The
-    plan runs if every shard has the residual for its charges.  Each fee is
-    split at admission, remainder to the lowest shard, and each share is
-    credited at once.  Returns (reports, ledger, mapping, stuck) as
-    _reference_static_run does.
-    """
-    k, capacity, c = cfg.k_shards, cfg.shard_capacity, cfg.cross_shard_cost
-    mapping = dict(initial)
-    book = AlignmentBook(cfg.window)
-    blocks = [[0] * cfg.window for _ in range(k)]  # per-shard charges, last W blocks
-    ledger = (IncentiveLedger(k, cfg.miners_per_shard, cfg.seed, cfg.fee_scheme)
-              if cfg.economics else None)
-    source = iter(txs)
-    pending, first_seen, reports = [], {}, []
-    idle = round_index = 0
-    while True:
-        start, added = len(pending), 0
-        while len(pending) < math.ceil(cfg.mempool_ratio * k * capacity):
-            tx = next(source, None)
-            if tx is None:
-                break
-            pending.append(tx)
-            first_seen[tx.tx_id] = round_index
-            added += 1
-        if not pending:
-            break
-        residual = [capacity] * k
-        deferred, latencies, cross, moved = [], [], 0, 0
-        for tx in pending:
-            placed = {mapping[a] for a in tx.write_set if a in mapping}
-            main = min(placed or range(k), key=lambda s: (sum(blocks[s]), s))
-            final, migrations = {main}, []
-            for a in tx.write_set:
-                current = mapping.get(a, main)
-                if current == main:
-                    continue
-                if cfg.mode == "mutex":
-                    move = True
-                elif a in contracts and not cfg.ca_migration:
-                    move = False
-                else:
-                    totals = book.totals(a)
-                    own = totals.get(current, 0)
-                    move = c * own < sum(totals.values()) - own
-                if move and current not in cfg.refuse_migrations_from:
-                    migrations.append((a, current, c * contracts.get(a, 1)))
-                else:
-                    final.add(current)
-            charge = tx.base_cost * (c if len(final) > 1 else 1)
-            required = dict.fromkeys(range(k), 0)
-            for s in final:
-                required[s] += charge
-            for _, src, cost in migrations:
-                required[src] += cost
-                required[main] += cost
-            if any(residual[s] < need for s, need in required.items()):
-                deferred.append(tx)
-                continue
-            for s, need in required.items():
-                residual[s] -= need
-                blocks[s][-1] += need
-            for a in tx.write_set:
-                mapping.setdefault(a, main)
-            for a, _, _ in migrations:
-                mapping[a] = main
-                book.reset(a)
-            update_alignments(tx, SimpleNamespace(assignment=mapping), CostModel(c), book)
-            if ledger is not None:
-                fee = tx.fee or cfg.default_fee
-                order = sorted(final)
-                share, remainder = divmod(fee, len(order))
-                for s in order:
-                    amount = share + (remainder if s == order[0] else 0)
-                    if amount:
-                        ledger.credit(s, round_index, amount)
-            moved += len(migrations)
-            cross += len(final) > 1
-            latencies.append(round_index - first_seen.pop(tx.tx_id))
-        pending = deferred
-        reports.append(RoundReport(
-            round_index, added, start, len(pending), len(latencies),
-            {s: capacity - r for s, r in enumerate(residual)}, dict(enumerate(residual)),
-            moved, cross, tuple(latencies),
-        ))
-        for window in blocks:
-            window.pop(0)
-            window.append(0)
-        book.advance_block()
-        if ledger is not None and (round_index + 1) % cfg.epoch_length == 0:
-            ledger.close_epoch()
-        idle = 0 if latencies or added else idle + 1
-        if idle > cfg.window:
-            return reports, ledger, mapping, (pending[0].tx_id, first_seen[pending[0].tx_id])
-        round_index += 1
-        if cfg.max_rounds is not None and round_index >= cfg.max_rounds:
-            break
-    if ledger is not None:
-        ledger.close_epoch()
-    return reports, ledger, mapping, None
-
-
-@st.composite
-def _scheduler_cases(draw):
-    k = draw(st.integers(1, 4))
-    accounts = [f"{i:02x}" for i in range(draw(st.integers(2, 6)))]
-    txs = [
-        Transaction(
-            f"t{i}", i,
-            tuple(draw(st.lists(st.sampled_from(accounts), min_size=1,
-                                max_size=min(3, len(accounts)), unique=True))),
-            fee=draw(st.integers(0, 5)), base_cost=draw(st.integers(1, 2)),
-        )
-        for i in range(draw(st.integers(1, 30)))
-    ]
-    # most accounts start placed, so that plans span shards and migrate
-    shards = draw(st.lists(st.none() | st.integers(0, k - 1),
-                           min_size=len(accounts), max_size=len(accounts)))
-    initial = {a: s for a, s in zip(accounts, shards) if s is not None}
-    contracts = draw(st.dictionaries(st.sampled_from(accounts), st.integers(1, 3)))
-    cfg = SimConfig(
-        k_shards=k,
-        policy="scheduler",
-        mode=draw(st.sampled_from(MODES)),
-        ca_migration=draw(st.booleans()),
-        refuse_migrations_from=frozenset(draw(st.sets(st.integers(0, k - 1), max_size=2))),
-        cross_shard_cost=draw(st.integers(1, 3)),
-        shard_capacity=draw(st.integers(2, 16)),
-        mempool_ratio=draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])),
-        window=draw(st.integers(1, 3)),
-        economics=draw(st.sampled_from([True, True, False])),
-        fee_scheme=draw(st.sampled_from(FEE_SCHEMES)),
-        epoch_length=draw(st.integers(1, 3)),
-        miners_per_shard=draw(st.integers(1, 2)),
-        default_fee=draw(st.integers(0, 2)),
-        seed=draw(st.integers(0, 3)),
-        max_rounds=draw(st.none() | st.integers(1, 12)),
-    )
-    return cfg, txs, initial, contracts
-
-
-@given(case=_scheduler_cases())
-@settings(max_examples=150, deadline=None, phases=_NO_SHRINK)
+@given(case=engine_cases(("scheduler",)))
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
 def test_scheduler_matches_literal_reference(case):
-    cfg, txs, initial, contracts = case
-    reports, ledger, mapping, stuck = _reference_scheduler_run(cfg, txs, initial, contracts)
-    registry = {a: Account(a, kind=CA, size=size) for a, size in contracts.items()}
-    sim = Simulation(cfg, txs, initial_assignment=initial, accounts=registry)
-    if stuck is None:
-        _, summary = sim.run()
-        fees = ledger.total_fees() if ledger else 0
-        assert summary == finalize(reports, total_fees=fees)
-    else:
-        with pytest.raises(Livelock) as raised:
-            sim.run()
-        assert f"head transaction {stuck[0]!r} (pending since round {stuck[1]})" in str(
-            raised.value)
-    assert sim.reports == reports
-    if ledger is not None:
-        assert sim.ledger.epoch_rows == ledger.epoch_rows
-        assert sim.ledger.balances == ledger.balances
-        assert sim.ledger.shard_collected == ledger.shard_collected
-    assert sim.mapping.assignment == mapping
+    check_engine_against_reference(case)
 
 
 # bb, a contract account, is placed on shard 1; t2 aligns it toward shard 0,
