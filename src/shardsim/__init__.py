@@ -15,7 +15,7 @@ from .core import (
     update_alignments,
 )
 from .engine import FinalSummary, Livelock, RoundReport, SimConfig, Simulation, finalize, run
-from .policies import TxPlan, hash_place, make_policy, should_migrate
+from .policies import TxPlan, hash_place, should_migrate
 from .workload import SyntheticSpec, generate, load_trace
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "generate",
     "hash_place",
     "load_trace",
-    "make_policy",
     "run",
     "should_migrate",
     "update_alignments",

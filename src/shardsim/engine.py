@@ -1,26 +1,29 @@
 """Round-based simulation loop.
 
-Each round tops up the fixed-size FIFO mempool from the workload, resets
-per-shard residual capacity, then admits pending transactions in arrival
-order.  Each is admitted atomically under its plan: the transaction charge
-plus all enabling migration charges either land together or not at all.  The
-scheduler plans against snapshots of the mapping and the live shard loads.
-Deferred transactions stay in the mempool in arrival order.
+Each round tops up the fixed-size FIFO mempool from the workload, then admits
+pending transactions in arrival order against each shard's residual capacity,
+which is full again once the block advances.  Each is admitted atomically
+under its plan: the transaction charge plus all enabling migration charges
+either land together or not at all.  The scheduler plans against snapshots of
+the mapping and the live shard loads.  Deferred transactions stay in the
+mempool in arrival order.
 
 Every policy walks the one mempool queue in arrival order and skips work
-whose outcome is already decided.  Under the static hash and partition
-policies an account's shard is a pure function of the account, so top-up
-places each new account once and files the transaction into a lane named by
-its footprint: its sorted shards and its per-shard charge, which depends on
-its base cost.  Each lane has one shared plan.  Once a transaction is
-deferred its lane is blocked for the round and its later transactions are
-retained without being offered, because residuals only fall within a round,
-so every later transaction of that footprint would be deferred too.  Under
-the scheduler a pending transaction waits unplanned while every shard of its
-placed accounts has less residual than its base cost, which the main shard
-is always charged.  The alignment book is maintained only under the
-scheduler, the one policy that reads it.  A run whose state stops changing
-raises Livelock instead of spinning.
+whose outcome is already decided.  The scheduler is the one policy object;
+the static hash and partition baselines never plan or migrate.  Partition
+places its table before round 0 wherever the caller's initial placement left
+an account unplaced.  Top-up places each account still unplaced on
+hash_place(account, k), so no account's shard ever changes, and files the
+transaction into a lane named by its footprint: its sorted shards and its
+per-shard charge, which depends on its base cost.  Each lane has one shared
+plan.  Once a transaction is deferred its lane is blocked for the round and
+its later transactions are retained without being offered, because residuals
+only fall within a round, so every later transaction of that footprint would
+be deferred too.  Under the scheduler a pending transaction waits unplanned
+while every shard of its placed accounts has less residual than its base
+cost, which the main shard is always charged.  The alignment book is
+maintained only under the scheduler, the one policy that reads it.  A run
+whose state stops changing raises Livelock instead of spinning.
 
 Admission reuses what the plan already holds: a plan without migrations is
 checked and charged from its own per-shard charges, and a fee with one final
@@ -39,11 +42,15 @@ rejects, with a ConfigError naming the account, any initial shard that is not
 an in-range int and any accounts entry that is not an Account under its own
 id; naming the tx_id and the field, a transaction whose fee or base_cost is
 not an int (bool is refused), whose write_set is not a tuple or holds an
-account id that is not a str; and, naming the tx_id, its base_cost and the
+account id that is not a str; naming the tx_id, its base_cost and the
 shard_capacity, a transaction whose base_cost exceeds shard_capacity, which no
 plan can admit because every plan charges its main shard at least the base
-cost.  A Simulation runs once: a second run() call raises RuntimeError instead
-of replaying the workload into the same state.
+cost; and then, under hash and partition, naming the tx_id, its shards, the
+charge and the capacity, a transaction whose fixed cross-shard footprint is
+charged base_cost * cross_shard_cost > shard_capacity.  So only the scheduler
+can raise Livelock: a static head transaction fits every round's full
+capacity.  A Simulation runs once: a second run() call raises RuntimeError
+instead of replaying the workload into the same state.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from .core import (
 )
 from .economics import DECOUPLED, FEE_SCHEMES, IncentiveLedger, split_fee
 from .partitioner import graph_from_transactions, partition_greedy
-from .policies import MODE_2PC, MODES, POLICY_KINDS, TxPlan, make_policy
+from .policies import MODE_2PC, MODES, POLICY_KINDS, SchedulerPolicy, TxPlan, hash_place
 
 
 class ConfigError(Exception):
@@ -228,18 +235,24 @@ class Simulation:
             raise ConfigError("workload must be nonempty")
         ids = []
         capacity = config.shard_capacity
+        static = config.policy != "scheduler"
+        # a static cross-shard footprint is charged cost * cross_shard_cost per shard
+        most = capacity // config.cross_shard_cost if static else capacity
+        heavy = []  # static transactions whose charge would exceed capacity if cross-shard
         for tx in workload:
             ids.append(tx.tx_id)
             # the exact-type test is cheap; field_type_error names the wrong field
             fee, cost, write_set = tx.fee, tx.base_cost, tx.write_set
             if (type(fee) is not int or type(cost) is not int or type(write_set) is not tuple
-                    or cost > capacity):
+                    or cost > most):
                 wrong_type = field_type_error(tx)
                 if wrong_type:
                     raise ConfigError(f"transaction {tx.tx_id!r}: {wrong_type}")
                 if cost > capacity:
                     raise ConfigError(f"transaction {tx.tx_id!r}: base_cost {cost} exceeds "
                                       f"shard_capacity {capacity}, so no plan can admit it")
+                if cost > most:
+                    heavy.append(tx)
             for acc in write_set:
                 if not isinstance(acc, str):
                     raise ConfigError(
@@ -272,17 +285,23 @@ class Simulation:
             for s in range(config.k_shards)
         ]
         self.book = AlignmentBook(config.window)
-        partition_assignment = None
-        if config.policy == "partition":
-            partition_assignment = self._precompute_partition()
-        self.policy = make_policy(
-            config.policy,
-            config.k_shards,
-            mode=config.mode,
-            partition_assignment=partition_assignment,
-            ca_migration=config.ca_migration,
-            refuse_migrations_from=config.refuse_migrations_from,
+        # hash and partition never plan: _file places by hash what is unplaced
+        self.policy = None if static else SchedulerPolicy(
+            config.k_shards, config.mode, config.ca_migration, config.refuse_migrations_from
         )
+        assignment = self.mapping.assignment
+        if config.policy == "partition":  # the table places what the caller left unplaced
+            for acc, shard in self._precompute_partition().items():
+                if acc not in assignment:
+                    self.mapping.place(acc, shard)
+        for tx in heavy:  # a static footprint is fixed, so its charge is known now
+            shards = {assignment[acc] if acc in assignment else hash_place(acc, config.k_shards)
+                      for acc in tx.write_set}
+            if len(shards) > 1:
+                charge = tx.base_cost * config.cross_shard_cost
+                raise ConfigError(f"transaction {tx.tx_id!r}: cross-shard charge {charge} on "
+                                  f"shards {sorted(shards)} exceeds shard_capacity {capacity}, "
+                                  f"so it can never be admitted")
         # static policies: footprint -> lane index, and each lane's shared plan
         self._lanes: dict = {}
         self._lane_plans: list[TxPlan] = []
@@ -339,7 +358,7 @@ class Simulation:
             self.book.reset(m.account)  # alignment is dropped on migration
         for s, amount in required.items():
             shards[s].charge(amount)
-        if not self.policy.static_placement:  # only the scheduler reads alignment
+        if self.policy is not None:  # only the scheduler reads alignment
             update_alignments(tx, self.mapping, self.cost_model, self.book)
         fees = self._round_fees
         if fees is not None:  # run() credits the round's tally once per shard
@@ -354,15 +373,15 @@ class Simulation:
         return EXECUTED
 
     def _file(self, tx: Transaction) -> Transaction:
-        """Place tx's new accounts on their fixed shards and record its lane,
-        the index of its footprint (sorted shards, per-shard charge), under a
-        static policy."""
+        """Place tx's unplaced accounts by hash and record its lane, the index
+        of its footprint (sorted shards, per-shard charge), under a static
+        policy."""
         assignment = self.mapping.assignment
         shards = set()
         for acc in tx.write_set:
             shard = assignment.get(acc)
             if shard is None:
-                shard = self.policy.shard_of(acc)
+                shard = hash_place(acc, self.config.k_shards)
                 self.mapping.place(acc, shard)
             shards.add(shard)
         key = (tuple(sorted(shards)), self.cost_model.per_shard_charge(tx.base_cost, len(shards)))
@@ -448,7 +467,7 @@ class Simulation:
         if self.reports:
             raise RuntimeError("this Simulation has already run; build a new one to run again")
         config = self.config
-        if self.policy.static_placement:
+        if self.policy is None:
             source, admit = map(self._file, self.workload), self._admit_lanes
         else:
             source, admit = iter(self.workload), self._admit_fifo
@@ -461,8 +480,6 @@ class Simulation:
             added = self.mempool.top_up(source, round_index)
             if len(self.mempool) == 0:
                 break  # workload drained and nothing pending
-            for shard in shards:
-                shard.residual = shard.capacity_per_round
             latencies = []
             migrations, cross = admit(round_index, latencies)
             if ledger is not None:

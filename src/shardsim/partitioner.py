@@ -263,7 +263,7 @@ def partition_greedy(graph: WeightedGraph, k: int, balance_cap: int, seed: int =
         return Partition({v: 0 for v in graph.vertices}, k, balance_cap)
 
     rng = random.Random(seed)
-    adj = {v: dict(nbrs) for v, nbrs in graph.adj.items()}
+    adj = graph.adj  # read only: every level builds new maps
     weight = {v: 1 for v in adj}
     levels = []  # (fine_adj, fine_weight, rep) per coarsening step
     while len(adj) > max(2 * k, 16):

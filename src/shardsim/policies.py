@@ -1,8 +1,10 @@
 """Placement and migration policies.
 
 Three policies are provided: a stable hash baseline, a precomputed-partition
-baseline, and the load/alignment-driven scheduler.  The two baselines place
-each account on a fixed shard, ``shard_of(account)``, and never migrate.  The
+baseline, and the load/alignment-driven scheduler.  The two baselines need no
+policy object: they never migrate, and the engine places an account that its
+initial placement (under partition, also the partition table) left unplaced
+on ``hash_place(account, k)`` when its first transaction arrives.  The
 scheduler plans each transaction as a pure function of the transaction plus
 snapshots of the mapping, the published shard loads, and the alignment
 totals, so any plan can be replayed and verified bit-for-bit.  A migration
@@ -74,40 +76,8 @@ def should_migrate(current: ShardId, totals: dict, c_cross: int) -> bool:
     return c_cross * own < rest
 
 
-class HashPolicy:
-    kind = HASH
-    # An account's shard is a pure function of the account, so it is fixed
-    # before round 0, nothing migrates, and alignment is never read.
-    static_placement = True
-
-    def __init__(self, k: int):
-        self.k = k
-
-    def shard_of(self, account: AccountId) -> ShardId:
-        return hash_place(account, self.k)
-
-
-class PartitionPolicy(HashPolicy):
-    """Static placement from a precomputed partition, hash fallback."""
-
-    kind = PARTITION
-
-    def __init__(self, k: int, assignment: dict):
-        super().__init__(k)
-        self.assignment = assignment
-
-    def shard_of(self, account: AccountId) -> ShardId:
-        shard = self.assignment.get(account)
-        if shard is None:
-            return hash_place(account, self.k)
-        return shard
-
-
 class SchedulerPolicy:
     """Load-based main-shard selection plus alignment-gated migrations."""
-
-    kind = SCHEDULER
-    static_placement = False
 
     def __init__(self, k: int, mode: str = MODE_2PC, ca_migration: bool = False,
                  refuse_migrations_from: frozenset = frozenset()):
@@ -192,15 +162,3 @@ class SchedulerPolicy:
             ),
         )
 
-
-def make_policy(kind: str, k: int, mode: str = MODE_2PC, partition_assignment=None,
-                ca_migration: bool = False, refuse_migrations_from: frozenset = frozenset()):
-    if kind == HASH:
-        return HashPolicy(k)
-    if kind == PARTITION:
-        return PartitionPolicy(k, partition_assignment or {})
-    if kind == SCHEDULER:
-        return SchedulerPolicy(
-            k, mode=mode, ca_migration=ca_migration, refuse_migrations_from=refuse_migrations_from
-        )
-    raise ValueError(f"unknown policy {kind!r}")

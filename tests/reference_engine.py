@@ -11,6 +11,7 @@ the cost model or the fee split, so a fault in one cannot hide on both sides.
 """
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import islice
 
@@ -46,7 +47,7 @@ def pairwise_deltas(write_set, shard_of, charge) -> dict:
 @dataclass
 class ReferenceRun:
     outcome: str  # DRAINED, TRUNCATED, LIVELOCK or REFUSED
-    culprit: tuple = ()  # REFUSED: (tx_id, base_cost); LIVELOCK: (head tx_id, first seen)
+    culprit: tuple = ()  # REFUSED: (the ConfigError's reason,); LIVELOCK: (head, first seen)
     reports: list = ()
     ledger: IncentiveLedger | None = None
     mapping: dict | None = None  # the end state: account -> shard,
@@ -107,13 +108,21 @@ def reference_run(cfg, txs, initial, contracts) -> ReferenceRun:
     k, capacity, c, window = cfg.k_shards, cfg.shard_capacity, cfg.cross_shard_cost, cfg.window
     for tx in txs:  # every plan charges its main shard at least the base cost
         if tx.base_cost > capacity:
-            return ReferenceRun(REFUSED, (tx.tx_id, tx.base_cost))
+            return ReferenceRun(REFUSED, (f"{tx.tx_id!r}: base_cost {tx.base_cost} exceeds "
+                                          f"shard_capacity {capacity}",))
     table = {}  # the partition baseline reads the whole workload before round 0
     if cfg.policy == "partition":
         graph = graph_from_transactions(txs)
         table = partition_greedy(graph, k, math.ceil(len(graph) / k), seed=cfg.seed).assignment
     shard_of = None if cfg.policy == "scheduler" else lambda a: table.get(a, hash_place(a, k))
     mapping = dict(initial)
+    if shard_of is not None:  # a static footprint, and so its charge, never changes
+        for tx in txs:
+            shards = sorted({mapping.get(a, shard_of(a)) for a in tx.write_set})
+            if len(shards) > 1 and tx.base_cost * c > capacity:
+                return ReferenceRun(REFUSED, (f"{tx.tx_id!r}: cross-shard charge "
+                                              f"{tx.base_cost * c} on shards {shards} exceeds "
+                                              f"shard_capacity {capacity}",))
     loads = [[0] * k for _ in range(window)]  # per block, each shard's charges
     buckets = [{} for _ in range(window)]  # per block, (account, shard) -> alignment
     ledger = (IncentiveLedger(k, cfg.miners_per_shard, cfg.seed, cfg.fee_scheme)
@@ -185,10 +194,11 @@ def reference_run(cfg, txs, initial, contracts) -> ReferenceRun:
 
 
 # Static cases draw base costs 1-3 against capacities 1-9, so some
-# transactions can never be admitted; one such transaction gets the whole run
-# refused, so half the cases clamp base costs to the capacity.  Scheduler
-# cases draw at least two accounts, most of them placed, so that plans span
-# shards and migrate.
+# transactions can never be admitted, alone or across shards; one such
+# transaction gets the whole run refused, so half the cases clamp base costs
+# so that a cross-shard charge fits the capacity too, where base cost 1 can.
+# Scheduler cases draw at least two accounts, most of them placed, so that
+# plans span shards and migrate.
 _RANGES = {
     "static": dict(accounts=(1, 8), base_cost=(1, 3), capacity=(1, 9)),
     "scheduler": dict(accounts=(2, 6), base_cost=(1, 2), capacity=(1, 16)),
@@ -205,8 +215,8 @@ def engine_cases(draw, policies):
     write_sets = st.lists(st.sampled_from(accounts), min_size=1,
                           max_size=min(3, len(accounts)), unique=True).map(tuple)
     fees, base_costs = st.integers(0, 5), st.integers(*ranges["base_cost"])
-    capacity = draw(st.integers(*ranges["capacity"]))
-    most = capacity if draw(st.booleans()) else math.inf
+    capacity, c = draw(st.integers(*ranges["capacity"])), draw(st.integers(1, 3))
+    most = max(1, capacity // c) if draw(st.booleans()) else math.inf
     txs = [
         Transaction(f"t{i}", i, draw(write_sets), fee=draw(fees),
                     base_cost=min(draw(base_costs), most))
@@ -222,7 +232,7 @@ def engine_cases(draw, policies):
         mode=draw(st.sampled_from(MODES)),
         ca_migration=draw(st.booleans()),
         refuse_migrations_from=frozenset(draw(st.sets(st.integers(0, k - 1), max_size=2))),
-        cross_shard_cost=draw(st.integers(1, 3)),
+        cross_shard_cost=c,
         shard_capacity=capacity,
         mempool_ratio=draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])),
         window=draw(st.integers(1, 3)),
@@ -245,9 +255,7 @@ def check_engine_against_reference(case) -> str:
     ref = reference_run(cfg, txs, initial, contracts)
     registry = {a: Account(a, kind=CA, size=size) for a, size in contracts.items()}
     if ref.outcome == REFUSED:
-        tx_id, base_cost = ref.culprit
-        with pytest.raises(ConfigError, match=f"{tx_id!r}: base_cost {base_cost} exceeds "
-                                              f"shard_capacity {cfg.shard_capacity}"):
+        with pytest.raises(ConfigError, match=re.escape(ref.culprit[0])):
             Simulation(cfg, txs, initial_assignment=initial, accounts=registry)
         return ref.outcome
     sim = Simulation(cfg, txs, initial_assignment=initial, accounts=registry)

@@ -380,12 +380,14 @@ def test_first_seen_pruned_on_execution(policy):
 
 @pytest.mark.parametrize("max_rounds", [None, 1000])
 def test_unadmittable_transaction_raises_livelock(max_rounds):
-    # a cross-shard pair charges 2 per shard against capacity 1: no round can
-    # ever admit it
+    # two contract accounts on different shards that may not migrate: every
+    # scheduler plan charges 2 per shard against capacity 1, so no round can
+    # ever admit t0
     cfg = SimConfig(k_shards=2, shard_capacity=1, cross_shard_cost=2,
-                    policy="hash", max_rounds=max_rounds)
+                    policy="scheduler", max_rounds=max_rounds)
     sim = Simulation(cfg, [Transaction("t0", 0, ("aa", "bb"))],
-                     initial_assignment={"aa": 0, "bb": 1})
+                     initial_assignment={"aa": 0, "bb": 1},
+                     accounts={a: Account(a, kind=CA) for a in ("aa", "bb")})
     with pytest.raises(Livelock, match="'t0'"):
         sim.run()
     # round 0 tops up t0; the window + 1 idle rounds after it prove the fixed point
@@ -406,6 +408,40 @@ def test_base_cost_over_capacity_is_refused(max_rounds):
         Simulation(cfg, [txs[0], replace(txs[1], fee=1.5, base_cost=3)])
     _, summary = run(cfg, [txs[0], replace(txs[1], base_cost=2)])
     assert summary.executed == 2
+
+
+@pytest.mark.parametrize("policy", ["hash", "partition"])
+@pytest.mark.parametrize("max_rounds", [None, 5])
+def test_static_cross_shard_charge_over_capacity_is_refused(policy, max_rounds):
+    # a static footprint is fixed: the pair is charged 2 on each of shards 0
+    # and 1 against capacity 1, so the run must not idle into Livelock or
+    # truncate silently
+    cfg = SimConfig(k_shards=2, shard_capacity=1, cross_shard_cost=2, policy=policy,
+                    max_rounds=max_rounds)
+    pair = Transaction("t0", 0, ("aa", "bb"))
+    initial = {"aa": 0, "bb": 1}
+    with pytest.raises(ConfigError, match=r"transaction 't0': cross-shard charge 2 on "
+                                          r"shards \[0, 1\] exceeds shard_capacity 1"):
+        Simulation(cfg, [pair], initial_assignment=initial)
+    # a base-cost refusal is named first, even for a later transaction
+    with pytest.raises(ConfigError, match="transaction 't1': base_cost 2 exceeds"):
+        Simulation(cfg, [pair, Transaction("t1", 1, ("cc",), base_cost=2)],
+                   initial_assignment=initial)
+    # the same pair on one shard is charged its base cost and runs
+    _, summary = run(cfg, [pair], initial_assignment={"aa": 1, "bb": 1})
+    assert summary.executed == 1
+
+
+def test_partition_table_places_what_the_initial_placement_left():
+    txs = _unit_txs(30, accounts_per_tx=2)
+    cfg = SimConfig(k_shards=4, shard_capacity=5, policy="partition", seed=0)
+    table = Simulation(cfg, txs).mapping.assignment
+    # the table covers every workload account, so none is left to hash
+    assert table.keys() == {acc for tx in txs for acc in tx.write_set}
+    first = txs[0].write_set[0]
+    initial = {first: (table[first] + 1) % 4}
+    sim = Simulation(cfg, txs, initial_assignment=initial)
+    assert sim.mapping.assignment == {**table, **initial}
 
 
 @pytest.mark.parametrize("policy", ["hash", "scheduler"])

@@ -20,11 +20,8 @@ from shardsim.engine import SimConfig, Simulation
 from shardsim.policies import (
     MODE_2PC,
     MODE_MUTEX,
-    HashPolicy,
-    PartitionPolicy,
     SchedulerPolicy,
     hash_place,
-    make_policy,
     should_migrate,
 )
 
@@ -123,18 +120,11 @@ def test_should_migrate_boundary_is_strict():
 
 
 # ---------------------------------------------------------------------------
-# hash / partition policies
-
-
-def test_hash_policy_shard_of_is_hash_place():
-    policy = HashPolicy(16)
-    assert policy.static_placement
-    assert policy.shard_of("00ff") == 14
-    assert policy.shard_of("deadbeef") == 1
+# hash placement in the engine
 
 
 def test_hash_policy_respects_existing_placement():
-    # an initial placement elsewhere than the hash shard wins over shard_of
+    # an initial placement elsewhere than the hash shard wins over hash_place
     cfg = SimConfig(k_shards=16, policy="hash")
     sim = Simulation(cfg, [Transaction("t0", 0, ("00ff", "deadbeef"))],
                      initial_assignment={"00ff": 5})
@@ -142,12 +132,6 @@ def test_hash_policy_respects_existing_placement():
     assert sim.mapping.assignment == {"00ff": 5, "deadbeef": 1}
     assert summary.migrations == 0
     assert {s: c for s, c in reports[0].processed_cost.items() if c} == {5: 2, 1: 2}
-
-
-def test_partition_policy_uses_assignment_with_hash_fallback():
-    policy = PartitionPolicy(16, {"aa": 7})
-    assert policy.shard_of("aa") == 7
-    assert policy.shard_of("deadbeef") == 1  # hash fallback
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +190,8 @@ def test_scheduler_mutex_mode_forces_single_shard():
     )
     assert plan.final_shards == frozenset({1})
     assert {m.account for m in plan.migrations} == {"aa", "cc"}
+    with pytest.raises(ValueError, match="unknown mode 'bad'"):
+        SchedulerPolicy(4, mode="bad")
 
 
 def test_scheduler_ca_pinned_by_default():
@@ -279,16 +265,6 @@ def test_shared_one_shard_plan_equals_the_general_plan(mode, base_cost):
     shared = policy.plan(tx, phi, loads, book, model)
     general = policy._general_plan(tx, [1, 1, 1], loads, book, model, None)
     assert shared is not general and shared == general
-
-
-def test_make_policy_factory():
-    assert isinstance(make_policy("hash", 4), HashPolicy)
-    assert isinstance(make_policy("partition", 4), PartitionPolicy)
-    assert isinstance(make_policy("scheduler", 4, mode=MODE_2PC), SchedulerPolicy)
-    with pytest.raises(ValueError):
-        make_policy("nope", 4)
-    with pytest.raises(ValueError):
-        SchedulerPolicy(4, mode="bad")
 
 
 # ---------------------------------------------------------------------------
