@@ -14,16 +14,18 @@ the static hash and partition baselines never plan or migrate.  Partition
 places its table before round 0 wherever the caller's initial placement left
 an account unplaced.  Top-up places each account still unplaced on
 hash_place(account, k), so no account's shard ever changes, and files the
-transaction into a lane named by its footprint: its sorted shards and its
-per-shard charge, which depends on its base cost.  Each lane has one shared
-plan.  Once a transaction is deferred its lane is blocked for the round and
-its later transactions are retained without being offered, because residuals
-only fall within a round, so every later transaction of that footprint would
-be deferred too.  Under the scheduler a pending transaction waits unplanned
-while every shard of its placed accounts has less residual than its base
-cost, which the main shard is always charged.  The alignment book is
-maintained only under the scheduler, the one policy that reads it.  A run
-whose state stops changing raises Livelock instead of spinning.
+transaction into a lane keyed by its footprint: its set of shards and its
+base cost, which fixes its per-shard charge.  Each lane has one shared plan,
+and a lane queue beside the mempool queue holds each pending transaction's
+lane in the same order.  Once a transaction is deferred its lane is blocked
+for the round and its later transactions are retained without being offered,
+because residuals only fall within a round, so every later transaction of
+that footprint would be deferred too.  Under the scheduler a pending
+transaction waits unplanned while every shard of its placed accounts has less
+residual than its base cost, which the main shard is always charged.  The
+alignment book is maintained only under the scheduler, the one policy that
+reads it.  A run whose state stops changing raises Livelock instead of
+spinning.
 
 Admission reuses what the plan already holds: a plan without migrations is
 checked and charged from its own per-shard charges, and a fee with one final
@@ -45,12 +47,16 @@ not an int (bool is refused), whose write_set is not a tuple or holds an
 account id that is not a str; naming the tx_id, its base_cost and the
 shard_capacity, a transaction whose base_cost exceeds shard_capacity, which no
 plan can admit because every plan charges its main shard at least the base
-cost; and then, under hash and partition, naming the tx_id, its shards, the
-charge and the capacity, a transaction whose fixed cross-shard footprint is
-charged base_cost * cross_shard_cost > shard_capacity.  So only the scheduler
-can raise Livelock: a static head transaction fits every round's full
-capacity.  A Simulation runs once: a second run() call raises RuntimeError
-instead of replaying the workload into the same state.
+cost; and then, naming the tx_id, its shards, the charge and the capacity, a
+transaction charged base_cost * cross_shard_cost > shard_capacity on a
+footprint known to span shards: under hash and partition its fixed footprint,
+and under the scheduler the shards of its pinned accounts, those placed
+before the run that can never migrate (on a shard that refuses migrations,
+or contract accounts under 2pc without ca_migration), which every plan keeps
+in its final shards.  So only the scheduler can raise Livelock: a static head
+transaction fits every round's full capacity.  A Simulation runs once: a
+second run() call raises RuntimeError instead of replaying the workload into
+the same state.
 """
 
 from __future__ import annotations
@@ -58,8 +64,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import (
+    CA,
     Account,
     AlignmentBook,
     CostModel,
@@ -161,7 +169,13 @@ class LiveLoads:
 
 
 class Mempool:
-    """Fixed-size FIFO of pending transactions, walked with drain and retain."""
+    """Fixed-size FIFO of pending transactions.
+
+    drain() hands a walk the pending queue and the bound append of a fresh
+    one, through which the walk re-adds its deferred transactions in order.
+    Under hash and partition the Simulation's lane queue holds each pending
+    transaction's lane in this queue's order, and the walk rebuilds both.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -172,24 +186,15 @@ class Mempool:
         return len(self._queue)
 
     def top_up(self, source, round_index: int) -> int:
-        room = self.capacity - len(self._queue)
-        added = 0
-        while added < room:
-            tx = next(source, None)
-            if tx is None:
-                break
-            self._queue.append(tx)
-            self.first_seen[tx.tx_id] = round_index
-            added += 1
-        return added
+        arrivals = list(islice(source, self.capacity - len(self._queue)))
+        self._queue.extend(arrivals)
+        self.first_seen.update(dict.fromkeys([tx.tx_id for tx in arrivals], round_index))
+        return len(arrivals)
 
     def drain(self):
-        """Yield all pending txs; callers re-add the deferred ones via retain."""
+        """(pending queue, append of the fresh queue that replaces it)."""
         queue, self._queue = self._queue, deque()
-        return queue
-
-    def retain(self, tx: Transaction) -> None:
-        self._queue.append(tx)
+        return queue, self._queue.append
 
     def head(self) -> Transaction:
         return self._queue[0]
@@ -236,9 +241,9 @@ class Simulation:
         ids = []
         capacity = config.shard_capacity
         static = config.policy != "scheduler"
-        # a static cross-shard footprint is charged cost * cross_shard_cost per shard
-        most = capacity // config.cross_shard_cost if static else capacity
-        heavy = []  # static transactions whose charge would exceed capacity if cross-shard
+        # a cross-shard footprint is charged cost * cross_shard_cost per shard
+        most = capacity // config.cross_shard_cost
+        heavy = []  # transactions whose charge would exceed capacity if cross-shard
         for tx in workload:
             ids.append(tx.tx_id)
             # the exact-type test is cheap; field_type_error names the wrong field
@@ -294,18 +299,27 @@ class Simulation:
             for acc, shard in self._precompute_partition().items():
                 if acc not in assignment:
                     self.mapping.place(acc, shard)
-        for tx in heavy:  # a static footprint is fixed, so its charge is known now
-            shards = {assignment[acc] if acc in assignment else hash_place(acc, config.k_shards)
-                      for acc in tx.write_set}
+        # A static footprint is fixed, and under the scheduler an account placed
+        # now that never migrates is pinned, so their charges are known now.
+        refused = config.refuse_migrations_from
+        # contract accounts never migrate under 2pc without ca_migration
+        registry = self.accounts if config.mode == MODE_2PC and not config.ca_migration else {}
+        for tx in heavy:
+            if static:
+                shards = {assignment[acc] if acc in assignment else hash_place(acc, config.k_shards)
+                          for acc in tx.write_set}
+            else:
+                shards = {assignment[acc] for acc in tx.write_set if acc in assignment and (
+                    assignment[acc] in refused or acc in registry and registry[acc].kind == CA)}
             if len(shards) > 1:
                 charge = tx.base_cost * config.cross_shard_cost
                 raise ConfigError(f"transaction {tx.tx_id!r}: cross-shard charge {charge} on "
-                                  f"shards {sorted(shards)} exceeds shard_capacity {capacity}, "
-                                  f"so it can never be admitted")
-        # static policies: footprint -> lane index, and each lane's shared plan
+                                  f"{'' if static else 'pinned '}shards {sorted(shards)} exceeds "
+                                  f"shard_capacity {capacity}, so it can never be admitted")
+        # static policies: (shard set, base cost) -> lane index, and each lane's shared plan
         self._lanes: dict = {}
         self._lane_plans: list[TxPlan] = []
-        self._pending_lane: dict = {}  # tx_id -> lane index, while the tx is pending
+        self._lane_queue: deque = deque()  # the lane of each pending tx, in mempool order
         self.mempool = Mempool(config.mempool_size)
         self.ledger = (
             IncentiveLedger(config.k_shards, config.miners_per_shard, config.seed, config.fee_scheme)
@@ -351,11 +365,12 @@ class Simulation:
         for s, amount in required.items():
             if amount > shards[s].residual:
                 return DEFERRED
-        for acc, shard in plan.new_placements.items():
-            self.mapping.place(acc, shard)
-        for m in plan.migrations:
-            self.mapping.migrate(m.account, m.dest)
-            self.book.reset(m.account)  # alignment is dropped on migration
+        if plan.migrations or plan.new_placements:  # lane and one-shard plans have neither
+            for acc, shard in plan.new_placements.items():
+                self.mapping.place(acc, shard)
+            for m in plan.migrations:
+                self.mapping.migrate(m.account, m.dest)
+                self.book.reset(m.account)  # alignment is dropped on migration
         for s, amount in required.items():
             shards[s].charge(amount)
         if self.policy is not None:  # only the scheduler reads alignment
@@ -373,30 +388,25 @@ class Simulation:
         return EXECUTED
 
     def _file(self, tx: Transaction) -> Transaction:
-        """Place tx's unplaced accounts by hash and record its lane, the index
-        of its footprint (sorted shards, per-shard charge), under a static
-        policy."""
+        """Place tx's unplaced accounts by hash and queue its lane, keyed by
+        (frozen shard set, base cost), under a static policy.  For a fixed
+        shard set the per-shard charge is a one-to-one function of the base
+        cost, so these keys number the footprints exactly."""
         assignment = self.mapping.assignment
-        shards = set()
-        for acc in tx.write_set:
-            shard = assignment.get(acc)
-            if shard is None:
-                shard = hash_place(acc, self.config.k_shards)
-                self.mapping.place(acc, shard)
-            shards.add(shard)
-        key = (tuple(sorted(shards)), self.cost_model.per_shard_charge(tx.base_cost, len(shards)))
+        shards = frozenset(map(assignment.get, tx.write_set))
+        if None in shards:
+            for acc in tx.write_set:
+                if acc not in assignment:
+                    self.mapping.place(acc, hash_place(acc, self.config.k_shards))
+            shards = frozenset(map(assignment.get, tx.write_set))
+        key = (shards, tx.base_cost)
         lane = self._lanes.get(key)
         if lane is None:
             lane = self._lanes[key] = len(self._lane_plans)
-            self._lane_plans.append(
-                TxPlan(
-                    new_placements={},
-                    migrations=(),
-                    final_shards=frozenset(shards),
-                    per_shard_charges=dict.fromkeys(key[0], key[1]),
-                )
-            )
-        self._pending_lane[tx.tx_id] = lane
+            charge = self.cost_model.per_shard_charge(tx.base_cost, len(shards))
+            self._lane_plans.append(TxPlan(new_placements={}, migrations=(), final_shards=shards,
+                                           per_shard_charges=dict.fromkeys(sorted(shards), charge)))
+        self._lane_queue.append(lane)
         return tx
 
     # -- round loop --------------------------------------------------------
@@ -407,39 +417,41 @@ class Simulation:
         Residuals only fall within a round, so once a transaction is deferred
         every later one of its lane, with the same shards and charge, would be
         deferred too: the lane is blocked and retained unoffered for the round.
+        The lane queue is rebuilt in lockstep with the retained transactions.
         """
         plans = self._lane_plans
-        pending_lane = self._pending_lane
-        retain = self.mempool.retain
         first_seen = self.mempool.first_seen
         try_execute = self.try_execute
+        pending, retain = self.mempool.drain()
+        lanes, self._lane_queue = self._lane_queue, deque()
+        keep = self._lane_queue.append
         blocked = set()
         cross = 0
-        for tx in self.mempool.drain():
-            lane = pending_lane[tx.tx_id]
+        for tx, lane in zip(pending, lanes):
             if lane in blocked:
                 retain(tx)
+                keep(lane)
                 continue
             plan = plans[lane]
             if try_execute(tx, plan) == EXECUTED:
-                del pending_lane[tx.tx_id]
                 if len(plan.final_shards) > 1:
                     cross += 1
                 latencies.append(round_index - first_seen.pop(tx.tx_id))
             else:
                 blocked.add(lane)
                 retain(tx)
+                keep(lane)
         return 0, cross
 
     def _admit_fifo(self, round_index: int, latencies: list) -> tuple[int, int]:
         """Plan and admit the scheduler's pending transactions in arrival order."""
         shards = self.shards
         assignment = self.mapping.assignment
-        retain = self.mempool.retain
         first_seen = self.mempool.first_seen
         loads = LiveLoads(shards)
         migrations = cross = 0
-        for tx in self.mempool.drain():
+        pending, retain = self.mempool.drain()
+        for tx in pending:
             # A scheduler plan charges its main shard, one of the placed
             # accounts' shards, at least the base cost, so it cannot land
             # while each of them has less residual.

@@ -116,13 +116,21 @@ def reference_run(cfg, txs, initial, contracts) -> ReferenceRun:
         table = partition_greedy(graph, k, math.ceil(len(graph) / k), seed=cfg.seed).assignment
     shard_of = None if cfg.policy == "scheduler" else lambda a: table.get(a, hash_place(a, k))
     mapping = dict(initial)
-    if shard_of is not None:  # a static footprint, and so its charge, never changes
-        for tx in txs:
-            shards = sorted({mapping.get(a, shard_of(a)) for a in tx.write_set})
-            if len(shards) > 1 and tx.base_cost * c > capacity:
-                return ReferenceRun(REFUSED, (f"{tx.tx_id!r}: cross-shard charge "
-                                              f"{tx.base_cost * c} on shards {shards} exceeds "
-                                              f"shard_capacity {capacity}",))
+    # A static footprint never changes.  Under the scheduler an account placed
+    # before the run on a refusing shard, or a contract account under 2pc
+    # without contract migration, never moves, and a plan keeps every such
+    # account on its shard.
+    for tx in txs:
+        if shard_of is not None:
+            shards, where = {mapping.get(a, shard_of(a)) for a in tx.write_set}, "shards"
+        else:
+            shards, where = {mapping[a] for a in tx.write_set if a in mapping and (
+                mapping[a] in cfg.refuse_migrations_from
+                or cfg.mode == "2pc" and not cfg.ca_migration and a in contracts)}, "pinned shards"
+        if len(shards) > 1 and tx.base_cost * c > capacity:
+            return ReferenceRun(REFUSED, (f"{tx.tx_id!r}: cross-shard charge {tx.base_cost * c} "
+                                          f"on {where} {sorted(shards)} exceeds "
+                                          f"shard_capacity {capacity}",))
     loads = [[0] * k for _ in range(window)]  # per block, each shard's charges
     buckets = [{} for _ in range(window)]  # per block, (account, shard) -> alignment
     ledger = (IncentiveLedger(k, cfg.miners_per_shard, cfg.seed, cfg.fee_scheme)

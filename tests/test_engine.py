@@ -159,11 +159,11 @@ def test_mempool_fifo_top_up_and_drain():
     txs = _unit_txs(5)
     source = iter(txs)
     assert pool.top_up(source, 0) == 3
-    drained = list(pool.drain())
-    assert [t.tx_id for t in drained] == ["t0", "t1", "t2"]
-    pool.retain(drained[1])
+    drained, retain = pool.drain()
+    assert [t.tx_id for t in drained] == ["t0", "t1", "t2"] and len(pool) == 0
+    retain(drained[1])  # the walk re-adds a deferred transaction
     assert pool.top_up(source, 1) == 2
-    assert [t.tx_id for t in pool.drain()] == ["t1", "t3", "t4"]
+    assert [t.tx_id for t in pool.drain()[0]] == ["t1", "t3", "t4"]
 
 
 def test_mempool_records_first_seen_round():
@@ -375,24 +375,72 @@ def test_first_seen_pruned_on_execution(policy):
     assert summary.executed == 20 and len(sim.mempool) == 0
     # no per-transaction state outlives its execution
     assert sim.mempool.first_seen == {}
-    assert sim._pending_lane == {}
+    assert not sim._lane_queue
+
+
+@pytest.mark.parametrize("policy", ["hash", "partition"])
+def test_lane_queue_follows_the_mempool(policy):
+    # base costs 1-3 on a few accounts: lanes share shard sets but differ in
+    # charge, and a run stopped early leaves blocked lanes pending
+    txs = [replace(tx, base_cost=1 + i % 3) for i, tx in enumerate(_unit_txs(80, accounts_per_tx=2))]
+    cfg = SimConfig(k_shards=3, shard_capacity=6, cross_shard_cost=2, policy=policy, max_rounds=3)
+    sim = Simulation(cfg, txs)
+    reports, _ = sim.run()
+    lanes = list(sim._lane_queue)
+    pending, _ = sim.mempool.drain()
+    assert len(lanes) == len(pending) == reports[-1].mempool_end > 0
+    assert len({tx.base_cost for tx in pending}) == 3
+    for tx, lane in zip(pending, lanes):
+        plan = sim._lane_plans[lane]
+        shards = {sim.mapping.assignment[acc] for acc in tx.write_set}
+        charge = sim.cost_model.per_shard_charge(tx.base_cost, len(shards))
+        assert plan.final_shards == shards
+        assert plan.per_shard_charges == dict.fromkeys(sorted(shards), charge)
 
 
 @pytest.mark.parametrize("max_rounds", [None, 1000])
 def test_unadmittable_transaction_raises_livelock(max_rounds):
-    # two contract accounts on different shards that may not migrate: every
-    # scheduler plan charges 2 per shard against capacity 1, so no round can
-    # ever admit t0
+    # t0 and t1 place the contract accounts aa and bb on shards 0 and 1 during
+    # the run, where they may not migrate: every scheduler plan of t2 charges
+    # 2 per shard against capacity 1, so no round can ever admit it
     cfg = SimConfig(k_shards=2, shard_capacity=1, cross_shard_cost=2,
                     policy="scheduler", max_rounds=max_rounds)
-    sim = Simulation(cfg, [Transaction("t0", 0, ("aa", "bb"))],
-                     initial_assignment={"aa": 0, "bb": 1},
-                     accounts={a: Account(a, kind=CA) for a in ("aa", "bb")})
-    with pytest.raises(Livelock, match="'t0'"):
+    txs = [Transaction("t0", 0, ("aa",)), Transaction("t1", 1, ("bb",)),
+           Transaction("t2", 2, ("aa", "bb"))]
+    sim = Simulation(cfg, txs, accounts={a: Account(a, kind=CA) for a in ("aa", "bb")})
+    with pytest.raises(Livelock, match=r"'t2' \(pending since round 1\)"):
         sim.run()
-    # round 0 tops up t0; the window + 1 idle rounds after it prove the fixed point
-    assert len(sim.reports) == 1 + cfg.window + 1
-    assert all(r.processed_count == 0 for r in sim.reports)
+    assert sim.mapping.assignment == {"aa": 0, "bb": 1}
+    # rounds 0 and 1 admit t0 and t1 and top up t2; the window + 1 idle
+    # rounds after them prove the fixed point
+    assert len(sim.reports) == 2 + cfg.window + 1
+    assert [r.processed_count for r in sim.reports[:2]] == [2, 0]
+    assert all(r.processed_count == 0 for r in sim.reports[1:])
+
+
+@pytest.mark.parametrize("pin", ["contract", "refusing shards"])
+@pytest.mark.parametrize("max_rounds", [None, 5])
+def test_scheduler_pinned_cross_shard_charge_over_capacity_is_refused(pin, max_rounds):
+    # aa and bb are placed on shards 0 and 1 before the run and never migrate,
+    # so every plan of t0 charges 2 per shard against capacity 1: the run must
+    # not idle into Livelock or truncate silently
+    options = (dict(accounts={a: Account(a, kind=CA) for a in ("aa", "bb")})
+               if pin == "contract" else {})
+    refused = frozenset({0, 1}) if pin == "refusing shards" else frozenset()
+    cfg = SimConfig(k_shards=2, shard_capacity=1, cross_shard_cost=2, policy="scheduler",
+                    refuse_migrations_from=refused, max_rounds=max_rounds)
+    pair = Transaction("t0", 0, ("aa", "bb"))
+    with pytest.raises(ConfigError, match=r"transaction 't0': cross-shard charge 2 on "
+                                          r"pinned shards \[0, 1\] exceeds shard_capacity 1"):
+        Simulation(cfg, [pair], initial_assignment={"aa": 0, "bb": 1}, **options)
+    # a base-cost refusal is named first, even for a later transaction
+    with pytest.raises(ConfigError, match="transaction 't1': base_cost 2 exceeds"):
+        Simulation(cfg, [pair, Transaction("t1", 1, ("cc",), base_cost=2)],
+                   initial_assignment={"aa": 0, "bb": 1}, **options)
+    # the same pair runs when one account is unplaced, or both share a shard
+    for initial in ({"aa": 0}, {"aa": 1, "bb": 1}):
+        _, summary = run(cfg, [pair], initial_assignment=initial, **options)
+        assert summary.executed == 1
 
 
 @pytest.mark.parametrize("max_rounds", [None, 5])
