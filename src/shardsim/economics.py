@@ -149,13 +149,9 @@ class IncentiveLedger:
             return
         leader = rotate_leader(self.assignment, shard, round_index)
         self.shard_collected[shard] += fee
-        deposit = self.deposits[shard]
         if self.scheme == NAIVE:
             self.balances[leader] += fee
-            deposit.contributions[leader] = deposit.contributions.get(leader, 0) + fee
-            deposit.total += fee
-        else:
-            record_fee(deposit, self.assignment, leader, fee)
+        record_fee(self.deposits[shard], self.assignment, leader, fee)
 
     def total_fees(self) -> int:
         return sum(self.shard_collected.values())

@@ -10,22 +10,21 @@ mempool in arrival order.
 
 Every policy walks the one mempool queue in arrival order and skips work
 whose outcome is already decided.  The scheduler is the one policy object;
-the static hash and partition baselines never plan or migrate.  Partition
-places its table before round 0 wherever the caller's initial placement left
-an account unplaced.  Top-up places each account still unplaced on
-hash_place(account, k), so no account's shard ever changes, and files the
-transaction into a lane keyed by its footprint: its set of shards and its
-base cost, which fixes its per-shard charge.  Each lane has one shared plan,
-and a lane queue beside the mempool queue holds each pending transaction's
-lane in the same order.  Once a transaction is deferred its lane is blocked
-for the round and its later transactions are retained without being offered,
-because residuals only fall within a round, so every later transaction of
-that footprint would be deferred too.  Under the scheduler a pending
-transaction waits unplanned while every shard of its placed accounts has less
-residual than its base cost, which the main shard is always charged.  The
-alignment book is maintained only under the scheduler, the one policy that
-reads it.  A run whose state stops changing raises Livelock instead of
-spinning.
+the static hash and partition baselines never plan or migrate.  Under them
+every workload account is placed before round 0 and keeps that shard for the
+whole run: its initial shard, else its partition table shard under partition,
+else hash_place(account, k).  Each round files its static arrivals into
+lanes keyed by their footprint: the set of shards and the base cost, which
+fixes the per-shard charge.  Each lane has one shared plan, and a lane queue
+beside the mempool queue holds each retained transaction's lane in the same
+order.  Once a transaction is deferred its lane is blocked for the round and
+its later transactions are retained without being offered, because residuals
+only fall within a round, so every later transaction of that footprint would
+be deferred too.  Under the scheduler a pending transaction waits unplanned
+while every shard of its placed accounts has less residual than its base
+cost, which the main shard is always charged.  The alignment book is
+maintained only under the scheduler, the one policy that reads it.  A run
+whose state stops changing raises Livelock instead of spinning.
 
 Admission reuses what the plan already holds: a plan without migrations is
 checked and charged from its own per-shard charges, and a fee with one final
@@ -48,15 +47,14 @@ account id that is not a str; naming the tx_id, its base_cost and the
 shard_capacity, a transaction whose base_cost exceeds shard_capacity, which no
 plan can admit because every plan charges its main shard at least the base
 cost; and then, naming the tx_id, its shards, the charge and the capacity, a
-transaction charged base_cost * cross_shard_cost > shard_capacity on a
-footprint known to span shards: under hash and partition its fixed footprint,
-and under the scheduler the shards of its pinned accounts, those placed
-before the run that can never migrate (on a shard that refuses migrations,
-or contract accounts under 2pc without ca_migration), which every plan keeps
-in its final shards.  So only the scheduler can raise Livelock: a static head
-transaction fits every round's full capacity.  A Simulation runs once: a
-second run() call raises RuntimeError instead of replaying the workload into
-the same state.
+transaction whose per-shard charge exceeds shard_capacity on shards that every
+plan of it charges: under hash and partition the shards of its lane, and
+under the scheduler the shards of its pinned accounts, those placed before
+the run that SchedulerPolicy.never_migrates keeps in every plan's final
+shards.  So only the scheduler can raise Livelock: a static head transaction
+fits every round's full capacity.  A Simulation runs once: a second run()
+call raises RuntimeError instead of replaying the workload into the same
+state.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .core import (
-    CA,
     Account,
     AlignmentBook,
     CostModel,
@@ -79,7 +76,7 @@ from .core import (
 )
 from .economics import DECOUPLED, FEE_SCHEMES, IncentiveLedger, split_fee
 from .partitioner import graph_from_transactions, partition_greedy
-from .policies import MODE_2PC, MODES, POLICY_KINDS, SchedulerPolicy, TxPlan, hash_place
+from .policies import MODE_2PC, MODES, POLICY_KINDS, SchedulerPolicy, TxPlan, footprint_plan, hash_place
 
 
 class ConfigError(Exception):
@@ -173,8 +170,9 @@ class Mempool:
 
     drain() hands a walk the pending queue and the bound append of a fresh
     one, through which the walk re-adds its deferred transactions in order.
-    Under hash and partition the Simulation's lane queue holds each pending
-    transaction's lane in this queue's order, and the walk rebuilds both.
+    Under hash and partition the Simulation's lane queue holds each retained
+    transaction's lane in this queue's order; the walk files the round's
+    arrivals into it and rebuilds both.
     """
 
     def __init__(self, capacity: int):
@@ -290,36 +288,35 @@ class Simulation:
             for s in range(config.k_shards)
         ]
         self.book = AlignmentBook(config.window)
-        # hash and partition never plan: _file places by hash what is unplaced
+        # hash and partition never plan: each static account is placed here
         self.policy = None if static else SchedulerPolicy(
             config.k_shards, config.mode, config.ca_migration, config.refuse_migrations_from
         )
         assignment = self.mapping.assignment
-        if config.policy == "partition":  # the table places what the caller left unplaced
+        if config.policy == "partition":  # the table covers every workload account
             for acc, shard in self._precompute_partition().items():
                 if acc not in assignment:
                     self.mapping.place(acc, shard)
-        # A static footprint is fixed, and under the scheduler an account placed
-        # now that never migrates is pinned, so their charges are known now.
-        refused = config.refuse_migrations_from
-        # contract accounts never migrate under 2pc without ca_migration
-        registry = self.accounts if config.mode == MODE_2PC and not config.ca_migration else {}
-        for tx in heavy:
-            if static:
-                shards = {assignment[acc] if acc in assignment else hash_place(acc, config.k_shards)
-                          for acc in tx.write_set}
-            else:
-                shards = {assignment[acc] for acc in tx.write_set if acc in assignment and (
-                    assignment[acc] in refused or acc in registry and registry[acc].kind == CA)}
-            if len(shards) > 1:
-                charge = tx.base_cost * config.cross_shard_cost
-                raise ConfigError(f"transaction {tx.tx_id!r}: cross-shard charge {charge} on "
-                                  f"{'' if static else 'pinned '}shards {sorted(shards)} exceeds "
-                                  f"shard_capacity {capacity}, so it can never be admitted")
+        elif static:
+            for tx in workload:
+                for acc in tx.write_set:
+                    if acc not in assignment:
+                        self.mapping.place(acc, hash_place(acc, config.k_shards))
         # static policies: (shard set, base cost) -> lane index, and each lane's shared plan
         self._lanes: dict = {}
         self._lane_plans: list[TxPlan] = []
-        self._lane_queue: deque = deque()  # the lane of each pending tx, in mempool order
+        self._lane_queue: deque = deque()  # the lane of each retained tx, in mempool order
+        for tx in heavy:  # the shards that every admission of tx charges
+            if static:
+                shards = self._lane_plans[self._lane(tx)].final_shards
+            else:
+                shards = {assignment[acc] for acc in tx.write_set if acc in assignment
+                          and self.policy.never_migrates(assignment[acc], self.accounts.get(acc))}
+            charge = self.cost_model.per_shard_charge(tx.base_cost, len(shards))
+            if charge > capacity:
+                raise ConfigError(f"transaction {tx.tx_id!r}: cross-shard charge {charge} on "
+                                  f"{'' if static else 'pinned '}shards {sorted(shards)} exceeds "
+                                  f"shard_capacity {capacity}, so it can never be admitted")
         self.mempool = Mempool(config.mempool_size)
         self.ledger = (
             IncentiveLedger(config.k_shards, config.miners_per_shard, config.seed, config.fee_scheme)
@@ -333,10 +330,7 @@ class Simulation:
     def _precompute_partition(self) -> dict:
         # The partition baseline reads the full workload before round 0.
         graph = graph_from_transactions(self.workload)
-        n = len(graph)
-        if n == 0:
-            return {}
-        cap = math.ceil(n / self.config.k_shards)
+        cap = math.ceil(len(graph) / self.config.k_shards)
         part = partition_greedy(graph, self.config.k_shards, cap, seed=self.config.seed)
         return part.assignment
 
@@ -387,27 +381,19 @@ class Simulation:
                 fees[shard] += fee
         return EXECUTED
 
-    def _file(self, tx: Transaction) -> Transaction:
-        """Place tx's unplaced accounts by hash and queue its lane, keyed by
-        (frozen shard set, base cost), under a static policy.  For a fixed
-        shard set the per-shard charge is a one-to-one function of the base
-        cost, so these keys number the footprints exactly."""
-        assignment = self.mapping.assignment
-        shards = frozenset(map(assignment.get, tx.write_set))
-        if None in shards:
-            for acc in tx.write_set:
-                if acc not in assignment:
-                    self.mapping.place(acc, hash_place(acc, self.config.k_shards))
-            shards = frozenset(map(assignment.get, tx.write_set))
+    def _lane(self, tx: Transaction) -> int:
+        """The index of tx's lane under a static policy, keyed by (frozen
+        shard set, base cost).  For a fixed shard set the per-shard charge is
+        a one-to-one function of the base cost, so these keys number the
+        footprints exactly.  Admission files each arrival here, and the
+        run-boundary refusal reads a heavy transaction's shards from here."""
+        shards = frozenset(map(self.mapping.assignment.get, tx.write_set))
         key = (shards, tx.base_cost)
         lane = self._lanes.get(key)
         if lane is None:
             lane = self._lanes[key] = len(self._lane_plans)
-            charge = self.cost_model.per_shard_charge(tx.base_cost, len(shards))
-            self._lane_plans.append(TxPlan(new_placements={}, migrations=(), final_shards=shards,
-                                           per_shard_charges=dict.fromkeys(sorted(shards), charge)))
-        self._lane_queue.append(lane)
-        return tx
+            self._lane_plans.append(footprint_plan(shards, tx.base_cost, self.cost_model))
+        return lane
 
     # -- round loop --------------------------------------------------------
 
@@ -417,13 +403,15 @@ class Simulation:
         Residuals only fall within a round, so once a transaction is deferred
         every later one of its lane, with the same shards and charge, would be
         deferred too: the lane is blocked and retained unoffered for the round.
-        The lane queue is rebuilt in lockstep with the retained transactions.
+        The round's arrivals are filed after the retained lanes, and the lane
+        queue is rebuilt in lockstep with the retained transactions.
         """
         plans = self._lane_plans
         first_seen = self.mempool.first_seen
         try_execute = self.try_execute
         pending, retain = self.mempool.drain()
         lanes, self._lane_queue = self._lane_queue, deque()
+        lanes.extend(map(self._lane, islice(pending, len(lanes), None)))
         keep = self._lane_queue.append
         blocked = set()
         cross = 0
@@ -479,10 +467,8 @@ class Simulation:
         if self.reports:
             raise RuntimeError("this Simulation has already run; build a new one to run again")
         config = self.config
-        if self.policy is None:
-            source, admit = map(self._file, self.workload), self._admit_lanes
-        else:
-            source, admit = iter(self.workload), self._admit_fifo
+        source = iter(self.workload)
+        admit = self._admit_lanes if self.policy is None else self._admit_fifo
         shards = self.shards
         ledger = self.ledger
         idle_rounds = 0

@@ -2,19 +2,19 @@
 
 Three policies are provided: a stable hash baseline, a precomputed-partition
 baseline, and the load/alignment-driven scheduler.  The two baselines need no
-policy object: they never migrate, and the engine places an account that its
-initial placement (under partition, also the partition table) left unplaced
-on ``hash_place(account, k)`` when its first transaction arrives.  The
-scheduler plans each transaction as a pure function of the transaction plus
-snapshots of the mapping, the published shard loads, and the alignment
-totals, so any plan can be replayed and verified bit-for-bit.  A migration
-out of a shard in ``refuse_migrations_from`` is dropped: the account stays and
-its shard joins the final shards.
+policy object: they never migrate, and the engine places every account before
+round 0 on its initial shard, else its partition table shard under partition,
+else ``hash_place(account, k)``.  The scheduler plans each
+transaction as a pure function of the transaction plus snapshots of the
+mapping, the published shard loads, and the alignment totals, so any plan can
+be replayed and verified bit-for-bit.  ``SchedulerPolicy.never_migrates`` is
+its one rule for an account that stays put: the account stays and its shard
+joins the final shards.
 
-Plans are read-only.  A transaction whose accounts are all placed on one shard
-runs there with nothing to place or migrate, so the scheduler returns one
-shared plan per (shard, base cost), as the engine shares one plan per
-footprint lane under the static policies, instead of building a new one.
+Plans are read-only.  A transaction that runs where its accounts are, with
+nothing to place or migrate, gets ``footprint_plan``: the scheduler shares one
+per (shard, base cost) for a write set placed on one shard, and the engine one
+per footprint lane under the static policies.
 """
 
 from __future__ import annotations
@@ -53,6 +53,13 @@ class TxPlan:
     per_shard_charges: dict
 
 
+def footprint_plan(shards: frozenset, base_cost: int, cost_model: CostModel) -> TxPlan:
+    """The plan of a transaction that runs on shards, where its accounts are."""
+    charge = cost_model.per_shard_charge(base_cost, len(shards))
+    return TxPlan(new_placements={}, migrations=(), final_shards=shards,
+                  per_shard_charges=dict.fromkeys(sorted(shards), charge))
+
+
 def hash_place(account: AccountId, k: int) -> ShardId:
     """Stable uniform placement: first 8 bytes of SHA-256 of the id, mod k.
 
@@ -88,7 +95,15 @@ class SchedulerPolicy:
         self.ca_migration = ca_migration
         # scripted adversary: an account on one of these shards never migrates
         self.refuse_migrations_from = refuse_migrations_from
+        self._contracts_stay = mode == MODE_2PC and not ca_migration
         self._one_shard_plans: dict = {}  # (shard, base_cost) -> shared TxPlan
+
+    def never_migrates(self, shard: ShardId, account) -> bool:
+        """Whether account, an Account or None, never leaves shard: the shard
+        refuses migrations, or it is a contract account under 2pc without
+        contract migration."""
+        return shard in self.refuse_migrations_from or (
+            self._contracts_stay and account is not None and account.kind == CA)
 
     def plan(
         self,
@@ -106,12 +121,8 @@ class SchedulerPolicy:
             key = (own, tx.base_cost)
             plan = self._one_shard_plans.get(key)
             if plan is None:
-                plan = self._one_shard_plans[key] = TxPlan(
-                    new_placements={},
-                    migrations=(),
-                    final_shards=frozenset((own,)),
-                    per_shard_charges={own: cost_model.per_shard_charge(tx.base_cost, 1)},
-                )
+                plan = self._one_shard_plans[key] = footprint_plan(
+                    frozenset((own,)), tx.base_cost, cost_model)
             return plan
         return self._general_plan(tx, placed, loads, book, cost_model, accounts)
 
@@ -132,7 +143,7 @@ class SchedulerPolicy:
         new_placements = {}
         migrations = []
         final = {main}
-        refused = self.refuse_migrations_from
+        mutex = self.mode == MODE_MUTEX
         for acc, current in zip(tx.write_set, placed):
             if current is None:
                 new_placements[acc] = main  # a new account lands on main
@@ -140,14 +151,9 @@ class SchedulerPolicy:
             if current == main:
                 continue
             account = accounts.get(acc) if accounts else None
-            is_ca = account is not None and account.kind == CA
-            if self.mode == MODE_MUTEX:
-                migrate = True  # mutex consensus needs every account in one shard
-            elif is_ca and not self.ca_migration:
-                migrate = False
-            else:
-                migrate = should_migrate(current, book.totals(acc), cost_model.cross_shard_cost)
-            if migrate and current not in refused:
+            # mutex consensus needs every account that can move in one shard
+            if not self.never_migrates(current, account) and (mutex or should_migrate(
+                    current, book.totals(acc), cost_model.cross_shard_cost)):
                 migrations.append(
                     MigrationOp(acc, current, main, cost_model.migration_cost(account))
                 )

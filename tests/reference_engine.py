@@ -206,7 +206,10 @@ def reference_run(cfg, txs, initial, contracts) -> ReferenceRun:
 # transaction gets the whole run refused, so half the cases clamp base costs
 # so that a cross-shard charge fits the capacity too, where base cost 1 can.
 # Scheduler cases draw at least two accounts, most of them placed, so that
-# plans span shards and migrate.
+# plans span shards and migrate.  One in four pins two accounts on different
+# shards before the run, each on a refusing shard or a contract account under
+# 2pc without contract migration, and gives one transaction over both a base
+# cost whose cross-shard charge exceeds the capacity.
 _RANGES = {
     "static": dict(accounts=(1, 8), base_cost=(1, 3), capacity=(1, 9)),
     "scheduler": dict(accounts=(2, 6), base_cost=(1, 2), capacity=(1, 16)),
@@ -218,12 +221,13 @@ def engine_cases(draw, policies):
     """(cfg, txs, initial assignment, contract sizes) under one of policies."""
     policy = draw(st.sampled_from(policies))
     ranges = _RANGES["scheduler" if policy == "scheduler" else "static"]
-    k = draw(st.integers(1, 4))
+    pinned = policy == "scheduler" and draw(st.integers(0, 3)) == 0
+    k = draw(st.integers(1 + pinned, 4))
     accounts = [f"{i:02x}" for i in range(draw(st.integers(*ranges["accounts"])))]
     write_sets = st.lists(st.sampled_from(accounts), min_size=1,
                           max_size=min(3, len(accounts)), unique=True).map(tuple)
     fees, base_costs = st.integers(0, 5), st.integers(*ranges["base_cost"])
-    capacity, c = draw(st.integers(*ranges["capacity"])), draw(st.integers(1, 3))
+    capacity, c = draw(st.integers(*ranges["capacity"])), draw(st.integers(1 + pinned, 3))
     most = max(1, capacity // c) if draw(st.booleans()) else math.inf
     txs = [
         Transaction(f"t{i}", i, draw(write_sets), fee=draw(fees),
@@ -234,12 +238,28 @@ def engine_cases(draw, policies):
                            min_size=len(accounts), max_size=len(accounts)))
     initial = {a: s for a, s in zip(accounts, shards) if s is not None}
     contracts = draw(st.dictionaries(st.sampled_from(accounts), st.integers(1, 3)))
+    mode, ca_migration = draw(st.sampled_from(MODES)), draw(st.booleans())
+    refused = set(draw(st.sets(st.integers(0, k - 1), max_size=2)))
+    if pinned:
+        pair = draw(st.permutations(accounts))[:2]
+        first = draw(st.integers(0, k - 1))
+        second = (first + draw(st.integers(1, k - 1))) % k
+        for a, s in zip(pair, (first, second)):
+            initial[a] = s
+            if draw(st.booleans()):
+                refused.add(s)
+            else:
+                contracts.setdefault(a, 1)
+                mode, ca_migration = "2pc", False
+        i = draw(st.integers(0, len(txs) - 1))
+        txs[i] = Transaction(f"t{i}", i, tuple(pair), fee=draw(fees),
+                             base_cost=draw(st.integers(capacity // c + 1, capacity)))
     cfg = SimConfig(
         k_shards=k,
         policy=policy,
-        mode=draw(st.sampled_from(MODES)),
-        ca_migration=draw(st.booleans()),
-        refuse_migrations_from=frozenset(draw(st.sets(st.integers(0, k - 1), max_size=2))),
+        mode=mode,
+        ca_migration=ca_migration,
+        refuse_migrations_from=frozenset(refused),
         cross_shard_cost=c,
         shard_capacity=capacity,
         mempool_ratio=draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])),
@@ -285,6 +305,6 @@ def check_engine_against_reference(case) -> str:
         assert sim.mapping.assignment == ref.mapping
         book = {a: sim.book.totals(a) for a in ref.mapping if sim.book.totals(a)}
         assert book == ref.alignment
-    else:  # the engine places a static account when its transaction arrives
+    else:  # the engine places every static account before round 0, the reference at admission
         assert sim.mapping.assignment.items() >= ref.mapping.items()
     return ref.outcome

@@ -21,6 +21,7 @@ from shardsim.engine import (
     finalize,
     run,
 )
+from shardsim.partitioner import graph_from_transactions, partition_greedy
 from shardsim.policies import hash_place
 from shardsim.workload import SyntheticSpec, generate, load_trace
 
@@ -490,6 +491,32 @@ def test_partition_table_places_what_the_initial_placement_left():
     initial = {first: (table[first] + 1) % 4}
     sim = Simulation(cfg, txs, initial_assignment=initial)
     assert sim.mapping.assignment == {**table, **initial}
+
+
+@pytest.mark.parametrize("policy", ["hash", "partition"])
+def test_static_accounts_are_placed_before_round_0(policy):
+    # every static account keeps one shard for the whole run: its initial
+    # shard, else its partition table shard, else its hash shard
+    txs = _unit_txs(30, accounts_per_tx=2)
+    cfg = SimConfig(k_shards=4, shard_capacity=5, policy=policy, seed=0)
+    graph = graph_from_transactions(txs)
+    table = (partition_greedy(graph, 4, math.ceil(len(graph) / 4), seed=0).assignment
+             if policy == "partition" else {})
+    first = txs[0].write_set[0]
+    initial = {first: min({0, 1, 2, 3} - {table.get(first), hash_place(first, 4)})}
+    sim = Simulation(cfg, txs, initial_assignment=initial)
+    accounts = {acc for tx in txs for acc in tx.write_set}
+    assert sim.mapping.assignment == {
+        acc: initial[acc] if acc in initial else table.get(acc, hash_place(acc, 4))
+        for acc in accounts
+    }
+    before = dict(sim.mapping.assignment)
+    writes = []
+    sim.mapping.place = lambda *args: writes.append(("place", args))
+    sim.mapping.migrate = lambda *args: writes.append(("migrate", args))
+    _, summary = sim.run()
+    assert summary.executed == len(txs)
+    assert writes == [] and sim.mapping.assignment == before
 
 
 @pytest.mark.parametrize("policy", ["hash", "scheduler"])
