@@ -10,13 +10,11 @@ DEFAULT_ZIPF_EXPONENT in shardsim.workload was frozen from its output.
 
 import argparse
 
-import numpy as np
+from shardsim.workload import _zipf_weights
 
 
 def top_quintile_share(exponent: float, n_accounts: int) -> float:
-    ranks = np.arange(1, n_accounts + 1, dtype=float)
-    weights = ranks ** -exponent
-    weights /= weights.sum()
+    weights = _zipf_weights(n_accounts, exponent)
     top = max(1, n_accounts // 5)
     return float(weights[:top].sum())
 

@@ -8,11 +8,12 @@ in one ring of per-block flat lists of (account, shard, amount) triples, so
 an add allocates no container, and a reset is one entry in that list that
 eviction honours, not a scan of the window.
 
-``Transaction`` is a slotted dataclass, not a frozen one: a frozen dataclass's
+``Transaction`` and ``Account`` are plain records; ``Simulation`` checks their
+fields.  ``Transaction`` is slotted, not frozen: a frozen dataclass's
 ``__init__`` sets each field through ``object.__setattr__``, a cost paid once
 per transaction when a trace is loaded or a workload generated.  Nothing
-mutates a transaction after construction, and it keeps value equality and
-``dataclasses.replace``; being unfrozen, it is unhashable.
+mutates a transaction after construction; it keeps value equality and
+``dataclasses.replace``, and is unhashable.
 """
 
 from __future__ import annotations
@@ -38,12 +39,6 @@ class Account:
     kind: str = EOA
     size: int = 1
 
-    def __post_init__(self):
-        if self.kind == EOA and self.size != 1:
-            raise ValueError("EOA size is fixed to 1")
-        if self.size < 1:
-            raise ValueError("account size must be positive")
-
 
 @dataclass(slots=True)
 class Transaction:
@@ -52,14 +47,6 @@ class Transaction:
     write_set: tuple
     fee: int = 1
     base_cost: int = 1
-
-    def __post_init__(self):
-        if not self.write_set:
-            raise ValueError("write_set must be nonempty")
-        if len(set(self.write_set)) != len(self.write_set):
-            raise ValueError("write_set has duplicate accounts")
-        if self.fee < 0 or self.base_cost <= 0:
-            raise ValueError("fee must be nonnegative and base_cost positive")
 
 
 @dataclass(frozen=True)

@@ -38,23 +38,25 @@ balances are all sums of integers (the balances are integer-valued floats far
 below 2**53, so their sums do not depend on grouping).
 
 SimConfig.validate rejects, with a ConfigError naming the field or shard, a
-field of the wrong type and a refused shard outside [0, k).  Simulation
-rejects, with a ConfigError naming the account, any initial shard that is not
-an in-range int and any accounts entry that is not an Account under its own
-id; naming the tx_id and the field, a transaction whose fee or base_cost is
-not an int (bool is refused), whose write_set is not a tuple or holds an
-account id that is not a str; naming the tx_id, its base_cost and the
-shard_capacity, a transaction whose base_cost exceeds shard_capacity, which no
-plan can admit because every plan charges its main shard at least the base
-cost; and then, naming the tx_id, its shards, the charge and the capacity, a
-transaction whose per-shard charge exceeds shard_capacity on shards that every
-plan of it charges: under hash and partition the shards of its lane, and
-under the scheduler the shards of its pinned accounts, those placed before
-the run that SchedulerPolicy.never_migrates keeps in every plan's final
-shards.  So only the scheduler can raise Livelock: a static head transaction
-fits every round's full capacity.  A Simulation runs once: a second run()
-call raises RuntimeError instead of replaying the workload into the same
-state.
+field of the wrong type and a refused shard outside [0, k).  Simulation is the
+one gate for every field of a transaction or account that the run reads; it
+refuses with a ConfigError, naming the tx_id, the first of these: a field of
+the wrong type (tx_id a str, write_set a tuple of str ids, fee and base_cost
+ints, never bool), a write_set that is empty or repeats an account, a negative
+fee, a base_cost below 1, or above shard_capacity, which no plan can admit as
+each charges its main shard the base cost; then a repeated tx_id.  The run
+never reads arrival_index, so it is not checked.  Naming the account: an
+initial shard that is not an in-range int, and an accounts entry that is not
+an Account under its own id with typed fields, either an EOA of size 1 or a
+CA of size >= 1.  Last, naming the tx_id, its shards, the charge and the
+capacity: a transaction whose per-shard charge exceeds shard_capacity on
+shards that every plan of it charges: under hash and partition the shards of
+its lane, and under the scheduler the shards of its pinned accounts, those
+placed before the run that SchedulerPolicy.never_migrates keeps in every
+plan's final shards.  So only the scheduler can raise Livelock: a static head
+transaction fits every round's full capacity.  A Simulation runs once: a
+second run() call raises RuntimeError instead of replaying the workload into
+the same state.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .core import (
+    CA,
+    EOA,
     Account,
     AlignmentBook,
     CostModel,
@@ -229,6 +233,27 @@ EXECUTED = "executed"
 DEFERRED = "deferred"
 
 
+def _refusal(tx: Transaction, capacity: int) -> str | None:
+    """The first reason, in the module docstring's order, to refuse tx, or None."""
+    for name, kind in (("tx_id", str), ("write_set", tuple), ("fee", int), ("base_cost", int)):
+        value = getattr(tx, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            return f"{name} must be {kind.__name__}, got {value!r}"
+    write_set, fee, cost = tx.write_set, tx.fee, tx.base_cost
+    for acc in write_set:
+        if not isinstance(acc, str):
+            return f"write_set account {acc!r} is not a str"
+    if not 0 < len(set(write_set)) == len(write_set):
+        return f"write_set {write_set!r} is empty or repeats an account"
+    if fee < 0:
+        return f"fee must be nonnegative, got {fee}"
+    if cost < 1:
+        return f"base_cost must be positive, got {cost}"
+    if cost > capacity:
+        return f"base_cost {cost} exceeds shard_capacity {capacity}, so no plan can admit it"
+    return None
+
+
 class Simulation:
     """Single deterministic run of one policy over one workload."""
 
@@ -242,25 +267,19 @@ class Simulation:
         # a cross-shard footprint is charged cost * cross_shard_cost per shard
         most = capacity // config.cross_shard_cost
         heavy = []  # transactions whose charge would exceed capacity if cross-shard
+        is_str = str.__instancecheck__  # isinstance(x, str), mapped without a lambda
         for tx in workload:
-            ids.append(tx.tx_id)
-            # the exact-type test is cheap; field_type_error names the wrong field
-            fee, cost, write_set = tx.fee, tx.base_cost, tx.write_set
-            if (type(fee) is not int or type(cost) is not int or type(write_set) is not tuple
-                    or cost > most):
-                wrong_type = field_type_error(tx)
-                if wrong_type:
-                    raise ConfigError(f"transaction {tx.tx_id!r}: {wrong_type}")
-                if cost > capacity:
-                    raise ConfigError(f"transaction {tx.tx_id!r}: base_cost {cost} exceeds "
-                                      f"shard_capacity {capacity}, so no plan can admit it")
+            tx_id, write_set, fee, cost = tx.tx_id, tx.write_set, tx.fee, tx.base_cost
+            ids.append(tx_id)
+            # cheap tests; _refusal names the first bad field, or passes a heavy tx
+            if not (type(tx_id) is str and type(write_set) is tuple and type(fee) is int
+                    and type(cost) is int and fee >= 0 and 0 < cost <= most
+                    and all(map(is_str, write_set)) and 0 < len(set(write_set)) == len(write_set)):
+                refusal = _refusal(tx, capacity)
+                if refusal:
+                    raise ConfigError(f"transaction {tx_id!r}: {refusal}")
                 if cost > most:
                     heavy.append(tx)
-            for acc in write_set:
-                if not isinstance(acc, str):
-                    raise ConfigError(
-                        f"transaction {tx.tx_id!r}: write_set account {acc!r} is not a str"
-                    )
         if len(set(ids)) != len(ids):  # walk again only to name the first repeat
             seen = set()
             for tx_id in ids:
@@ -281,8 +300,15 @@ class Simulation:
         for acc, account in self.accounts.items():
             if not isinstance(account, Account):
                 raise ConfigError(f"account {acc!r}: expected an Account, got {account!r}")
+            wrong_type = field_type_error(account)
+            if wrong_type:
+                raise ConfigError(f"account {acc!r}: {wrong_type}")
             if account.id != acc:
                 raise ConfigError(f"account {acc!r}: Account id {account.id!r} differs from its key")
+            kind, size = account.kind, account.size
+            if not (kind == EOA and size == 1 or kind == CA and size >= 1):
+                raise ConfigError(f"account {acc!r}: kind {kind!r} of size {size} is neither "
+                                  f"an {EOA!r} of size 1 nor a {CA!r} of size >= 1")
         self.shards = [
             ShardState(s, config.shard_capacity, config.window)
             for s in range(config.k_shards)

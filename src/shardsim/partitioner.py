@@ -46,9 +46,6 @@ class WeightedGraph:
     def add_vertex(self, v) -> None:
         self.adj.setdefault(v, {})
 
-    def weight(self, u, v) -> int:
-        return self.adj.get(u, {}).get(v, 0)
-
     def add_edge(self, u, v, weight: int = 1) -> None:
         if u == v:
             raise SelfLoop(f"self-loop on {u!r}")
@@ -78,8 +75,8 @@ def graph_from_transactions(txs) -> WeightedGraph:
     """Co-occurrence graph: edge weight counts write-set pairings.
 
     Vertices and neighbours appear in ``adj`` in order of first occurrence,
-    as if every pairing were added with ``add_edge``; write sets hold distinct
-    accounts, so no pairing is a self-loop.
+    as if every pairing were added with ``add_edge``; Simulation accepts only
+    write sets of distinct accounts, so no pairing is a self-loop.
     """
     g = WeightedGraph()
     adj = g.adj

@@ -13,12 +13,10 @@ transactions.
 
 Synthetic generators reproduce the workload characteristics the policies are
 designed around: Zipf hot spots, interaction communities, activity bursts,
-and purely intra-/cross-shard reference workloads.  A zipf_hotspot,
-communities or bursty workload is a function of the spec and of PCG64's raw
-stream for ``spec.seed``, which numpy keeps stable, not of numpy's
-bounded-integer code: these generators replay numpy's draws from the raw
-words (see ``_Stream``).  all_intra and all_cross still draw through
-``Generator.choice``.
+and purely intra-/cross-shard reference workloads.  Every workload is a
+function of the spec and of PCG64's raw stream for ``spec.seed``, which numpy
+keeps stable, not of numpy's bounded-integer code: the generators replay
+numpy's draws from the raw words (see ``_Stream``).
 """
 
 from __future__ import annotations
@@ -33,8 +31,7 @@ import numpy as np
 
 from .core import CA, EOA, Account, Transaction, field_type_error
 
-GENERATORS = ("all_intra", "all_cross", "zipf_hotspot", "communities", "bursty")
-# the generators that read SyntheticSpec.k_shards
+# the generators that read SyntheticSpec.k_shards (GENERATORS is at the end)
 SHARD_AWARE = ("all_intra", "all_cross")
 
 # Top 20% of 1000 accounts draw >= 92% of appearances.  The minimal
@@ -234,22 +231,8 @@ def generate(spec: SyntheticSpec) -> list[Transaction]:
     """Deterministically generate a synthetic transaction list."""
     spec.validate()
     ids = [account_id(spec.seed, i) for i in range(spec.n_accounts)]
-    make = {
-        "all_intra": _gen_all_intra,
-        "all_cross": _gen_all_cross,
-        "zipf_hotspot": _gen_zipf,
-        "communities": _gen_communities,
-        "bursty": _gen_bursty,
-    }[spec.generator]
-    if spec.generator in ("all_intra", "all_cross"):  # these draw via Generator.choice
-        rng = np.random.default_rng(spec.seed)
-    else:
-        rng = _Stream(spec.seed)
-    write_sets = make(spec, rng, ids)
-    return [
-        Transaction(f"t{index}", index, ws)
-        for index, ws in enumerate(write_sets)
-    ]
+    write_sets = GENERATORS[spec.generator](spec, _Stream(spec.seed), ids)
+    return [Transaction(f"t{index}", index, ws) for index, ws in enumerate(write_sets)]
 
 
 def _gen_all_intra(spec, rng, ids):
@@ -259,7 +242,7 @@ def _gen_all_intra(spec, rng, ids):
     out = []
     for i in range(spec.n_txs):
         bucket = buckets[i % len(buckets)]
-        picks = rng.choice(len(bucket), size=spec.accounts_per_tx, replace=False)
+        picks = sorted(rng.distinct(range(len(bucket)), spec.accounts_per_tx))
         out.append(tuple(bucket[j] for j in picks))
     return out
 
@@ -269,8 +252,8 @@ def _gen_all_cross(spec, rng, ids):
     if len(buckets) < spec.accounts_per_tx:
         raise InvalidSpec("not enough populated shard buckets; raise n_accounts")
     out = []
-    for i in range(spec.n_txs):
-        picked = rng.choice(len(buckets), size=spec.accounts_per_tx, replace=False)
+    for _ in range(spec.n_txs):
+        picked = sorted(rng.distinct(range(len(buckets)), spec.accounts_per_tx))
         out.append(tuple(buckets[b][rng.integers(len(buckets[b]))] for b in picked))
     return out
 
@@ -280,8 +263,8 @@ _TO_UNIT = 2.0**-53
 
 
 class _Stream:
-    """The draws of ``np.random.default_rng(seed)``, replayed from PCG64's raw
-    64-bit words without numpy's per-call overhead.
+    """The draws of numpy's ``Generator`` on ``PCG64(seed)``, replayed from its
+    raw 64-bit words without numpy's per-call overhead.
 
     Each method returns exactly what the same call on the ``Generator`` would
     return at the same point of the stream:
@@ -300,7 +283,7 @@ class _Stream:
     __slots__ = ("_bitgen", "_words", "_pos", "_half")
 
     def __init__(self, seed: int):
-        self._bitgen = np.random.default_rng(seed).bit_generator
+        self._bitgen = np.random.PCG64(seed)
         self._words = []  # the current block of raw words, as Python ints
         self._pos = 0
         self._half = None  # upper half of a word split by a 32-bit draw
@@ -489,3 +472,8 @@ def _gen_bursty(spec, rng, ids):
             sampler = _WeightedSampler(rng, weights / weights.sum(), n)
         out.append(tuple(ids[j] for j in sampler.draw_distinct(n)))
     return out
+
+
+# name -> generator; SyntheticSpec.validate and the CLI's choices read its keys
+GENERATORS = {"all_intra": _gen_all_intra, "all_cross": _gen_all_cross, "zipf_hotspot": _gen_zipf,
+              "communities": _gen_communities, "bursty": _gen_bursty}

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from shardsim.core import (
     CA,
-    EOA,
     Account,
     AlignmentBook,
     CostModel,
@@ -22,28 +21,8 @@ from reference_engine import pairwise_deltas
 
 
 # ---------------------------------------------------------------------------
-# construction guards
-
-
-def test_transaction_rejects_empty_write_set():
-    with pytest.raises(ValueError):
-        Transaction("t0", 0, ())
-
-
-def test_transaction_rejects_duplicates():
-    with pytest.raises(ValueError):
-        Transaction("t0", 0, ("aa", "aa"))
-
-
-def test_transaction_rejects_negative_fee():
-    with pytest.raises(ValueError):
-        Transaction("t0", 0, ("aa",), fee=-1)
-
-
-def test_eoa_size_is_fixed():
-    with pytest.raises(ValueError):
-        Account("aa", kind=EOA, size=3)
-    assert Account("aa", kind=CA, size=3).size == 3
+# construction guards: MigrationOp alone checks itself, since only the
+# scheduler builds one; Simulation checks transactions and accounts
 
 
 def test_migration_op_guards():

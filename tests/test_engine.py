@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardsim.core import CA, Account, Transaction
+from shardsim.core import CA, EOA, Account, Transaction
 from shardsim.engine import (
     ConfigError,
     EmptyRun,
@@ -103,6 +103,25 @@ def test_account_id_must_match_its_key():
         Simulation(SimConfig(k_shards=2), _pair_workload(), accounts={"aa": Account("bb", CA)})
 
 
+@pytest.mark.parametrize(
+    "fields, problem",
+    [
+        (dict(kind="contract"), "kind 'contract' of size 1 is neither"),
+        (dict(kind=EOA, size=3), "kind 'eoa' of size 3 is neither"),
+        (dict(kind=CA, size=0), "kind 'ca' of size 0 is neither"),
+        (dict(kind=CA, size=2.0), "size must be int"),
+        (dict(id=7, kind=CA), "id must be str"),
+    ],
+    ids=["unknown-kind", "large-eoa", "empty-ca", "float-size", "int-id"],
+)
+def test_account_fields_are_checked(fields, problem):
+    # before this check a "contract" account of size 3 ran: never pinned as a
+    # contract account, yet charged the contract rate for each migration
+    account = Account(**{"id": "aa", **fields})
+    with pytest.raises(ConfigError, match=f"account 'aa': {problem}"):
+        Simulation(SimConfig(k_shards=2), _pair_workload(), accounts={"aa": account})
+
+
 def test_initial_shard_must_be_an_int():
     with pytest.raises(ConfigError, match="'aa'"):
         Simulation(SimConfig(k_shards=2), _pair_workload(), initial_assignment={"aa": 1.5})
@@ -126,23 +145,33 @@ def test_duplicate_tx_ids_rejected():
 
 
 @pytest.mark.parametrize(
-    "field, changes",
+    "named, changes",
     [
-        ("fee", {"fee": 1.5}),
-        ("fee", {"fee": True}),
-        ("base_cost", {"base_cost": 1.5}),
-        ("base_cost", {"base_cost": True}),
-        ("write_set", {"write_set": ["ab", "cd"]}),
-        ("write_set account 7", {"write_set": ("ab", 7)}),
+        ("'t1': fee", {"fee": 1.5}),
+        ("'t1': fee", {"fee": True}),
+        ("'t1': base_cost", {"base_cost": 1.5}),
+        ("'t1': base_cost", {"base_cost": True}),
+        ("'t1': write_set", {"write_set": ["ab", "cd"]}),
+        ("'t1': write_set account 7", {"write_set": ("ab", 7)}),
+        (r"'t1': write_set account \['ab'\]", {"write_set": (["ab"],)}),
+        (r"'t1': write_set \(\) is empty", {"write_set": ()}),
+        (r"'t1': write_set \('ab', 'ab'\) is empty or repeats", {"write_set": ("ab", "ab")}),
+        ("'t1': fee must be nonnegative", {"fee": -1}),
+        ("'t1': base_cost must be positive", {"base_cost": 0}),
+        ("1: tx_id must be str", {"tx_id": 1}),
+        (r"\['t1'\]: tx_id must be str", {"tx_id": ["t1"]}),
     ],
-    ids=["float-fee", "bool-fee", "float-cost", "bool-cost", "list-write-set", "int-account"],
+    ids=["float-fee", "bool-fee", "float-cost", "bool-cost", "list-write-set", "int-account",
+         "list-account", "empty-write-set", "repeated-account", "negative-fee", "zero-cost",
+         "int-tx-id", "list-tx-id"],
 )
-def test_transaction_of_wrong_type_rejected(field, changes):
-    # before this check a float fee ran and summed into total_fees, and an
-    # int account id crashed hash_place
+def test_transaction_of_wrong_type_rejected(named, changes):
+    # before this check a float fee ran and summed into total_fees, an int
+    # account id crashed hash_place, an int tx_id ran, and a list account or
+    # tx_id crashed with an unhashable-type TypeError
     txs = _unit_txs(3)
     txs[1] = replace(txs[1], **changes)
-    with pytest.raises(ConfigError, match=f"transaction 't1': {field}"):
+    with pytest.raises(ConfigError, match=f"transaction {named}"):
         Simulation(SimConfig(economics=True), txs)
 
 

@@ -63,7 +63,7 @@ def test_add_edge_accumulates_weight():
     g = WeightedGraph()
     g.add_edge("a", "b", 2)
     g.add_edge("a", "b", 3)
-    assert g.weight("a", "b") == g.weight("b", "a") == 5
+    assert g.adj["a"]["b"] == g.adj["b"]["a"] == 5
 
 
 def test_self_loop_rejected():
@@ -78,9 +78,9 @@ def test_graph_from_transactions_counts_pairings():
         Transaction("t2", 2, ("d",)),
     ]
     g = graph_from_transactions(txs)
-    assert g.weight("a", "b") == 2
-    assert g.weight("a", "c") == 1
-    assert g.weight("b", "c") == 1
+    assert g.adj["a"]["b"] == 2
+    assert g.adj["a"]["c"] == 1
+    assert g.adj["b"]["c"] == 1
     assert "d" in g.vertices and not g.adj["d"]
 
 
