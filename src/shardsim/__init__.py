@@ -7,7 +7,6 @@ from .core import (
     Account,
     AlignmentBook,
     CostModel,
-    InsufficientCapacity,
     MappingService,
     MigrationOp,
     ShardState,
@@ -23,7 +22,6 @@ __all__ = [
     "AlignmentBook",
     "CostModel",
     "FinalSummary",
-    "InsufficientCapacity",
     "Livelock",
     "MappingService",
     "MigrationOp",

@@ -2,7 +2,9 @@
 
 Accounts are identified by opaque hex strings.  The mapping service holds the
 authoritative account-to-shard assignment; shard states track per-round
-residual capacity and a rolling per-block load window; the alignment book
+residual capacity and a rolling per-block load window, whose live block's load
+is always capacity_per_round - residual, so admission charges a shard by
+lowering its residual and nothing else; the alignment book
 accumulates each account's per-shard transaction costs over the same window
 in one ring of per-block flat lists of (account, shard, amount) triples, so
 an add allocates no container, and a reset is one entry in that list that
@@ -27,10 +29,6 @@ ShardId = int
 
 EOA = "eoa"
 CA = "ca"
-
-
-class InsufficientCapacity(Exception):
-    """Charge exceeds the shard's residual capacity for this round."""
 
 
 @dataclass(frozen=True)
@@ -126,9 +124,16 @@ class MappingService:
 
 
 class ShardState:
-    """Per-round residual capacity plus a W-block rolling load window."""
+    """Per-round residual capacity plus a W-block rolling load window.
 
-    __slots__ = ("id", "capacity_per_round", "residual", "window", "_ring", "window_sum")
+    Within a round the live block's load is capacity_per_round - residual, so
+    residual is the only per-round state: admission, which checks every
+    residual first, charges a shard by lowering it.  advance_block closes the
+    live load into a ring of the W - 1 earlier blocks and keeps their sum;
+    window_sum adds the live load to that sum.
+    """
+
+    __slots__ = ("id", "capacity_per_round", "residual", "window", "_closed", "_closed_sum")
 
     def __init__(self, shard_id: ShardId, capacity_per_round: int, window: int):
         if capacity_per_round <= 0 or window <= 0:
@@ -137,24 +142,19 @@ class ShardState:
         self.capacity_per_round = capacity_per_round
         self.residual = capacity_per_round
         self.window = window
-        self._ring = deque([0] * window, maxlen=window)
-        self.window_sum = 0
+        self._closed = deque([0] * (window - 1), maxlen=window - 1)
+        self._closed_sum = 0
 
-    def charge(self, amount: int) -> None:
-        if amount < 0:
-            raise ValueError("negative charge")
-        if amount > self.residual:
-            raise InsufficientCapacity(
-                f"shard {self.id}: charge {amount} exceeds residual {self.residual}"
-            )
-        self.residual -= amount
-        self._ring[-1] += amount
-        self.window_sum += amount
+    @property
+    def window_sum(self) -> int:
+        return self._closed_sum + self.capacity_per_round - self.residual
 
     def advance_block(self) -> None:
-        evicted = self._ring[0]
-        self._ring.append(0)
-        self.window_sum -= evicted
+        closed = self._closed
+        if closed:  # empty only when the window is the live block alone
+            live = self.capacity_per_round - self.residual
+            self._closed_sum += live - closed[0]
+            closed.append(live)
         self.residual = self.capacity_per_round
 
 

@@ -15,21 +15,24 @@ every workload account is placed before round 0 and keeps that shard for the
 whole run: its initial shard, else its partition table shard under partition,
 else hash_place(account, k).  Each round files its static arrivals into
 lanes keyed by their footprint: the set of shards and the base cost, which
-fixes the per-shard charge.  Each lane has one shared plan, and a lane queue
-beside the mempool queue holds each retained transaction's lane in the same
-order.  Once a transaction is deferred its lane is blocked for the round and
-its later transactions are retained without being offered, because residuals
-only fall within a round, so every later transaction of that footprint would
-be deferred too.  Under the scheduler a pending transaction waits unplanned
+fixes the per-shard charge.  An arrival finds its lane by one lookup of its
+ordered key: the shard of each account in write-set order, then the base
+cost.  Each lane has one shared plan, and a lane queue beside the mempool
+queue holds each retained transaction's lane in the same order.  Once a
+transaction is deferred its lane is blocked for the round and its later
+transactions are retained without being offered, because residuals only fall
+within a round, so every later transaction of that footprint would be
+deferred too.  Under the scheduler a pending transaction waits unplanned
 while every shard of its placed accounts has less residual than its base
 cost, which the main shard is always charged.  The alignment book is
 maintained only under the scheduler, the one policy that reads it.  A run
 whose state stops changing raises Livelock instead of spinning.
 
 Admission reuses what the plan already holds: a plan without migrations is
-checked and charged from its own per-shard charges, and a fee with one final
-shard goes to that shard without a split.  Fees are credited once per shard
-per round: admission adds each fee share to the round's per-shard tally, and
+checked and charged from its own per-shard charges; once every residual is
+checked, a charge is one residual decrement; and a fee with one final shard
+goes to that shard without a split.  Fees are credited once per shard per
+round: admission adds each fee share to the round's per-shard tally, and
 run() credits each shard's tally right after the round's admissions, before
 the round report, an epoch close, Livelock or the max_rounds exit.  This is
 exact because a shard's leader is fixed by the epoch assignment, the shard
@@ -328,9 +331,11 @@ class Simulation:
                 for acc in tx.write_set:
                     if acc not in assignment:
                         self.mapping.place(acc, hash_place(acc, config.k_shards))
-        # static policies: (shard set, base cost) -> lane index, and each lane's shared plan
+        # static policies: footprint or ordered key -> lane index (see _lane),
+        # each lane's shared plan, and whether that plan is cross-shard
         self._lanes: dict = {}
         self._lane_plans: list[TxPlan] = []
+        self._lane_cross: list[bool] = []
         self._lane_queue: deque = deque()  # the lane of each retained tx, in mempool order
         for tx in heavy:  # the shards that every admission of tx charges
             if static:
@@ -392,7 +397,7 @@ class Simulation:
                 self.mapping.migrate(m.account, m.dest)
                 self.book.reset(m.account)  # alignment is dropped on migration
         for s, amount in required.items():
-            shards[s].charge(amount)
+            shards[s].residual -= amount
         if self.policy is not None:  # only the scheduler reads alignment
             update_alignments(tx, self.mapping, self.cost_model, self.book)
         fees = self._round_fees
@@ -411,14 +416,20 @@ class Simulation:
         """The index of tx's lane under a static policy, keyed by (frozen
         shard set, base cost).  For a fixed shard set the per-shard charge is
         a one-to-one function of the base cost, so these keys number the
-        footprints exactly.  Admission files each arrival here, and the
-        run-boundary refusal reads a heavy transaction's shards from here."""
-        shards = frozenset(map(self.mapping.assignment.get, tx.write_set))
+        footprints exactly.  The lane is also cached under tx's ordered key,
+        which admission looks up first and which no footprint key equals, so
+        write sets that order the same shards differently share one lane.
+        The run-boundary refusal reads a heavy transaction's shards here."""
+        assigned = tuple(map(self.mapping.assignment.get, tx.write_set))
+        shards = frozenset(assigned)
         key = (shards, tx.base_cost)
         lane = self._lanes.get(key)
         if lane is None:
             lane = self._lanes[key] = len(self._lane_plans)
-            self._lane_plans.append(footprint_plan(shards, tx.base_cost, self.cost_model))
+            plan = footprint_plan(shards, tx.base_cost, self.cost_model)
+            self._lane_plans.append(plan)
+            self._lane_cross.append(len(plan.final_shards) > 1)
+        self._lanes[(*assigned, tx.base_cost)] = lane
         return lane
 
     # -- round loop --------------------------------------------------------
@@ -433,11 +444,17 @@ class Simulation:
         queue is rebuilt in lockstep with the retained transactions.
         """
         plans = self._lane_plans
+        lane_cross = self._lane_cross
         first_seen = self.mempool.first_seen
         try_execute = self.try_execute
         pending, retain = self.mempool.drain()
         lanes, self._lane_queue = self._lane_queue, deque()
-        lanes.extend(map(self._lane, islice(pending, len(lanes), None)))
+        file_lane = lanes.append
+        lane_of = self._lanes.get
+        shard_of = self.mapping.assignment.get
+        for tx in islice(pending, len(lanes), None):  # the round's arrivals
+            lane = lane_of((*map(shard_of, tx.write_set), tx.base_cost))
+            file_lane(self._lane(tx) if lane is None else lane)
         keep = self._lane_queue.append
         blocked = set()
         cross = 0
@@ -446,9 +463,8 @@ class Simulation:
                 retain(tx)
                 keep(lane)
                 continue
-            plan = plans[lane]
-            if try_execute(tx, plan) == EXECUTED:
-                if len(plan.final_shards) > 1:
+            if try_execute(tx, plans[lane]) == EXECUTED:
+                if lane_cross[lane]:
                     cross += 1
                 latencies.append(round_index - first_seen.pop(tx.tx_id))
             else:

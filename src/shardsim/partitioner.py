@@ -43,9 +43,6 @@ class WeightedGraph:
     def vertices(self):
         return self.adj.keys()
 
-    def add_vertex(self, v) -> None:
-        self.adj.setdefault(v, {})
-
     def add_edge(self, u, v, weight: int = 1) -> None:
         if u == v:
             raise SelfLoop(f"self-loop on {u!r}")

@@ -227,7 +227,7 @@ def test_criterion_7_partitioner_oracle(announce):
         g = WeightedGraph()
         names = [f"v{i}" for i in range(n)]
         for v in names:
-            g.add_vertex(v)
+            g.adj.setdefault(v, {})
         for u, v in itertools.combinations(names, 2):
             if rng.random() < 0.45:
                 g.add_edge(u, v, rng.randint(1, 9))

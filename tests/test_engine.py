@@ -303,7 +303,7 @@ def test_live_loads_reflect_current_round_charges():
     sim = Simulation(cfg, _unit_txs(1))
     loads = LiveLoads(sim.shards)
     assert loads[0] == 0 and loads[1] == 0
-    sim.shards[0].charge(4)
+    sim.shards[0].residual -= 4
     assert loads[0] == 4 and loads[1] == 0
     assert list(loads.keys()) == [0, 1]
 
@@ -347,8 +347,8 @@ def test_latency_counts_rounds_waited():
 def test_cross_ratio_counts_migrations_as_cross():
     sim, tx = _single_shard_pair_sim(capacity=100)
     # bias the published loads so shard 1 is the main shard in round 0
-    sim.shards[0].charge(90)
-    sim.shards[1].charge(20)
+    sim.shards[0].residual -= 90
+    sim.shards[1].residual -= 20
     reports, summary = sim.run()
     # single tx turned intra by one migration: (0 cross + 1 mig) / 1 executed
     assert summary.executed == 1
@@ -613,6 +613,31 @@ def test_deferred_lane_blocks_only_its_own_footprint():
     reports, _ = sim.run()
     assert admitted == [(0, "t0"), (0, "t2"), (0, "t4"), (1, "t1"), (1, "t3")]
     assert [r.processed_count for r in reports] == [3, 2]
+
+
+def test_reordered_write_set_shares_its_twins_blocked_lane():
+    # t0 (cost 2, cross-shard) fills both shards, so t1 is deferred and
+    # blocks the lane of its footprint.  t2 names the same accounts in the
+    # other order: same shards, same charge, so it is retained unoffered in
+    # round 0.  A lane per ordered write set would offer t2 in round 0 too.
+    txs = [
+        Transaction("t0", 0, ("aa", "bb"), base_cost=2),
+        Transaction("t1", 1, ("aa", "bb")),
+        Transaction("t2", 2, ("bb", "aa")),
+    ]
+    cfg = SimConfig(k_shards=2, shard_capacity=4, mempool_ratio=2.0, policy="hash")
+    sim = Simulation(cfg, txs, initial_assignment={"aa": 0, "bb": 1})
+    offers = []
+    try_execute = sim.try_execute
+
+    def counted_admit(tx, tx_plan):
+        offers.append(tx.tx_id)
+        return try_execute(tx, tx_plan)
+
+    sim.try_execute = counted_admit
+    _, summary = sim.run()
+    assert offers == ["t0", "t1", "t1", "t2"]
+    assert summary.executed == 3 and summary.rounds == 2
 
 
 # Differential tests against the literal reference engine in

@@ -29,7 +29,7 @@ def _random_graph(rng, n_vertices, p_edge=0.4, max_weight=9):
     g = WeightedGraph()
     names = [f"v{i:02d}" for i in range(n_vertices)]
     for v in names:
-        g.add_vertex(v)
+        g.adj.setdefault(v, {})
     for u, v in itertools.combinations(names, 2):
         if rng.random() < p_edge:
             g.add_edge(u, v, rng.randint(1, max_weight))
@@ -93,7 +93,7 @@ def test_graph_from_transactions_matches_add_edge_order(write_sets):
     expected = WeightedGraph()
     for ws in write_sets:
         for acc in ws:
-            expected.add_vertex(acc)
+            expected.adj.setdefault(acc, {})
         for a, b in itertools.combinations(ws, 2):
             expected.add_edge(a, b)
     txs = [Transaction(f"t{i}", i, tuple(ws)) for i, ws in enumerate(write_sets)]
@@ -134,7 +134,7 @@ def test_cut_weight_uncovered_vertex():
 
 def test_cut_weight_uncovered_isolated_vertex():
     g = WeightedGraph()
-    g.add_vertex("a")
+    g.adj.setdefault("a", {})
     with pytest.raises(UncoveredVertex):
         cut_weight(g, Partition({}, 1, 1))
 
@@ -170,8 +170,8 @@ def test_bruteforce_infeasible_cap():
 def test_bruteforce_tie_break_is_lexicographic():
     # two isolated vertices, k=2: both-zero beats any split of equal cut 0
     g = WeightedGraph()
-    g.add_vertex("a")
-    g.add_vertex("b")
+    g.adj.setdefault("a", {})
+    g.adj.setdefault("b", {})
     part = partition_bruteforce(g, 2, 2)
     assert part.assignment == {"a": 0, "b": 0}
 
@@ -322,7 +322,7 @@ def _partition_cases(draw):
     max_weight = draw(st.integers(1, 3))
     g = WeightedGraph()
     for v in names:
-        g.add_vertex(v)
+        g.adj.setdefault(v, {})
     for u, v in itertools.combinations(names, 2):
         if rng.random() < density:
             g.add_edge(u, v, rng.randint(1, max_weight))
