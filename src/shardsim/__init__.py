@@ -7,7 +7,6 @@ from .core import (
     Account,
     AlignmentBook,
     CostModel,
-    MappingService,
     MigrationOp,
     ShardState,
     Transaction,
@@ -23,7 +22,6 @@ __all__ = [
     "CostModel",
     "FinalSummary",
     "Livelock",
-    "MappingService",
     "MigrationOp",
     "RoundReport",
     "ShardState",

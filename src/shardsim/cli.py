@@ -27,6 +27,7 @@ from .workload import (
     SyntheticSpec,
     generate,
     load_trace,
+    undecodable_line,
 )
 
 # Every run and workload setting is a field of SimConfig or SyntheticSpec; the
@@ -93,21 +94,26 @@ def _parse_value(name: str, raw: str):
 
 def load_config_file(path) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in SETTINGS:
-                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                values[key] = _parse_value(key, raw.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{line_no}: {key}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        line_no, reason = undecodable_line(path)
+        raise ConfigError(f"{path}:{line_no}: {reason}") from None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in SETTINGS:
+            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        try:
+            values[key] = _parse_value(key, raw.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line_no}: {key}: {exc}") from None
     return values
 
 

@@ -1,7 +1,8 @@
 """Domain types shared by every placement policy.
 
-Accounts are identified by opaque hex strings.  The mapping service holds the
-authoritative account-to-shard assignment; shard states track per-round
+Accounts are identified by opaque hex strings.  The account-to-shard
+assignment (phi) is a plain dict that ``Simulation`` owns and admission
+rewrites through placements and migrations; shard states track per-round
 residual capacity and a rolling per-block load window, whose live block's load
 is always capacity_per_round - residual, so admission charges a shard by
 lowering its residual and nothing else; the alignment book
@@ -102,27 +103,6 @@ def field_type_error(instance) -> str | None:
     return None
 
 
-class MappingService:
-    """Total account-to-shard assignment (phi).
-
-    Readers look accounts up in ``assignment`` directly; writes go through
-    place and migrate, which check that the account is new or placed.
-    """
-
-    def __init__(self):
-        self.assignment: dict[AccountId, ShardId] = {}
-
-    def place(self, account: AccountId, shard: ShardId) -> None:
-        if account in self.assignment:
-            raise ValueError(f"account {account} already placed")
-        self.assignment[account] = shard
-
-    def migrate(self, account: AccountId, dest: ShardId) -> None:
-        if account not in self.assignment:
-            raise KeyError(account)
-        self.assignment[account] = dest
-
-
 class ShardState:
     """Per-round residual capacity plus a W-block rolling load window.
 
@@ -133,7 +113,7 @@ class ShardState:
     window_sum adds the live load to that sum.
     """
 
-    __slots__ = ("id", "capacity_per_round", "residual", "window", "_closed", "_closed_sum")
+    __slots__ = ("id", "capacity_per_round", "residual", "_closed", "_closed_sum")
 
     def __init__(self, shard_id: ShardId, capacity_per_round: int, window: int):
         if capacity_per_round <= 0 or window <= 0:
@@ -141,7 +121,6 @@ class ShardState:
         self.id = shard_id
         self.capacity_per_round = capacity_per_round
         self.residual = capacity_per_round
-        self.window = window
         self._closed = deque([0] * (window - 1), maxlen=window - 1)
         self._closed_sum = 0
 
@@ -231,7 +210,7 @@ class AlignmentBook:
 
 
 def update_alignments(
-    tx: Transaction, mapping: MappingService, cost_model: CostModel, book: AlignmentBook
+    tx: Transaction, assignment: dict, cost_model: CostModel, book: AlignmentBook
 ) -> None:
     """Apply the pairwise alignment rule from per-shard account counts.
 
@@ -240,7 +219,7 @@ def update_alignments(
     gains charge * |{b != a : shard(b) = s}| toward each shard s; no ordered
     pair of accounts is enumerated.
     """
-    shards = list(map(mapping.assignment.get, tx.write_set))
+    shards = list(map(assignment.get, tx.write_set))
     if None in shards:
         raise ValueError("update_alignments requires a fully placed write set")
     add = book.add

@@ -4,9 +4,10 @@ Each round tops up the fixed-size FIFO mempool from the workload, then admits
 pending transactions in arrival order against each shard's residual capacity,
 which is full again once the block advances.  Each is admitted atomically
 under its plan: the transaction charge plus all enabling migration charges
-either land together or not at all.  The scheduler plans against snapshots of
-the mapping and the live shard loads.  Deferred transactions stay in the
-mempool in arrival order.
+either land together or not at all, and the scheduler's placements and
+migrations are written into the account-to-shard dict, Simulation.assignment,
+only then.  The scheduler plans against snapshots of that dict and the live
+shard loads.  Deferred transactions stay in the mempool in arrival order.
 
 Every policy walks the one mempool queue in arrival order and skips work
 whose outcome is already decided.  The scheduler is the one policy object;
@@ -75,7 +76,6 @@ from .core import (
     Account,
     AlignmentBook,
     CostModel,
-    MappingService,
     ShardState,
     Transaction,
     field_type_error,
@@ -292,13 +292,13 @@ class Simulation:
         self.config = config
         self.workload = workload
         self.cost_model = CostModel(config.cross_shard_cost)
-        self.mapping = MappingService()
-        for acc, shard in (initial_assignment or {}).items():
+        # account -> shard (phi); admission writes placements and migrations
+        self.assignment: dict = dict(initial_assignment or {})
+        for acc, shard in self.assignment.items():
             if not isinstance(shard, int) or isinstance(shard, bool):
                 raise ConfigError(f"initial shard {shard!r} of account {acc!r} is not an int")
             if not 0 <= shard < config.k_shards:
                 raise ConfigError(f"initial shard {shard} of account {acc!r} out of range")
-            self.mapping.place(acc, shard)
         self.accounts = dict(accounts or {})  # account id -> Account (CA registry)
         for acc, account in self.accounts.items():
             if not isinstance(account, Account):
@@ -319,18 +319,18 @@ class Simulation:
         self.book = AlignmentBook(config.window)
         # hash and partition never plan: each static account is placed here
         self.policy = None if static else SchedulerPolicy(
-            config.k_shards, config.mode, config.ca_migration, config.refuse_migrations_from
+            config.mode, config.ca_migration, config.refuse_migrations_from
         )
-        assignment = self.mapping.assignment
+        assignment = self.assignment
         if config.policy == "partition":  # the table covers every workload account
             for acc, shard in self._precompute_partition().items():
                 if acc not in assignment:
-                    self.mapping.place(acc, shard)
+                    assignment[acc] = shard
         elif static:
             for tx in workload:
                 for acc in tx.write_set:
                     if acc not in assignment:
-                        self.mapping.place(acc, hash_place(acc, config.k_shards))
+                        assignment[acc] = hash_place(acc, config.k_shards)
         # static policies: footprint or ordered key -> lane index (see _lane),
         # each lane's shared plan, and whether that plan is cross-shard
         self._lanes: dict = {}
@@ -362,14 +362,13 @@ class Simulation:
         # The partition baseline reads the full workload before round 0.
         graph = graph_from_transactions(self.workload)
         cap = math.ceil(len(graph) / self.config.k_shards)
-        part = partition_greedy(graph, self.config.k_shards, cap, seed=self.config.seed)
-        return part.assignment
+        return partition_greedy(graph, self.config.k_shards, cap, seed=self.config.seed)
 
     # -- execution ---------------------------------------------------------
 
     def plan(self, tx: Transaction, loads: dict) -> TxPlan:
         return self.policy.plan(
-            tx, self.mapping, loads, self.book, self.cost_model, accounts=self.accounts
+            tx, self.assignment, loads, self.book, self.cost_model, accounts=self.accounts
         )
 
     def try_execute(self, tx: Transaction, plan: TxPlan) -> str:
@@ -391,15 +390,15 @@ class Simulation:
             if amount > shards[s].residual:
                 return DEFERRED
         if plan.migrations or plan.new_placements:  # lane and one-shard plans have neither
-            for acc, shard in plan.new_placements.items():
-                self.mapping.place(acc, shard)
+            assignment = self.assignment
+            assignment.update(plan.new_placements)
             for m in plan.migrations:
-                self.mapping.migrate(m.account, m.dest)
+                assignment[m.account] = m.dest
                 self.book.reset(m.account)  # alignment is dropped on migration
         for s, amount in required.items():
             shards[s].residual -= amount
         if self.policy is not None:  # only the scheduler reads alignment
-            update_alignments(tx, self.mapping, self.cost_model, self.book)
+            update_alignments(tx, self.assignment, self.cost_model, self.book)
         fees = self._round_fees
         if fees is not None:  # run() credits the round's tally once per shard
             fee = tx.fee or self.config.default_fee
@@ -420,7 +419,7 @@ class Simulation:
         which admission looks up first and which no footprint key equals, so
         write sets that order the same shards differently share one lane.
         The run-boundary refusal reads a heavy transaction's shards here."""
-        assigned = tuple(map(self.mapping.assignment.get, tx.write_set))
+        assigned = tuple(map(self.assignment.get, tx.write_set))
         shards = frozenset(assigned)
         key = (shards, tx.base_cost)
         lane = self._lanes.get(key)
@@ -451,7 +450,7 @@ class Simulation:
         lanes, self._lane_queue = self._lane_queue, deque()
         file_lane = lanes.append
         lane_of = self._lanes.get
-        shard_of = self.mapping.assignment.get
+        shard_of = self.assignment.get
         for tx in islice(pending, len(lanes), None):  # the round's arrivals
             lane = lane_of((*map(shard_of, tx.write_set), tx.base_cost))
             file_lane(self._lane(tx) if lane is None else lane)
@@ -476,7 +475,7 @@ class Simulation:
     def _admit_fifo(self, round_index: int, latencies: list) -> tuple[int, int]:
         """Plan and admit the scheduler's pending transactions in arrival order."""
         shards = self.shards
-        assignment = self.mapping.assignment
+        assignment = self.assignment
         first_seen = self.mempool.first_seen
         loads = LiveLoads(shards)
         migrations = cross = 0

@@ -1,24 +1,22 @@
 """Weighted balanced k-way graph partitioning.
 
-Implements the offline partitioning used by the partition baseline policy:
-heavy-edge coarsening followed by greedy single-vertex refinement moves under
-a hard per-cluster vertex cap.  Coarsening matches each vertex with its
-heaviest unmatched neighbour that fits the merge limit, ties going to the
-smallest name; the initial assignment puts each coarse node in the cluster
-with the highest gain that has room, then the smallest, then the lowest
-index.  Each choice is one linear scan.  A brute-force enumerator serves as
-the exact oracle for small instances.
+Implements the offline partitioning used by the partition baseline policy.
+A graph is an adjacency dict, vertex -> {neighbour: weight}, that stores each
+undirected edge under both ends, with positive integer weights and no
+self-loops; a partition is an assignment dict, vertex -> cluster index in
+[0, k).  Heavy-edge coarsening is followed by greedy single-vertex
+refinement moves under a hard per-cluster vertex cap.  Coarsening matches
+each vertex with its heaviest unmatched neighbour that fits the merge limit,
+ties going to the smallest name; the initial assignment puts each coarse node
+in the cluster with the highest gain that has room, then the smallest, then
+the lowest index.  Each choice is one linear scan.  A brute-force enumerator
+serves as the exact oracle for small instances.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-
-
-class SelfLoop(Exception):
-    pass
 
 
 class UncoveredVertex(Exception):
@@ -33,50 +31,22 @@ class TooLarge(Exception):
     pass
 
 
-class WeightedGraph:
-    """Undirected graph with positive integer edge weights, no self-loops."""
-
-    def __init__(self):
-        self.adj: dict = {}  # vertex -> {neighbor: weight}
-
-    @property
-    def vertices(self):
-        return self.adj.keys()
-
-    def add_edge(self, u, v, weight: int = 1) -> None:
-        if u == v:
-            raise SelfLoop(f"self-loop on {u!r}")
-        if weight < 1:
-            raise ValueError("edge weight must be >= 1")
-        self.adj.setdefault(u, {})[v] = self.adj.get(u, {}).get(v, 0) + weight
-        self.adj.setdefault(v, {})[u] = self.adj[u][v]
-
-    def edges(self):
-        for u, nbrs in self.adj.items():
-            for v, w in nbrs.items():
-                if u < v:
-                    yield u, v, w
-
-    def __len__(self):
-        return len(self.adj)
+def _edges(adj: dict):
+    """Each edge of adj once, as (u, v, weight) with u < v."""
+    for u, nbrs in adj.items():
+        for v, w in nbrs.items():
+            if u < v:
+                yield u, v, w
 
 
-@dataclass
-class Partition:
-    assignment: dict  # vertex -> cluster index
-    k: int
-    balance_cap: int
-
-
-def graph_from_transactions(txs) -> WeightedGraph:
+def graph_from_transactions(txs) -> dict:
     """Co-occurrence graph: edge weight counts write-set pairings.
 
-    Vertices and neighbours appear in ``adj`` in order of first occurrence,
-    as if every pairing were added with ``add_edge``; Simulation accepts only
+    Vertices and neighbours appear in order of first occurrence, as if every
+    pairing were added to the dict one at a time; Simulation accepts only
     write sets of distinct accounts, so no pairing is a self-loop.
     """
-    g = WeightedGraph()
-    adj = g.adj
+    adj = {}
     pairs = {}  # (u, v) with u < v -> weight, in order of first pairing
     for tx in txs:
         ws = tx.write_set
@@ -89,35 +59,34 @@ def graph_from_transactions(txs) -> WeightedGraph:
     for (u, v), weight in pairs.items():
         adj[u][v] = weight
         adj[v][u] = weight
-    return g
+    return adj
 
 
-def cut_weight(graph: WeightedGraph, partition: Partition) -> int:
+def cut_weight(adj: dict, assignment: dict) -> int:
     total = 0
-    assignment = partition.assignment
-    for u, v, w in graph.edges():
+    for u, v, w in _edges(adj):
         if u not in assignment or v not in assignment:
             raise UncoveredVertex(u if u not in assignment else v)
         if assignment[u] != assignment[v]:
             total += w
-    for v in graph.vertices:
+    for v in adj:
         if v not in assignment:
             raise UncoveredVertex(v)
     return total
 
 
-def partition_bruteforce(graph: WeightedGraph, k: int, balance_cap: int) -> Partition:
-    """Exact minimum-cut feasible partition by exhaustive enumeration.
+def partition_bruteforce(adj: dict, k: int, balance_cap: int) -> dict:
+    """Exact minimum-cut feasible assignment by exhaustive enumeration.
 
     Ties break toward the lexicographically smallest assignment vector over
     the sorted vertex order.  Only meant for graphs with at most 12 vertices.
     """
-    vertices = sorted(graph.vertices)
+    vertices = sorted(adj)
     if len(vertices) > 12:
         raise TooLarge(f"{len(vertices)} vertices exceeds the enumeration budget")
     if k < 1 or balance_cap * k < len(vertices):
         raise Infeasible("balance cap times k below vertex count")
-    edge_list = [(vertices.index(u), vertices.index(v), w) for u, v, w in graph.edges()]
+    edge_list = [(vertices.index(u), vertices.index(v), w) for u, v, w in _edges(adj)]
     best = None
     best_cut = None
     for labels in itertools.product(range(k), repeat=len(vertices)):
@@ -134,7 +103,7 @@ def partition_bruteforce(graph: WeightedGraph, k: int, balance_cap: int) -> Part
         if best_cut is None or cut < best_cut:
             best_cut = cut
             best = labels
-    return Partition(dict(zip(vertices, best)) if best else {}, k, balance_cap)
+    return dict(zip(vertices, best))
 
 
 def _coarsen(adj: dict, node_weight: dict, balance_cap: int):
@@ -241,23 +210,21 @@ def _refine(adj, node_weight, assignment, k, balance_cap, rng, max_passes=8):
     return assignment
 
 
-def partition_greedy(graph: WeightedGraph, k: int, balance_cap: int, seed: int = 0) -> Partition:
+def partition_greedy(adj: dict, k: int, balance_cap: int, seed: int = 0) -> dict:
     """Heavy-edge coarsening plus greedy boundary refinement.
 
-    Deterministic for a fixed seed; output always respects the vertex cap.
+    Deterministic for a fixed seed; the assignment always respects the vertex
+    cap.  adj is read only: every level builds new maps.
     """
-    n = len(graph)
+    n = len(adj)
     if k < 1:
         raise ValueError("k must be positive")
     if balance_cap * k < n:
         raise Infeasible("balance cap times k below vertex count")
-    if n == 0:
-        return Partition({}, k, balance_cap)
     if k == 1:
-        return Partition({v: 0 for v in graph.vertices}, k, balance_cap)
+        return dict.fromkeys(adj, 0)
 
     rng = random.Random(seed)
-    adj = graph.adj  # read only: every level builds new maps
     weight = {v: 1 for v in adj}
     levels = []  # (fine_adj, fine_weight, rep) per coarsening step
     while len(adj) > max(2 * k, 16):
@@ -281,4 +248,4 @@ def partition_greedy(graph: WeightedGraph, k: int, balance_cap: int, seed: int =
     for fine_adj, fine_weight, rep in reversed(levels):
         assignment = {v: assignment[r] for v, r in rep.items()}
         assignment = _refine(fine_adj, fine_weight, assignment, k, balance_cap, rng)
-    return Partition(assignment, k, balance_cap)
+    return assignment

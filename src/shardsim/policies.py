@@ -6,10 +6,10 @@ policy object: they never migrate, and the engine places every account before
 round 0 on its initial shard, else its partition table shard under partition,
 else ``hash_place(account, k)``.  The scheduler plans each
 transaction as a pure function of the transaction plus snapshots of the
-mapping, the published shard loads, and the alignment totals, so any plan can
-be replayed and verified bit-for-bit.  ``SchedulerPolicy.never_migrates`` is
-its one rule for an account that stays put: the account stays and its shard
-joins the final shards.
+account-to-shard dict, the published shard loads, and the alignment totals,
+so any plan can be replayed and verified bit-for-bit.
+``SchedulerPolicy.never_migrates`` is its one rule for an account that stays
+put: the account stays and its shard joins the final shards.
 
 Plans are read-only.  A transaction that runs where its accounts are, with
 nothing to place or migrate, gets ``footprint_plan``: the scheduler shares one
@@ -27,7 +27,6 @@ from .core import (
     AccountId,
     AlignmentBook,
     CostModel,
-    MappingService,
     MigrationOp,
     ShardId,
     Transaction,
@@ -86,13 +85,11 @@ def should_migrate(current: ShardId, totals: dict, c_cross: int) -> bool:
 class SchedulerPolicy:
     """Load-based main-shard selection plus alignment-gated migrations."""
 
-    def __init__(self, k: int, mode: str = MODE_2PC, ca_migration: bool = False,
+    def __init__(self, mode: str = MODE_2PC, ca_migration: bool = False,
                  refuse_migrations_from: frozenset = frozenset()):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        self.k = k
         self.mode = mode
-        self.ca_migration = ca_migration
         # scripted adversary: an account on one of these shards never migrates
         self.refuse_migrations_from = refuse_migrations_from
         self._contracts_stay = mode == MODE_2PC and not ca_migration
@@ -108,14 +105,14 @@ class SchedulerPolicy:
     def plan(
         self,
         tx: Transaction,
-        mapping: MappingService,
+        assignment: dict,
         loads: dict,
         book: AlignmentBook,
         cost_model: CostModel,
         accounts: dict | None = None,
     ) -> TxPlan:
         # A write set placed on one shard runs there: its shared plan.
-        placed = list(map(mapping.assignment.get, tx.write_set))
+        placed = list(map(assignment.get, tx.write_set))
         own = placed[0]
         if own is not None and placed.count(own) == len(placed):
             key = (own, tx.base_cost)

@@ -169,6 +169,24 @@ def _parse_fields(line: str, line_no: int, tokens: dict) -> tuple:
     return block, tx_id, fee, tuple(accounts), contracts
 
 
+def undecodable_line(path) -> tuple[int, str]:
+    """(line number, reason) of the first line of path that is not UTF-8.
+
+    Read only after decoding path as UTF-8 text has failed, so the normal
+    path pays nothing for it.  Lines split at \\n, \\r or \\r\\n, as
+    text mode splits them, and no newline byte occurs inside a UTF-8
+    sequence, so the failing line is the one the text read stopped in.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return line_no, f"not UTF-8: {exc}"
+    raise ValueError(f"{path} decodes as UTF-8")
+
+
 def load_trace(path) -> tuple[list[Transaction], dict]:
     """Load a trace file.
 
@@ -182,13 +200,16 @@ def load_trace(path) -> tuple[list[Transaction], dict]:
     rows = []  # (block, tx_id, fee, accounts, contracts) per record
     line_nos = []  # the line of each record
     tokens = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append(_parse_fields(line, line_no, tokens))
-            line_nos.append(line_no)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                rows.append(_parse_fields(line, line_no, tokens))
+                line_nos.append(line_no)
+    except UnicodeDecodeError:
+        raise ParseError(*undecodable_line(path)) from None
     ids = [row[1] for row in rows]
     if len(set(ids)) != len(ids):  # walk again only to name the first repeat
         first_line = {}  # tx_id -> line of its first occurrence

@@ -113,7 +113,7 @@ def reference_run(cfg, txs, initial, contracts) -> ReferenceRun:
     table = {}  # the partition baseline reads the whole workload before round 0
     if cfg.policy == "partition":
         graph = graph_from_transactions(txs)
-        table = partition_greedy(graph, k, math.ceil(len(graph) / k), seed=cfg.seed).assignment
+        table = partition_greedy(graph, k, math.ceil(len(graph) / k), seed=cfg.seed)
     shard_of = None if cfg.policy == "scheduler" else lambda a: table.get(a, hash_place(a, k))
     mapping = dict(initial)
     # A static footprint never changes.  Under the scheduler an account placed
@@ -302,9 +302,9 @@ def check_engine_against_reference(case) -> str:
         assert sim.ledger.balances == ref.ledger.balances
         assert sim.ledger.shard_collected == ref.ledger.shard_collected
     if cfg.policy == "scheduler":
-        assert sim.mapping.assignment == ref.mapping
+        assert sim.assignment == ref.mapping
         book = {a: sim.book.totals(a) for a in ref.mapping if sim.book.totals(a)}
         assert book == ref.alignment
     else:  # the engine places every static account before round 0, the reference at admission
-        assert sim.mapping.assignment.items() >= ref.mapping.items()
+        assert sim.assignment.items() >= ref.mapping.items()
     return ref.outcome

@@ -11,6 +11,7 @@ import itertools
 import os
 import random
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -34,14 +35,9 @@ from shardsim.economics import (
     record_fee,
     shuffle_epoch,
 )
-from shardsim.partitioner import (
-    WeightedGraph,
-    cut_weight,
-    partition_bruteforce,
-    partition_greedy,
-)
+from shardsim.partitioner import cut_weight, partition_bruteforce, partition_greedy
 from shardsim.policies import MODES, POLICY_KINDS, SchedulerPolicy
-from shardsim.core import CA, AlignmentBook, CostModel, MappingService
+from shardsim.core import CA, AlignmentBook, CostModel
 from shardsim.workload import SyntheticSpec, generate
 
 
@@ -224,13 +220,11 @@ def test_criterion_7_partitioner_oracle(announce):
     ok = True
     for trial in range(200):
         n = rng.randint(2, 10)
-        g = WeightedGraph()
         names = [f"v{i}" for i in range(n)]
-        for v in names:
-            g.adj.setdefault(v, {})
+        g = {v: {} for v in names}
         for u, v in itertools.combinations(names, 2):
             if rng.random() < 0.45:
-                g.add_edge(u, v, rng.randint(1, 9))
+                g[u][v] = g[v][u] = rng.randint(1, 9)
         k = 2 if n < 6 else rng.choice((2, 3))
         cap = -(-n // k) + rng.randint(0, 1)
         exact = cut_weight(g, partition_bruteforce(g, k, cap))
@@ -238,13 +232,13 @@ def test_criterion_7_partitioner_oracle(announce):
         ok &= greedy >= exact
     # planted structure: two cliques joined by one bridge must cut exactly it
     for size in (3, 4, 5, 6):
-        g = WeightedGraph()
         left = [f"l{i}" for i in range(size)]
         right = [f"r{i}" for i in range(size)]
+        g = {v: {} for v in left + right}
         for group in (left, right):
             for u, v in itertools.combinations(group, 2):
-                g.add_edge(u, v, 1)
-        g.add_edge(left[0], right[0], 1)
+                g[u][v] = g[v][u] = 1
+        g[left[0]][right[0]] = g[right[0]][left[0]] = 1
         ok &= cut_weight(g, partition_greedy(g, 2, size, seed=0)) == 1
     announce(7, "greedy cut vs brute-force oracle", ok)
     assert ok
@@ -252,14 +246,6 @@ def test_criterion_7_partitioner_oracle(announce):
 
 # ---------------------------------------------------------------------------
 # 8. determinism: byte-identical CSVs and replayable plans
-
-
-class _FrozenMapping:
-    def __init__(self, assignment):
-        self.assignment = assignment
-
-    def get(self, account):
-        return self.assignment.get(account)
 
 
 class _FrozenBook:
@@ -277,7 +263,7 @@ class _RecordingSimulation(Simulation):
 
     def plan(self, tx, loads):
         snapshot = (
-            dict(self.mapping.assignment),
+            dict(self.assignment),
             {s: loads[s] for s in loads.keys()},
             {a: dict(self.book.totals(a)) for a in tx.write_set},
         )
@@ -310,7 +296,7 @@ def test_criterion_8_determinism(announce, tmp_path):
     replayable = bool(sim.records)
     for tx, (assignment, loads, totals), recorded in sim.records:
         replayed = sim.policy.plan(
-            tx, _FrozenMapping(assignment), loads, _FrozenBook(totals),
+            tx, MappingProxyType(assignment), loads, _FrozenBook(totals),
             sim.cost_model, accounts=sim.accounts,
         )
         replayable &= replayed == recorded
@@ -445,14 +431,11 @@ def test_criterion_10_micro_scenarios(announce):
     )
 
     # (b) worked scheduler plan: main shard selection plus one migration
-    phi = MappingService()
-    phi.place("aa", 0)
-    phi.place("bb", 1)
     book = AlignmentBook(10)
     book.add("aa", 0, 1)
     book.add("aa", 1, 8)
-    plan = SchedulerPolicy(2).plan(
-        Transaction("t0", 0, ("aa", "bb")), phi, {0: 90, 1: 20}, book, CostModel(2)
+    plan = SchedulerPolicy().plan(
+        Transaction("t0", 0, ("aa", "bb")), {"aa": 0, "bb": 1}, {0: 90, 1: 20}, book, CostModel(2)
     )
     plan_ok = (
         plan.new_placements == {}

@@ -323,6 +323,27 @@ def test_malformed_trace_errors(tmp_path):
     assert main(["run", "--trace", str(trace), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("lead", [1, 2000])
+def test_non_utf8_trace_names_its_line(tmp_path, capsys, lead):
+    # 2,000 leading records put the bad byte past the first block that text
+    # mode decodes, so the reported line counts from the start of the file
+    trace = tmp_path / "t.txt"
+    records = b"".join(b"0 t%d 1 aa\n" % i for i in range(lead))
+    trace.write_bytes(records + b"0 tx 1 bb,\xffcc\n")
+    assert main(["run", "--trace", str(trace), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: line {lead + 1}: not UTF-8: " in err and "0xff" in err
+
+
+def test_non_utf8_config_names_its_line(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"shards = 2\r\n# caf\xe9\r\npolicy = hash\r\n")
+    assert main(["run", "--config", str(config), "--synthetic", "zipf_hotspot",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {config}:2: not UTF-8: " in err and "0xe9" in err
+
+
 def test_bad_flag_exits_one(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--policy", "nope", "--out", str(tmp_path)])

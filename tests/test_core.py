@@ -9,7 +9,6 @@ from shardsim.core import (
     Account,
     AlignmentBook,
     CostModel,
-    MappingService,
     MigrationOp,
     ShardState,
     Transaction,
@@ -53,30 +52,6 @@ def test_migration_cost_eoa_and_ca():
     assert model.migration_cost(None) == 2
     assert model.migration_cost(Account("aa")) == 2
     assert model.migration_cost(Account("bb", kind=CA, size=5)) == 10
-
-
-# ---------------------------------------------------------------------------
-# mapping service
-
-
-def test_mapping_place_and_migrate():
-    phi = MappingService()
-    phi.place("aa", 3)
-    assert phi.assignment == {"aa": 3}
-    phi.migrate("aa", 1)
-    assert phi.assignment == {"aa": 1}
-
-
-def test_mapping_rejects_double_place():
-    phi = MappingService()
-    phi.place("aa", 0)
-    with pytest.raises(ValueError):
-        phi.place("aa", 1)
-
-
-def test_mapping_migrate_unknown_account():
-    with pytest.raises(KeyError):
-        MappingService().migrate("aa", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +222,7 @@ def test_alignment_totals_match_bucket_oracle(events, window):
 
 def test_two_account_cross_shard_update():
     # a in shard 0, b in shard 1, c_cross=2: each gains 2 toward the other
-    phi = MappingService()
-    phi.place("aa", 0)
-    phi.place("bb", 1)
+    phi = {"aa": 0, "bb": 1}
     book = AlignmentBook(window=10)
     update_alignments(Transaction("t0", 0, ("aa", "bb")), phi, CostModel(2), book)
     assert book.totals("aa") == {1: 2}
@@ -258,10 +231,7 @@ def test_two_account_cross_shard_update():
 
 def test_three_account_update_mixed_shards():
     # x, y in shard 0, z in shard 1, c_cross=2
-    phi = MappingService()
-    phi.place("x0", 0)
-    phi.place("y0", 0)
-    phi.place("z0", 1)
+    phi = {"x0": 0, "y0": 0, "z0": 1}
     book = AlignmentBook(window=10)
     update_alignments(Transaction("t0", 0, ("x0", "y0", "z0")), phi, CostModel(2), book)
     assert book.totals("x0") == {0: 2, 1: 2}
@@ -270,17 +240,14 @@ def test_three_account_update_mixed_shards():
 
 
 def test_intra_shard_update_uses_base_cost():
-    phi = MappingService()
-    phi.place("aa", 3)
-    phi.place("bb", 3)
+    phi = {"aa": 3, "bb": 3}
     book = AlignmentBook(window=10)
     update_alignments(Transaction("t0", 0, ("aa", "bb")), phi, CostModel(5), book)
     assert book.totals("aa") == {3: 1}
 
 
 def test_update_requires_placed_accounts():
-    phi = MappingService()
-    phi.place("aa", 0)
+    phi = {"aa": 0}
     with pytest.raises(ValueError):
         update_alignments(
             Transaction("t0", 0, ("aa", "bb")), phi, CostModel(2), AlignmentBook(10)
@@ -300,14 +267,11 @@ def test_pairwise_update_matches_oracle(n_accounts, shard_seed, c_cross, base_co
     rng = random.Random(shard_seed)
     accounts = [f"a{i:02d}" for i in range(n_accounts)]
     shard_of = {acc: rng.randrange(4) for acc in accounts}
-    phi = MappingService()
-    for acc, shard in shard_of.items():
-        phi.place(acc, shard)
     model = CostModel(c_cross)
     charge = model.per_shard_charge(base_cost, len(set(shard_of.values())))
     book = AlignmentBook(window=10)
     tx = Transaction("t0", 0, tuple(accounts), base_cost=base_cost)
-    update_alignments(tx, phi, model, book)
+    update_alignments(tx, shard_of, model, book)
     expected = pairwise_deltas(accounts, shard_of, charge)
     for acc in accounts:
         assert book.totals(acc) == expected[acc]

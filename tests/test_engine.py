@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, replace
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -249,7 +250,7 @@ def test_migration_charges_source_and_dest():
     assert sim.try_execute(tx, plan) == "executed"
     assert sim.shards[0].residual == 10 - 2
     assert sim.shards[1].residual == 10 - 3
-    assert sim.mapping.assignment["aa"] == 1
+    assert sim.assignment["aa"] == 1
 
 
 @pytest.mark.parametrize("source_residual,dest_residual,expected",
@@ -266,10 +267,10 @@ def test_deferred_transaction_mutates_nothing():
     sim, tx = _single_shard_pair_sim()
     plan = sim.plan(tx, {0: 90, 1: 20})
     sim.shards[0].residual = 0
-    before_mapping = dict(sim.mapping.assignment)
+    before_mapping = dict(sim.assignment)
     before_totals = dict(sim.book.totals("aa"))
     assert sim.try_execute(tx, plan) == "deferred"
-    assert sim.mapping.assignment == before_mapping
+    assert sim.assignment == before_mapping
     assert sim.book.totals("aa") == before_totals
     assert sim.shards[1].residual == 10
 
@@ -422,7 +423,7 @@ def test_lane_queue_follows_the_mempool(policy):
     assert len({tx.base_cost for tx in pending}) == 3
     for tx, lane in zip(pending, lanes):
         plan = sim._lane_plans[lane]
-        shards = {sim.mapping.assignment[acc] for acc in tx.write_set}
+        shards = {sim.assignment[acc] for acc in tx.write_set}
         charge = sim.cost_model.per_shard_charge(tx.base_cost, len(shards))
         assert plan.final_shards == shards
         assert plan.per_shard_charges == dict.fromkeys(sorted(shards), charge)
@@ -440,7 +441,7 @@ def test_unadmittable_transaction_raises_livelock(max_rounds):
     sim = Simulation(cfg, txs, accounts={a: Account(a, kind=CA) for a in ("aa", "bb")})
     with pytest.raises(Livelock, match=r"'t2' \(pending since round 1\)"):
         sim.run()
-    assert sim.mapping.assignment == {"aa": 0, "bb": 1}
+    assert sim.assignment == {"aa": 0, "bb": 1}
     # rounds 0 and 1 admit t0 and t1 and top up t2; the window + 1 idle
     # rounds after them prove the fixed point
     assert len(sim.reports) == 2 + cfg.window + 1
@@ -513,13 +514,13 @@ def test_static_cross_shard_charge_over_capacity_is_refused(policy, max_rounds):
 def test_partition_table_places_what_the_initial_placement_left():
     txs = _unit_txs(30, accounts_per_tx=2)
     cfg = SimConfig(k_shards=4, shard_capacity=5, policy="partition", seed=0)
-    table = Simulation(cfg, txs).mapping.assignment
+    table = Simulation(cfg, txs).assignment
     # the table covers every workload account, so none is left to hash
     assert table.keys() == {acc for tx in txs for acc in tx.write_set}
     first = txs[0].write_set[0]
     initial = {first: (table[first] + 1) % 4}
     sim = Simulation(cfg, txs, initial_assignment=initial)
-    assert sim.mapping.assignment == {**table, **initial}
+    assert sim.assignment == {**table, **initial}
 
 
 @pytest.mark.parametrize("policy", ["hash", "partition"])
@@ -529,23 +530,21 @@ def test_static_accounts_are_placed_before_round_0(policy):
     txs = _unit_txs(30, accounts_per_tx=2)
     cfg = SimConfig(k_shards=4, shard_capacity=5, policy=policy, seed=0)
     graph = graph_from_transactions(txs)
-    table = (partition_greedy(graph, 4, math.ceil(len(graph) / 4), seed=0).assignment
+    table = (partition_greedy(graph, 4, math.ceil(len(graph) / 4), seed=0)
              if policy == "partition" else {})
     first = txs[0].write_set[0]
     initial = {first: min({0, 1, 2, 3} - {table.get(first), hash_place(first, 4)})}
     sim = Simulation(cfg, txs, initial_assignment=initial)
     accounts = {acc for tx in txs for acc in tx.write_set}
-    assert sim.mapping.assignment == {
+    assert sim.assignment == {
         acc: initial[acc] if acc in initial else table.get(acc, hash_place(acc, 4))
         for acc in accounts
     }
-    before = dict(sim.mapping.assignment)
-    writes = []
-    sim.mapping.place = lambda *args: writes.append(("place", args))
-    sim.mapping.migrate = lambda *args: writes.append(("migrate", args))
+    before = dict(sim.assignment)
+    sim.assignment = MappingProxyType(dict(before))  # any write by the run raises
     _, summary = sim.run()
     assert summary.executed == len(txs)
-    assert writes == [] and sim.mapping.assignment == before
+    assert sim.assignment == before
 
 
 @pytest.mark.parametrize("policy", ["hash", "scheduler"])

@@ -13,11 +13,8 @@ from shardsim import partitioner
 from shardsim.core import Transaction
 from shardsim.partitioner import (
     Infeasible,
-    Partition,
-    SelfLoop,
     TooLarge,
     UncoveredVertex,
-    WeightedGraph,
     cut_weight,
     graph_from_transactions,
     partition_bruteforce,
@@ -25,50 +22,46 @@ from shardsim.partitioner import (
 )
 
 
+def _add_edge(adj, u, v, weight=1):
+    """Add weight to the undirected edge u-v, creating its ends in that order."""
+    adj.setdefault(u, {})[v] = adj.get(u, {}).get(v, 0) + weight
+    adj.setdefault(v, {})[u] = adj[u][v]
+
+
+def _edges(adj):
+    return [(u, v, w) for u, nbrs in adj.items() for v, w in nbrs.items() if u < v]
+
+
 def _random_graph(rng, n_vertices, p_edge=0.4, max_weight=9):
-    g = WeightedGraph()
     names = [f"v{i:02d}" for i in range(n_vertices)]
-    for v in names:
-        g.adj.setdefault(v, {})
+    g = {v: {} for v in names}
     for u, v in itertools.combinations(names, 2):
         if rng.random() < p_edge:
-            g.add_edge(u, v, rng.randint(1, max_weight))
+            _add_edge(g, u, v, rng.randint(1, max_weight))
     return g
 
 
-def _largest_cluster(part):
+def _largest_cluster(assignment, k):
     """Vertex count of the largest cluster; every cluster index is in [0, k)."""
-    sizes = Counter(part.assignment.values())
-    assert set(sizes) <= set(range(part.k))
+    sizes = Counter(assignment.values())
+    assert set(sizes) <= set(range(k))
     return max(sizes.values())
 
 
 def _two_cliques_with_bridge(size, weight=1):
     """Two complete graphs joined by a single bridge edge."""
-    g = WeightedGraph()
+    g = {}
     left = [f"l{i}" for i in range(size)]
     right = [f"r{i}" for i in range(size)]
     for group in (left, right):
         for u, v in itertools.combinations(group, 2):
-            g.add_edge(u, v, weight)
-    g.add_edge(left[0], right[0], weight)
+            _add_edge(g, u, v, weight)
+    _add_edge(g, left[0], right[0], weight)
     return g, left, right
 
 
 # ---------------------------------------------------------------------------
 # graph basics
-
-
-def test_add_edge_accumulates_weight():
-    g = WeightedGraph()
-    g.add_edge("a", "b", 2)
-    g.add_edge("a", "b", 3)
-    assert g.adj["a"]["b"] == g.adj["b"]["a"] == 5
-
-
-def test_self_loop_rejected():
-    with pytest.raises(SelfLoop):
-        WeightedGraph().add_edge("a", "a")
 
 
 def test_graph_from_transactions_counts_pairings():
@@ -78,10 +71,10 @@ def test_graph_from_transactions_counts_pairings():
         Transaction("t2", 2, ("d",)),
     ]
     g = graph_from_transactions(txs)
-    assert g.adj["a"]["b"] == 2
-    assert g.adj["a"]["c"] == 1
-    assert g.adj["b"]["c"] == 1
-    assert "d" in g.vertices and not g.adj["d"]
+    assert g["a"]["b"] == 2
+    assert g["a"]["c"] == 1
+    assert g["b"]["c"] == 1
+    assert "d" in g and not g["d"]
 
 
 @given(write_sets=st.lists(
@@ -89,17 +82,17 @@ def test_graph_from_transactions_counts_pairings():
 @settings(max_examples=200, deadline=None)
 def test_graph_from_transactions_matches_add_edge_order(write_sets):
     # partition_greedy walks adj in insertion order, so the order must match
-    # a graph built pairing by pairing through the checked API
-    expected = WeightedGraph()
+    # a graph accumulated pairing by pairing
+    expected = {}
     for ws in write_sets:
         for acc in ws:
-            expected.adj.setdefault(acc, {})
+            expected.setdefault(acc, {})
         for a, b in itertools.combinations(ws, 2):
-            expected.add_edge(a, b)
+            _add_edge(expected, a, b)
     txs = [Transaction(f"t{i}", i, tuple(ws)) for i, ws in enumerate(write_sets)]
-    got = graph_from_transactions(txs).adj
+    got = graph_from_transactions(txs)
     assert [(v, list(nbrs.items())) for v, nbrs in got.items()] == [
-        (v, list(nbrs.items())) for v, nbrs in expected.adj.items()
+        (v, list(nbrs.items())) for v, nbrs in expected.items()
     ]
 
 
@@ -109,34 +102,31 @@ def test_graph_from_transactions_matches_add_edge_order(write_sets):
 
 def test_cut_weight_single_cluster_is_zero():
     g = _random_graph(random.Random(0), 6)
-    part = Partition({v: 0 for v in g.vertices}, 1, 6)
-    assert cut_weight(g, part) == 0
+    assert cut_weight(g, dict.fromkeys(g, 0)) == 0
 
 
 def test_cut_weight_bridge_only():
     g, left, right = _two_cliques_with_bridge(3)
     assignment = {v: 0 for v in left} | {v: 1 for v in right}
-    assert cut_weight(g, Partition(assignment, 2, 3)) == 1
+    assert cut_weight(g, assignment) == 1
 
 
 def test_cut_weight_single_edge():
-    g = WeightedGraph()
-    g.add_edge("a", "b", 5)
-    assert cut_weight(g, Partition({"a": 0, "b": 1}, 2, 1)) == 5
+    g = {}
+    _add_edge(g, "a", "b", 5)
+    assert cut_weight(g, {"a": 0, "b": 1}) == 5
 
 
 def test_cut_weight_uncovered_vertex():
-    g = WeightedGraph()
-    g.add_edge("a", "b", 1)
+    g = {}
+    _add_edge(g, "a", "b", 1)
     with pytest.raises(UncoveredVertex):
-        cut_weight(g, Partition({"a": 0}, 2, 1))
+        cut_weight(g, {"a": 0})
 
 
 def test_cut_weight_uncovered_isolated_vertex():
-    g = WeightedGraph()
-    g.adj.setdefault("a", {})
     with pytest.raises(UncoveredVertex):
-        cut_weight(g, Partition({}, 1, 1))
+        cut_weight({"a": {}}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +142,7 @@ def test_bruteforce_finds_bridge_cut():
 def test_bruteforce_respects_balance_cap():
     g = _random_graph(random.Random(1), 6)
     part = partition_bruteforce(g, 3, 2)
-    assert _largest_cluster(part) <= 2
+    assert _largest_cluster(part, 3) <= 2
 
 
 def test_bruteforce_too_large():
@@ -169,11 +159,7 @@ def test_bruteforce_infeasible_cap():
 
 def test_bruteforce_tie_break_is_lexicographic():
     # two isolated vertices, k=2: both-zero beats any split of equal cut 0
-    g = WeightedGraph()
-    g.adj.setdefault("a", {})
-    g.adj.setdefault("b", {})
-    part = partition_bruteforce(g, 2, 2)
-    assert part.assignment == {"a": 0, "b": 0}
+    assert partition_bruteforce({"a": {}, "b": {}}, 2, 2) == {"a": 0, "b": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +173,8 @@ def test_greedy_respects_balance_cap():
         k = rng.randint(2, 5)
         cap = -(-len(g) // k) + rng.randint(0, 2)
         part = partition_greedy(g, k, cap, seed=0)
-        assert _largest_cluster(part) <= cap
-        assert set(part.assignment) == set(g.vertices)
+        assert _largest_cluster(part, k) <= cap
+        assert set(part) == set(g)
 
 
 def test_greedy_never_beats_bruteforce():
@@ -213,15 +199,15 @@ def test_greedy_exact_on_planted_bridges():
 
 def test_greedy_is_deterministic():
     g = _random_graph(random.Random(4), 50)
-    a = partition_greedy(g, 4, 15, seed=9).assignment
-    b = partition_greedy(g, 4, 15, seed=9).assignment
+    a = partition_greedy(g, 4, 15, seed=9)
+    b = partition_greedy(g, 4, 15, seed=9)
     assert a == b
 
 
 def test_greedy_k1_and_empty():
     g = _random_graph(random.Random(5), 8)
-    assert set(partition_greedy(g, 1, 8).assignment.values()) == {0}
-    assert partition_greedy(WeightedGraph(), 3, 1).assignment == {}
+    assert set(partition_greedy(g, 1, 8).values()) == {0}
+    assert partition_greedy({}, 3, 1) == {}
 
 
 def test_greedy_infeasible_cap():
@@ -234,8 +220,8 @@ def test_greedy_scales_past_coarsening_threshold():
     # enough vertices to force at least one coarsening level
     g = _random_graph(random.Random(7), 120, p_edge=0.08)
     part = partition_greedy(g, 4, 35, seed=0)
-    assert set(part.assignment) == set(g.vertices)
-    assert _largest_cluster(part) <= 35
+    assert set(part) == set(g)
+    assert _largest_cluster(part, 4) <= 35
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6))
@@ -247,9 +233,7 @@ def test_greedy_cut_matches_recount(seed):
     cap = -(-len(g) // k) + 1
     part = partition_greedy(g, k, cap, seed=seed)
     # cut_weight is consistent with a naive edge scan
-    naive = sum(
-        w for u, v, w in g.edges() if part.assignment[u] != part.assignment[v]
-    )
+    naive = sum(w for u, v, w in _edges(g) if part[u] != part[v])
     assert cut_weight(g, part) == naive
 
 
@@ -320,12 +304,10 @@ def _partition_cases(draw):
     names = rng.sample(_NAMES, draw(st.integers(1, 60)))
     density = draw(st.sampled_from([0.05, 0.15, 0.4]))
     max_weight = draw(st.integers(1, 3))
-    g = WeightedGraph()
-    for v in names:
-        g.adj.setdefault(v, {})
+    g = {v: {} for v in names}
     for u, v in itertools.combinations(names, 2):
         if rng.random() < density:
-            g.add_edge(u, v, rng.randint(1, max_weight))
+            _add_edge(g, u, v, rng.randint(1, max_weight))
     k = draw(st.integers(1, 8))
     cap = -(-len(names) // k) + draw(st.integers(0, 3))  # slack 0 leaves no room
     return g, k, cap, draw(st.integers(0, 100))
@@ -340,11 +322,11 @@ def test_greedy_matches_sort_based_reference(case):
     try:
         with mock.patch.multiple(partitioner, _coarsen=_reference_coarsen,
                                  _initial_assign=_reference_initial_assign):
-            expected = partition_greedy(g, k, cap, seed=seed).assignment
+            expected = partition_greedy(g, k, cap, seed=seed)
     except Infeasible as exc:
         expected = type(exc)
     try:
-        got = partition_greedy(g, k, cap, seed=seed).assignment
+        got = partition_greedy(g, k, cap, seed=seed)
     except Infeasible as exc:
         got = type(exc)
     assert got == expected

@@ -13,7 +13,6 @@ from shardsim.core import (
     Account,
     AlignmentBook,
     CostModel,
-    MappingService,
     Transaction,
 )
 from shardsim.engine import SimConfig, Simulation
@@ -68,12 +67,9 @@ def test_hash_place_is_roughly_uniform():
 def _mutex_plan(placed, write_set, loads):
     # under mutex every placed account moves to the main shard, so the plan's
     # only final shard is the main shard
-    phi = MappingService()
-    for acc, shard in placed.items():
-        phi.place(acc, shard)
     tx = Transaction("t0", 0, write_set)
-    return SchedulerPolicy(len(loads), mode=MODE_MUTEX).plan(
-        tx, phi, loads, AlignmentBook(10), CostModel(2)
+    return SchedulerPolicy(mode=MODE_MUTEX).plan(
+        tx, placed, loads, AlignmentBook(10), CostModel(2)
     )
 
 
@@ -129,7 +125,7 @@ def test_hash_policy_respects_existing_placement():
     sim = Simulation(cfg, [Transaction("t0", 0, ("00ff", "deadbeef"))],
                      initial_assignment={"00ff": 5})
     reports, summary = sim.run()
-    assert sim.mapping.assignment == {"00ff": 5, "deadbeef": 1}
+    assert sim.assignment == {"00ff": 5, "deadbeef": 1}
     assert summary.migrations == 0
     assert {s: c for s, c in reports[0].processed_cost.items() if c} == {5: 2, 1: 2}
 
@@ -144,13 +140,11 @@ def test_scheduler_worked_plan_migration():
     a's window totals are {0: 1, 1: 8} and c_cross=2, so main is shard 1 and
     a leaves: 2*1 < 8.  The transaction lands intra-shard on shard 1.
     """
-    phi = MappingService()
-    phi.place("aa", 0)
-    phi.place("bb", 1)
+    phi = {"aa": 0, "bb": 1}
     book = AlignmentBook(10)
     book.add("aa", 0, 1)
     book.add("aa", 1, 8)
-    policy = SchedulerPolicy(2)
+    policy = SchedulerPolicy()
     plan = policy.plan(
         Transaction("t0", 0, ("aa", "bb")), phi, {0: 90, 1: 20}, book, CostModel(2)
     )
@@ -163,13 +157,11 @@ def test_scheduler_worked_plan_migration():
 
 
 def test_scheduler_keeps_strongly_aligned_account():
-    phi = MappingService()
-    phi.place("aa", 0)
-    phi.place("bb", 1)
+    phi = {"aa": 0, "bb": 1}
     book = AlignmentBook(10)
     book.add("aa", 0, 10)
     book.add("aa", 1, 4)
-    plan = SchedulerPolicy(2).plan(
+    plan = SchedulerPolicy().plan(
         Transaction("t0", 0, ("aa", "bb")), phi, {0: 90, 1: 20}, book, CostModel(2)
     )
     assert plan.migrations == ()
@@ -178,30 +170,25 @@ def test_scheduler_keeps_strongly_aligned_account():
 
 
 def test_scheduler_mutex_mode_forces_single_shard():
-    phi = MappingService()
-    phi.place("aa", 0)
-    phi.place("bb", 1)
-    phi.place("cc", 2)
+    phi = {"aa": 0, "bb": 1, "cc": 2}
     book = AlignmentBook(10)
     book.add("aa", 0, 100)  # would veto the move under 2pc
-    plan = SchedulerPolicy(3, mode=MODE_MUTEX).plan(
+    plan = SchedulerPolicy(mode=MODE_MUTEX).plan(
         Transaction("t0", 0, ("aa", "bb", "cc")), phi, {0: 1, 1: 0, 2: 2}, book,
         CostModel(2),
     )
     assert plan.final_shards == frozenset({1})
     assert {m.account for m in plan.migrations} == {"aa", "cc"}
     with pytest.raises(ValueError, match="unknown mode 'bad'"):
-        SchedulerPolicy(4, mode="bad")
+        SchedulerPolicy(mode="bad")
 
 
 def test_scheduler_ca_pinned_by_default():
-    phi = MappingService()
-    phi.place("ca1", 0)
-    phi.place("bb", 1)
+    phi = {"ca1": 0, "bb": 1}
     accounts = {"ca1": Account("ca1", kind=CA, size=4)}
     book = AlignmentBook(10)
     book.add("ca1", 1, 50)  # overwhelming pull toward shard 1
-    plan = SchedulerPolicy(2).plan(
+    plan = SchedulerPolicy().plan(
         Transaction("t0", 0, ("ca1", "bb")), phi, {0: 9, 1: 0}, book, CostModel(2),
         accounts=accounts,
     )
@@ -210,13 +197,11 @@ def test_scheduler_ca_pinned_by_default():
 
 
 def test_scheduler_ca_migration_opt_in_scales_cost():
-    phi = MappingService()
-    phi.place("ca1", 0)
-    phi.place("bb", 1)
+    phi = {"ca1": 0, "bb": 1}
     accounts = {"ca1": Account("ca1", kind=CA, size=4)}
     book = AlignmentBook(10)
     book.add("ca1", 1, 50)
-    plan = SchedulerPolicy(2, ca_migration=True).plan(
+    plan = SchedulerPolicy(ca_migration=True).plan(
         Transaction("t0", 0, ("ca1", "bb")), phi, {0: 9, 1: 0}, book, CostModel(2),
         accounts=accounts,
     )
@@ -225,9 +210,8 @@ def test_scheduler_ca_migration_opt_in_scales_cost():
 
 
 def test_scheduler_all_new_write_set_is_intra():
-    phi = MappingService()
-    plan = SchedulerPolicy(4).plan(
-        Transaction("t0", 0, ("aa", "bb")), phi, {0: 3, 1: 1, 2: 5, 3: 1},
+    plan = SchedulerPolicy().plan(
+        Transaction("t0", 0, ("aa", "bb")), {}, {0: 3, 1: 1, 2: 5, 3: 1},
         AlignmentBook(10), CostModel(2),
     )
     assert plan.new_placements == {"aa": 1, "bb": 1}
@@ -236,15 +220,12 @@ def test_scheduler_all_new_write_set_is_intra():
 
 
 def _one_shard_plan(policy, base_cost, **placed):
-    phi = MappingService()
-    for acc, shard in placed.items():
-        phi.place(acc, shard)
     tx = Transaction("t0", 0, tuple(placed), base_cost=base_cost)
-    return policy.plan(tx, phi, {0: 9, 1: 0, 2: 5}, AlignmentBook(10), CostModel(3))
+    return policy.plan(tx, placed, {0: 9, 1: 0, 2: 5}, AlignmentBook(10), CostModel(3))
 
 
 def test_one_shard_plans_are_shared_per_shard_and_base_cost():
-    policy = SchedulerPolicy(3)
+    policy = SchedulerPolicy()
     cheap = _one_shard_plan(policy, 1, aa=2, bb=2)
     dear = _one_shard_plan(policy, 2, cc=2, dd=2, ee=2)
     assert cheap.per_shard_charges == {2: 1} and dear.per_shard_charges == {2: 2}
@@ -255,13 +236,11 @@ def test_one_shard_plans_are_shared_per_shard_and_base_cost():
 @pytest.mark.parametrize("mode", [MODE_2PC, MODE_MUTEX])
 @pytest.mark.parametrize("base_cost", [1, 2])
 def test_shared_one_shard_plan_equals_the_general_plan(mode, base_cost):
-    phi = MappingService()
-    for acc in ("aa", "bb", "cc"):
-        phi.place(acc, 1)
+    phi = dict.fromkeys(("aa", "bb", "cc"), 1)
     book = AlignmentBook(10)
     book.add("aa", 0, 50)  # a pull elsewhere does not matter: nothing leaves main
     tx = Transaction("t0", 0, ("aa", "bb", "cc"), base_cost=base_cost)
-    loads, model, policy = {0: 0, 1: 7}, CostModel(2), SchedulerPolicy(2, mode=mode)
+    loads, model, policy = {0: 0, 1: 7}, CostModel(2), SchedulerPolicy(mode=mode)
     shared = policy.plan(tx, phi, loads, book, model)
     general = policy._general_plan(tx, [1, 1, 1], loads, book, model, None)
     assert shared is not general and shared == general
@@ -277,22 +256,22 @@ def test_shared_one_shard_plan_equals_the_general_plan(mode, base_cost):
 def test_scheduler_plans_are_internally_consistent(seed, k):
     """Structural plan invariants over random placements and alignments."""
     rng = random.Random(seed)
-    phi = MappingService()
+    phi = {}
     book = AlignmentBook(10)
     accounts = [f"a{i}" for i in range(rng.randint(1, 5))]
     for acc in accounts:
         if rng.random() < 0.7:
-            phi.place(acc, rng.randrange(k))
+            phi[acc] = rng.randrange(k)
             for _ in range(rng.randint(0, 3)):
                 book.add(acc, rng.randrange(k), rng.randint(1, 9))
     loads = {s: rng.randint(0, 50) for s in range(k)}
     model = CostModel(rng.randint(1, 4))
-    plan = SchedulerPolicy(k).plan(
+    plan = SchedulerPolicy().plan(
         Transaction("t0", 0, tuple(accounts)), phi, loads, book, model
     )
     placed_after = {}
     for acc in accounts:
-        placed_after[acc] = phi.assignment.get(acc)
+        placed_after[acc] = phi.get(acc)
     placed_after.update(plan.new_placements)
     for mig in plan.migrations:
         assert placed_after[mig.account] == mig.source
