@@ -7,9 +7,10 @@ residual capacity and a rolling per-block load window, whose live block's load
 is always capacity_per_round - residual, so admission charges a shard by
 lowering its residual and nothing else; the alignment book
 accumulates each account's per-shard transaction costs over the same window
-in one ring of per-block flat lists of (account, shard, amount) triples, so
-an add allocates no container, and a reset is one entry in that list that
-eviction honours, not a scan of the window.
+in one ring of per-block flat lists of (totals, shard, amount) triples, so
+an add allocates no container.  Each triple names the per-shard totals dict
+it was added to, so a reset detaches the account's dict, which the eviction
+of its earlier triples then drains, instead of scanning the window.
 
 ``Transaction`` and ``Account`` are plain records; ``Simulation`` checks their
 fields.  ``Transaction`` is slotted, not frozen: a frozen dataclass's
@@ -21,7 +22,7 @@ mutates a transaction after construction; it keeps value equality and
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import get_type_hints
 
@@ -141,13 +142,12 @@ class AlignmentBook:
     """Sliding-window per-shard cost totals of every account.
 
     One ring of W slots holds the last W blocks' deltas, each slot one flat
-    list of (account, shard, amount) triples in the order they were added;
-    totals hold their per-account sum.  advance_block subtracts the block that
-    leaves the window at once, so only accounts with in-window activity occupy
-    memory.  reset drops an account's totals in O(1): it leaves the account's
-    earlier triples in the ring and appends a reset entry, (account, None, 0),
-    behind them.  Eviction skips every triple of an account that still has a
-    reset entry in the window, since each such triple lies before that reset.
+    list of (totals, shard, amount) triples in the order they were added,
+    where totals is the per-shard dict the amount was added to.
+    advance_block subtracts the block that leaves the window from the dicts
+    its triples name, so an account whose window empties keeps an empty dict.
+    reset detaches an account's dict in O(1): the account's later adds start a
+    new one, and the eviction of its earlier triples drains only the old one.
     """
 
     def __init__(self, window: int):
@@ -157,55 +157,35 @@ class AlignmentBook:
         self.block = 0
         self._ring: list[list] = [[] for _ in range(window)]  # block % W -> triples
         self._deltas = self._ring[0]  # the current block's
-        self._totals: dict[AccountId, dict[ShardId, int]] = {}
-        self._resets: dict[AccountId, int] = {}  # account -> its reset entries in the window
+        self._totals: defaultdict[AccountId, dict[ShardId, int]] = defaultdict(dict)
 
     def add(self, account: AccountId, shard: ShardId, amount: int) -> None:
         if amount <= 0:
             if amount < 0:
                 raise ValueError("negative alignment delta")
             return
-        self._deltas += (account, shard, amount)
-        totals = self._totals.get(account)
-        if totals is None:
-            self._totals[account] = {shard: amount}
-        else:
-            totals[shard] = totals.get(shard, 0) + amount
+        totals = self._totals[account]
+        totals[shard] = totals.get(shard, 0) + amount
+        self._deltas += (totals, shard, amount)
 
     def totals(self, account: AccountId) -> dict[ShardId, int]:
         """In-window totals of one account; callers must not mutate them."""
         return self._totals.get(account, {})
 
     def reset(self, account: AccountId) -> None:
-        # Alignment is dropped entirely when the owner migrates; the reset entry
-        # keeps the later eviction of its earlier triples from subtracting them.
-        if self._totals.pop(account, None) is not None:
-            self._deltas += (account, None, 0)
-            self._resets[account] = self._resets.get(account, 0) + 1
+        # Alignment is dropped entirely when the owner migrates.
+        self._totals.pop(account, None)
 
     def advance_block(self) -> None:
         self.block += 1
         slot = self.block % self.window
-        all_totals = self._totals
-        resets = self._resets
         triples = iter(self._ring[slot])
-        for account, shard, amount in zip(triples, triples, triples):
-            pending = resets.get(account)
-            if pending:  # the triple lies before the account's earliest reset
-                if shard is None:  # that reset entry itself leaves the window
-                    if pending == 1:
-                        del resets[account]
-                    else:
-                        resets[account] = pending - 1
-                continue
-            totals = all_totals[account]
+        for totals, shard, amount in zip(triples, triples, triples):
             remaining = totals[shard] - amount
             if remaining:
                 totals[shard] = remaining
             else:
                 del totals[shard]
-                if not totals:
-                    del all_totals[account]
         self._ring[slot] = self._deltas = []
 
 

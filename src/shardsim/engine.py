@@ -50,17 +50,17 @@ ints, never bool), a write_set that is empty or repeats an account, a negative
 fee, a base_cost below 1, or above shard_capacity, which no plan can admit as
 each charges its main shard the base cost; then a repeated tx_id.  The run
 never reads arrival_index, so it is not checked.  Naming the account: an
-initial shard that is not an in-range int, and an accounts entry that is not
-an Account under its own id with typed fields, either an EOA of size 1 or a
-CA of size >= 1.  Last, naming the tx_id, its shards, the charge and the
-capacity: a transaction whose per-shard charge exceeds shard_capacity on
-shards that every plan of it charges: under hash and partition the shards of
-its lane, and under the scheduler the shards of its pinned accounts, those
-placed before the run that SchedulerPolicy.never_migrates keeps in every
-plan's final shards.  So only the scheduler can raise Livelock: a static head
-transaction fits every round's full capacity.  A Simulation runs once: a
-second run() call raises RuntimeError instead of replaying the workload into
-the same state.
+initial account that is not a str or whose shard is not an in-range int,
+and an accounts entry that is not an Account under its own id with typed
+fields, either an EOA of size 1 or a CA of size >= 1.  Last, naming the
+tx_id, its shards, the charge and the capacity: a transaction whose
+per-shard charge exceeds shard_capacity on shards that every plan of it
+charges: under hash and partition the shards of its lane, and under the
+scheduler the shards of its pinned accounts, those placed before the run
+that SchedulerPolicy.never_migrates keeps in every plan's final shards.  So
+only the scheduler can raise Livelock: a static head transaction fits every
+round's full capacity.  A Simulation runs once: a second run() call raises
+RuntimeError instead of replaying the workload into the same state.
 """
 
 from __future__ import annotations
@@ -295,6 +295,8 @@ class Simulation:
         # account -> shard (phi); admission writes placements and migrations
         self.assignment: dict = dict(initial_assignment or {})
         for acc, shard in self.assignment.items():
+            if not isinstance(acc, str):
+                raise ConfigError(f"initial account {acc!r} is not a str")
             if not isinstance(shard, int) or isinstance(shard, bool):
                 raise ConfigError(f"initial shard {shard!r} of account {acc!r} is not an int")
             if not 0 <= shard < config.k_shards:
@@ -561,8 +563,8 @@ class Simulation:
             round_index += 1
             if config.max_rounds is not None and round_index >= config.max_rounds:
                 break
-        if ledger is not None:
-            ledger.close_epoch()  # flush the final (possibly partial) epoch
+        if ledger is not None and round_index % config.epoch_length:
+            ledger.close_epoch()  # flush the final, partial epoch
         return self.reports, finalize(
             self.reports, total_fees=ledger.total_fees() if ledger else 0
         )

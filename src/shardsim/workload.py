@@ -106,9 +106,12 @@ class SyntheticSpec:
             raise InvalidSpec("k_shards must be positive")
         if self.generator == "all_cross" and self.k_shards < 2:
             raise InvalidSpec("all_cross needs at least 2 shards")
-        if self.generator == "zipf_hotspot" and self.zipf_exponent <= 0:
+        hub_traffic = self.generator == "communities" and self.p_hotspot > 0
+        if (self.generator == "zipf_hotspot" or hub_traffic) and self.zipf_exponent <= 0:
             raise InvalidSpec("zipf exponent must be positive")
         if self.generator == "communities":
+            if self.community_zipf_exponent < 0:
+                raise InvalidSpec("community zipf exponent must be nonnegative")
             if not 2 <= self.n_communities <= self.n_accounts // 2:
                 raise InvalidSpec("n_communities out of range")
             if not 0.0 <= self.p_inter <= 1.0:

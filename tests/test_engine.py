@@ -124,8 +124,11 @@ def test_account_fields_are_checked(fields, problem):
 
 
 def test_initial_shard_must_be_an_int():
-    with pytest.raises(ConfigError, match="'aa'"):
-        Simulation(SimConfig(k_shards=2), _pair_workload(), initial_assignment={"aa": 1.5})
+    # each error names the account; a non-str key is refused, not kept beside
+    # the str account it may resemble
+    for initial, name in [({"aa": 1.5}, "'aa'"), ({5: 0}, "5"), ({b"aa": 1}, "b'aa'")]:
+        with pytest.raises(ConfigError, match=f"account {name} "):
+            Simulation(SimConfig(k_shards=2), _pair_workload(), initial_assignment=initial)
 
 
 def test_mempool_size_formula():
@@ -705,13 +708,20 @@ def test_default_fee_covers_zero_fee_transactions():
 
 
 def test_epochs_close_on_schedule():
-    cfg = SimConfig(k_shards=2, shard_capacity=2, policy="hash", economics=True,
-                    epoch_length=3, mempool_ratio=1.0)
-    sim = Simulation(cfg, _unit_txs(24, accounts_per_tx=2))
-    reports, _ = sim.run()
-    closed_epochs = {row[0] for row in sim.ledger.epoch_rows}
-    expected = math.ceil(len(reports) / 3)
-    assert len(closed_epochs) == expected
+    cases = [
+        # the last epoch is partial
+        (dict(k_shards=2, shard_capacity=2, epoch_length=3), _unit_txs(24, accounts_per_tx=2), 16),
+        # the last round ends an epoch, so no empty epoch follows it
+        (dict(k_shards=1, shard_capacity=1, epoch_length=2, miners_per_shard=1), _unit_txs(4), 4),
+    ]
+    for fields, txs, rounds in cases:
+        cfg = SimConfig(policy="hash", economics=True, mempool_ratio=1.0, **fields)
+        sim = Simulation(cfg, txs)
+        reports, _ = sim.run()
+        assert len(reports) == rounds
+        expected = math.ceil(rounds / cfg.epoch_length)
+        assert sorted({row[0] for row in sim.ledger.epoch_rows}) == list(range(expected))
+        assert sim.ledger.epoch == expected
 
 
 def test_partition_policy_end_to_end():
@@ -792,14 +802,15 @@ def test_golden_outputs_unchanged(name):
 # Ledger cells: the golden workload with fee = arrival_index % 4, so that
 # zero-fee transactions fall back to default_fee and cross-shard splits leave
 # remainders.  SHA-256 over the epoch rows, the sorted balances and the
-# per-shard collected fees, recorded with every fee split by split_fee.
+# per-shard collected fees, recorded with every fee split by split_fee.  The
+# runs take 27 rounds at epoch length 3, so they close epochs 0-8 and no more.
 _LEDGER_GRID = {
     "scheduler-econ": _GOLDEN_GRID["scheduler-econ"],
     "scheduler-econ-naive": dict(_GOLDEN_GRID["scheduler-econ"], fee_scheme="naive"),
 }
 LEDGER_DIGESTS = {
-    "scheduler-econ": "cb83244ef4d31691565b060de66f1684d1e69c944fa546e2704bde0c0b49bcd8",
-    "scheduler-econ-naive": "2334ce144377e4964dff138d5ff30e424b8e9b4ae3adcab4fa7a5e2289b2fddf",
+    "scheduler-econ": "f3603416cc91c37223256fb63c405e11526de3242dc0ebf789f691e6f8e6e502",
+    "scheduler-econ-naive": "30dc0fba730fa827a0cd582013ac1cedf1d011c00bf0c81e21d009fd9516ce90",
 }
 
 

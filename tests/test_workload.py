@@ -201,6 +201,10 @@ def test_unknown_generator_rejected():
         dict(generator="communities", p_inter=1.5),
         dict(generator="communities", p_hotspot=-0.1),
         dict(generator="bursty", burst_amplitude=0.5),
+        # communities reads zipf_exponent for its hub traffic when p_hotspot > 0
+        dict(generator="communities", p_hotspot=0.1, zipf_exponent=-2.0),
+        dict(generator="communities", p_hotspot=0.1, zipf_exponent=0.0),
+        dict(generator="communities", community_zipf_exponent=-1.0),
     ],
 )
 def test_invalid_spec_parameters(kwargs):
