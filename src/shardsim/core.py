@@ -160,10 +160,7 @@ class AlignmentBook:
         self._totals: defaultdict[AccountId, dict[ShardId, int]] = defaultdict(dict)
 
     def add(self, account: AccountId, shard: ShardId, amount: int) -> None:
-        if amount <= 0:
-            if amount < 0:
-                raise ValueError("negative alignment delta")
-            return
+        """Add a positive amount; update_alignments, the one caller, adds no other."""
         totals = self._totals[account]
         totals[shard] = totals.get(shard, 0) + amount
         self._deltas += (totals, shard, amount)
@@ -190,31 +187,35 @@ class AlignmentBook:
 
 
 def update_alignments(
-    tx: Transaction, assignment: dict, cost_model: CostModel, book: AlignmentBook
+    tx: Transaction, final_shards: frozenset, assignment: dict, cost_model: CostModel,
+    book: AlignmentBook,
 ) -> None:
-    """Apply the pairwise alignment rule from per-shard account counts.
+    """Apply the pairwise alignment rule to tx's executed plan.
 
-    Each account's alignment toward every counterparty's (post-migration)
-    shard grows by the per-shard charge of the transaction, so account a
-    gains charge * |{b != a : shard(b) = s}| toward each shard s; no ordered
-    pair of accounts is enumerated.
+    final_shards is the plan's set of final shards and assignment holds every
+    write-set account's post-admission shard, so the accounts' shards make up
+    final_shards exactly.  Each account's alignment toward every
+    counterparty's shard grows by the per-shard charge of the transaction, so
+    account a gains charge * |{b != a : shard(b) = s}| toward each shard s; no
+    ordered pair of accounts is enumerated.  On one final shard every account
+    is there and gains base_cost * (n - 1) toward it, which reads no shard of
+    the assignment.  No amount added is zero or negative.
     """
-    shards = list(map(assignment.get, tx.write_set))
-    if None in shards:
-        raise ValueError("update_alignments requires a fully placed write set")
     add = book.add
-    own, n = shards[0], len(shards)
-    if shards.count(own) == n:  # one shard: each account gains charge * (n - 1) toward it
-        if n > 1:
-            amount = cost_model.per_shard_charge(tx.base_cost, 1) * (n - 1)
-            for acc in tx.write_set:
+    write_set = tx.write_set
+    if len(final_shards) == 1:
+        (own,) = final_shards
+        amount = tx.base_cost * (len(write_set) - 1)
+        if amount:
+            for acc in write_set:
                 add(acc, own, amount)
         return
+    shards = list(map(assignment.__getitem__, write_set))
     count: dict[ShardId, int] = {}
     for shard in shards:
         count[shard] = count.get(shard, 0) + 1
-    charge = cost_model.per_shard_charge(tx.base_cost, len(count))
-    for acc, own in zip(tx.write_set, shards):
+    charge = cost_model.per_shard_charge(tx.base_cost, len(final_shards))
+    for acc, own in zip(write_set, shards):
         for shard, n in count.items():
             if shard == own:
                 n -= 1

@@ -93,12 +93,19 @@ def shuffle_epoch(miners: list, k: int, epoch: int, seed: int) -> EpochAssignmen
 
 
 def split_fee(fee: int, shards) -> dict:
-    """Equal split of a fee across involved shards, remainder to lowest id."""
+    """Equal split of a fee across involved shards, remainder to lowest id.
+
+    Zero shares are dropped: a fee below the shard count, such as a
+    cross-shard fee of 1, goes whole to the lowest id, and a fee of 0 to no
+    shard; any larger fee gives every shard a share of at least 1.
+    """
+    if fee < len(shards):
+        return {min(shards): fee} if fee else {}
     shards = sorted(shards)
     share, remainder = divmod(fee, len(shards))
-    out = {s: share for s in shards}
+    out = dict.fromkeys(shards, share)
     out[shards[0]] += remainder
-    return {s: v for s, v in out.items() if v}
+    return out
 
 
 def cash_in(

@@ -31,15 +31,17 @@ whose state stops changing raises Livelock instead of spinning.
 
 Admission reuses what the plan already holds: a plan without migrations is
 checked and charged from its own per-shard charges; once every residual is
-checked, a charge is one residual decrement; and a fee with one final shard
-goes to that shard without a split.  Fees are credited once per shard per
-round: admission adds each fee share to the round's per-shard tally, and
-run() credits each shard's tally right after the round's admissions, before
-the round report, an epoch close, Livelock or the max_rounds exit.  This is
-exact because a shard's leader is fixed by the epoch assignment, the shard
-and the round, and deposits, contributions, collected fees and naive-scheme
-balances are all sums of integers (the balances are integer-valued floats far
-below 2**53, so their sums do not depend on grouping).
+checked, a charge is one residual decrement; the alignment update is given the
+plan's final shards, and on one final shard, where every account then is, it
+reads no account's shard; and a fee with one final shard goes to that shard
+without a split.  Fees are credited once per shard per round: admission adds
+each fee share to the round's per-shard tally, and run() credits each shard's
+tally right after the round's admissions, before the round report, an epoch
+close, Livelock or the max_rounds exit.  This is exact because a shard's
+leader is fixed by the epoch assignment, the shard and the round, and
+deposits, contributions, collected fees and naive-scheme balances are all
+sums of integers (the balances are integer-valued floats far below 2**53, so
+their sums do not depend on grouping).
 
 SimConfig.validate rejects, with a ConfigError naming the field or shard, a
 field of the wrong type and a refused shard outside [0, k).  Simulation is the
@@ -400,7 +402,7 @@ class Simulation:
         for s, amount in required.items():
             shards[s].residual -= amount
         if self.policy is not None:  # only the scheduler reads alignment
-            update_alignments(tx, self.assignment, self.cost_model, self.book)
+            update_alignments(tx, plan.final_shards, self.assignment, self.cost_model, self.book)
         fees = self._round_fees
         if fees is not None:  # run() credits the round's tally once per shard
             fee = tx.fee or self.config.default_fee
@@ -479,6 +481,9 @@ class Simulation:
         shards = self.shards
         assignment = self.assignment
         first_seen = self.mempool.first_seen
+        # instance attributes, so a traced or overridden plan or try_execute still runs
+        plan_of = self.plan
+        try_execute = self.try_execute
         loads = LiveLoads(shards)
         migrations = cross = 0
         pending, retain = self.mempool.drain()
@@ -496,8 +501,8 @@ class Simulation:
             if not fits:
                 retain(tx)
                 continue
-            plan = self.plan(tx, loads)
-            if self.try_execute(tx, plan) == EXECUTED:
+            plan = plan_of(tx, loads)
+            if try_execute(tx, plan) == EXECUTED:
                 migrations += len(plan.migrations)
                 if len(plan.final_shards) > 1:
                     cross += 1

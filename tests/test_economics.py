@@ -180,6 +180,24 @@ def test_split_fee_drops_zero_shares():
     assert split_fee(1, {2, 5}) == {2: 1}
 
 
+def _literal_split(fee, shards):
+    """The rule written out: each shard's equal share, the remainder to the
+    lowest id, zero shares dropped."""
+    ordered = sorted(shards)
+    share, remainder = divmod(fee, len(ordered))
+    split = {shard: share + (remainder if shard == ordered[0] else 0) for shard in ordered}
+    return {shard: amount for shard, amount in split.items() if amount}
+
+
+@pytest.mark.parametrize("ids", [(0, 1, 2, 3, 4), (2, 9, 4, 30, 17), (31, 12, 5, 3, 0)],
+                         ids=["contiguous", "gaps-unsorted", "descending"])
+def test_split_fee_matches_literal_rule(ids):
+    for size in range(1, 6):
+        for shards in (ids[:size], frozenset(ids[:size])):
+            for fee in range(13):
+                assert split_fee(fee, shards) == _literal_split(fee, shards), (fee, shards)
+
+
 @given(fee=st.integers(min_value=0, max_value=10 ** 6),
        shards=st.sets(st.integers(min_value=0, max_value=31), min_size=1, max_size=8))
 @settings(max_examples=200)
