@@ -22,7 +22,9 @@ mutates a transaction after construction; it keeps value equality and
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict, deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import get_type_hints
 
@@ -102,6 +104,31 @@ def field_type_error(instance) -> str | None:
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
             return f"{name} must be {kind.__name__}, got {value!r}"
     return None
+
+
+@contextmanager
+def collector_paused():
+    """Run the block with Python's cyclic garbage collector paused.
+
+    For building large acyclic structures: a trace's transactions, the
+    co-occurrence graph and the partition hold no reference cycles, and the
+    collections that their allocations triggered each freed 0 objects while
+    walking a growing heap.  On exit, also by an exception, a collector that
+    was enabled on entry runs one ``gc.collect(1)`` and is enabled again.
+    That settling pass moves the block's young survivors to the oldest
+    generation at once; without it, the first allocations of the caller's
+    next phase, such as the simulation run, would collect them.  A collector
+    that was disabled on entry stays disabled and collects nothing, so nested
+    pauses settle once, at the outermost.  As a decorator it pauses each call.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.collect(1)
+            gc.enable()
 
 
 class ShardState:

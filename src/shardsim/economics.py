@@ -127,11 +127,6 @@ def cash_in(
     return fraction * prev_deposits[new_shard].total
 
 
-def expected_reward(fraction: float, deposits_total: int, k: int) -> float:
-    """Closed-form expected cash-in under a uniform shuffle: f * x_tot / k."""
-    return fraction * deposits_total / k
-
-
 class IncentiveLedger:
     """Tracks deposits, assignments, and miner balances across epochs."""
 

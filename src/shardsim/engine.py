@@ -14,20 +14,23 @@ whose outcome is already decided.  The scheduler is the one policy object;
 the static hash and partition baselines never plan or migrate.  Under them
 every workload account is placed before round 0 and keeps that shard for the
 whole run: its initial shard, else its partition table shard under partition,
-else hash_place(account, k).  Each round files its static arrivals into
-lanes keyed by their footprint: the set of shards and the base cost, which
-fixes the per-shard charge.  An arrival finds its lane by one lookup of its
-ordered key: the shard of each account in write-set order, then the base
-cost.  Each lane has one shared plan, and a lane queue beside the mempool
-queue holds each retained transaction's lane in the same order.  Once a
-transaction is deferred its lane is blocked for the round and its later
-transactions are retained without being offered, because residuals only fall
-within a round, so every later transaction of that footprint would be
-deferred too.  Under the scheduler a pending transaction waits unplanned
-while every shard of its placed accounts has less residual than its base
-cost, which the main shard is always charged.  The alignment book is
-maintained only under the scheduler, the one policy that reads it.  A run
-whose state stops changing raises Livelock instead of spinning.
+else hash_place(account, k).  The partition table's co-occurrence graph and
+partition are built with the cyclic collector paused (core.collector_paused):
+both are acyclic, and the collections their construction triggered freed 0
+objects.  Each round files its static arrivals into lanes keyed by their
+footprint: the set of shards and the base cost, which fixes the per-shard
+charge.  An arrival finds its lane by one lookup of its ordered key: the
+shard of each account in write-set order, then the base cost.  Each lane has
+one shared plan, and a lane queue beside the mempool queue holds each
+retained transaction's lane in the same order.  Once a transaction is
+deferred its lane is blocked for the round and its later transactions are
+retained without being offered, because residuals only fall within a round,
+so every later transaction of that footprint would be deferred too.  Under
+the scheduler a pending transaction waits unplanned while every shard of its
+placed accounts has less residual than its base cost, which the main shard is
+always charged.  The alignment book is maintained only under the scheduler,
+the one policy that reads it.  A run whose state stops changing raises
+Livelock instead of spinning.
 
 Admission reuses what the plan already holds: a plan without migrations is
 checked and charged from its own per-shard charges; once every residual is
@@ -80,6 +83,7 @@ from .core import (
     CostModel,
     ShardState,
     Transaction,
+    collector_paused,
     field_type_error,
     update_alignments,
 )
@@ -362,6 +366,7 @@ class Simulation:
         self._round_fees = [0] * config.k_shards if self.ledger is not None else None
         self.reports: list[RoundReport] = []
 
+    @collector_paused()
     def _precompute_partition(self) -> dict:
         # The partition baseline reads the full workload before round 0.
         graph = graph_from_transactions(self.workload)

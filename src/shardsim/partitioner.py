@@ -9,34 +9,20 @@ refinement moves under a hard per-cluster vertex cap.  Coarsening matches
 each vertex with its heaviest unmatched neighbour that fits the merge limit,
 ties going to the smallest name; the initial assignment puts each coarse node
 in the cluster with the highest gain that has room, then the smallest, then
-the lowest index.  Each choice is one linear scan.  A brute-force enumerator
-serves as the exact oracle for small instances.
+the lowest index.  Each choice is one linear scan.  The co-occurrence graph
+is built by counting each write set's account pairs as ordered in the write
+set and then orienting each pair as its (min, max) edge.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-
-
-class UncoveredVertex(Exception):
-    pass
+from collections import Counter
+from itertools import chain, combinations, repeat
 
 
 class Infeasible(Exception):
     pass
-
-
-class TooLarge(Exception):
-    pass
-
-
-def _edges(adj: dict):
-    """Each edge of adj once, as (u, v, weight) with u < v."""
-    for u, nbrs in adj.items():
-        for v, w in nbrs.items():
-            if u < v:
-                yield u, v, w
 
 
 def graph_from_transactions(txs) -> dict:
@@ -44,66 +30,22 @@ def graph_from_transactions(txs) -> dict:
 
     Vertices and neighbours appear in order of first occurrence, as if every
     pairing were added to the dict one at a time; Simulation accepts only
-    write sets of distinct accounts, so no pairing is a self-loop.
+    write sets of distinct accounts, so no pairing is a self-loop.  The
+    oriented pairs are counted first, in C, and then folded into their
+    (min, max) edge in the counter's first-seen order, which is the order of
+    first pairing of each edge.
     """
-    adj = {}
+    write_sets = [tx.write_set for tx in txs]
+    adj = {acc: {} for acc in dict.fromkeys(chain.from_iterable(write_sets))}
+    oriented = Counter(chain.from_iterable(map(combinations, write_sets, repeat(2))))
     pairs = {}  # (u, v) with u < v -> weight, in order of first pairing
-    for tx in txs:
-        ws = tx.write_set
-        for acc in ws:
-            if acc not in adj:
-                adj[acc] = {}
-        for a, b in itertools.combinations(ws, 2):
-            key = (a, b) if a < b else (b, a)
-            pairs[key] = pairs.get(key, 0) + 1
+    for (a, b), n in oriented.items():
+        key = (a, b) if a < b else (b, a)
+        pairs[key] = pairs.get(key, 0) + n
     for (u, v), weight in pairs.items():
         adj[u][v] = weight
         adj[v][u] = weight
     return adj
-
-
-def cut_weight(adj: dict, assignment: dict) -> int:
-    total = 0
-    for u, v, w in _edges(adj):
-        if u not in assignment or v not in assignment:
-            raise UncoveredVertex(u if u not in assignment else v)
-        if assignment[u] != assignment[v]:
-            total += w
-    for v in adj:
-        if v not in assignment:
-            raise UncoveredVertex(v)
-    return total
-
-
-def partition_bruteforce(adj: dict, k: int, balance_cap: int) -> dict:
-    """Exact minimum-cut feasible assignment by exhaustive enumeration.
-
-    Ties break toward the lexicographically smallest assignment vector over
-    the sorted vertex order.  Only meant for graphs with at most 12 vertices.
-    """
-    vertices = sorted(adj)
-    if len(vertices) > 12:
-        raise TooLarge(f"{len(vertices)} vertices exceeds the enumeration budget")
-    if k < 1 or balance_cap * k < len(vertices):
-        raise Infeasible("balance cap times k below vertex count")
-    edge_list = [(vertices.index(u), vertices.index(v), w) for u, v, w in _edges(adj)]
-    best = None
-    best_cut = None
-    for labels in itertools.product(range(k), repeat=len(vertices)):
-        sizes = [0] * k
-        ok = True
-        for c in labels:
-            sizes[c] += 1
-            if sizes[c] > balance_cap:
-                ok = False
-                break
-        if not ok:
-            continue
-        cut = sum(w for i, j, w in edge_list if labels[i] != labels[j])
-        if best_cut is None or cut < best_cut:
-            best_cut = cut
-            best = labels
-    return dict(zip(vertices, best))
 
 
 def _coarsen(adj: dict, node_weight: dict, balance_cap: int):
@@ -217,8 +159,6 @@ def partition_greedy(adj: dict, k: int, balance_cap: int, seed: int = 0) -> dict
     cap.  adj is read only: every level builds new maps.
     """
     n = len(adj)
-    if k < 1:
-        raise ValueError("k must be positive")
     if balance_cap * k < n:
         raise Infeasible("balance cap times k below vertex count")
     if k == 1:

@@ -30,15 +30,16 @@ from shardsim.economics import (
     ShardDeposit,
     EpochAssignment,
     cash_in,
-    expected_reward,
     miner_ids,
     record_fee,
     shuffle_epoch,
 )
-from shardsim.partitioner import cut_weight, partition_bruteforce, partition_greedy
+from shardsim.partitioner import partition_greedy
 from shardsim.policies import MODES, POLICY_KINDS, SchedulerPolicy
 from shardsim.core import CA, AlignmentBook, CostModel
 from shardsim.workload import SyntheticSpec, generate
+
+from oracles import cut_weight, expected_reward, partition_bruteforce
 
 
 @pytest.fixture

@@ -15,13 +15,14 @@ from shardsim.economics import (
     ShardDeposit,
     WrongShard,
     cash_in,
-    expected_reward,
     miner_ids,
     record_fee,
     rotate_leader,
     shuffle_epoch,
     split_fee,
 )
+
+from oracles import expected_reward
 
 
 def _assignment(shard_of, epoch=0):

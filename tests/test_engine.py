@@ -1,5 +1,6 @@
 """Round loop: admission control, deferral, metrics, epoch wiring."""
 
+import gc
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shardsim import engine
 from shardsim.core import CA, EOA, Account, Transaction
 from shardsim.engine import (
     ConfigError,
@@ -22,9 +24,9 @@ from shardsim.engine import (
     finalize,
     run,
 )
-from shardsim.partitioner import graph_from_transactions, partition_greedy
+from shardsim.partitioner import Infeasible, graph_from_transactions, partition_greedy
 from shardsim.policies import hash_place
-from shardsim.workload import SyntheticSpec, generate, load_trace
+from shardsim.workload import ParseError, SyntheticSpec, generate, load_trace
 
 from reference_engine import NO_SHRINK, check_engine_against_reference, engine_cases
 
@@ -680,6 +682,84 @@ def test_static_policies_leave_alignment_book_empty():
     sim = Simulation(cfg, _unit_txs(30, accounts_per_tx=2))
     sim.run()
     assert all(sim.book.totals(a) == {} for tx in sim.workload for a in tx.write_set)
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector around set-up: paused inside, settled and restored after
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def collector_check(request):
+    """Enable or disable the collector; yield a check of its state after a call.
+
+    check(young) asserts, for a collector enabled on entry, that it is enabled
+    again, that young (generation 0's count, read right after the call) is not
+    past its threshold, and that a generation-1 collection, the settling
+    pass, ran during the call; for one disabled on entry, that it is still
+    disabled and collected nothing.  The counts start at zero, and these calls
+    are too small to reach a generation-1 collection on their own.
+    """
+    was_enabled = gc.isenabled()
+    collected = []  # the generation of each collection since the last check
+
+    def hook(phase, info):
+        if phase == "start":
+            collected.append(info["generation"])
+
+    def check(young=0):
+        if request.param:
+            assert gc.isenabled()
+            assert young <= gc.get_threshold()[0]
+            assert 1 in collected
+        else:
+            assert not gc.isenabled()
+            assert collected == []
+        collected.clear()
+
+    gc.collect()  # zeroes every generation's count
+    (gc.enable if request.param else gc.disable)()
+    gc.callbacks.append(hook)
+    yield check
+    gc.callbacks.remove(hook)
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def _trace_lines(n):
+    return [f"{i // 50} t{i} 1 {i % 97:04x},{i % 89 + 200:04x}" for i in range(n)]
+
+
+def test_load_trace_pauses_and_settles_the_collector(tmp_path, collector_check):
+    path = tmp_path / "trace.txt"
+    path.write_text("\n".join(_trace_lines(2000)) + "\n")
+    txs, _ = load_trace(path)
+    collector_check(gc.get_count()[0])
+    assert len(txs) == 2000
+    path.write_text("\n".join(_trace_lines(2000) + ["0 bad 1 zz"]) + "\n")
+    with pytest.raises(ParseError):
+        load_trace(path)
+    collector_check()
+
+
+def test_partition_setup_pauses_and_settles_the_collector(monkeypatch, collector_check):
+    txs = _unit_txs(300, accounts_per_tx=3)
+    cfg = SimConfig(k_shards=4, shard_capacity=5, policy="partition", seed=0)
+    sim = Simulation(cfg, txs)
+    collector_check(gc.get_count()[0])
+    assert len(sim.assignment) == 900
+    # a bad transaction, refused after the partition table is built
+    cfg = SimConfig(k_shards=2, shard_capacity=1, cross_shard_cost=2, policy="partition")
+    with pytest.raises(ConfigError, match="cross-shard charge"):
+        Simulation(cfg, [Transaction("t0", 0, ("aa", "bb"))], initial_assignment={"aa": 0, "bb": 1})
+    collector_check()
+    # a failure inside the paused block
+    monkeypatch.setattr(engine, "partition_greedy", _raise_infeasible)
+    with pytest.raises(Infeasible):
+        Simulation(SimConfig(k_shards=4, policy="partition"), txs)
+    collector_check()
+
+
+def _raise_infeasible(*args, **kwargs):
+    raise Infeasible("refused for the test")
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,9 @@ from hypothesis import strategies as st
 
 from shardsim import partitioner
 from shardsim.core import Transaction
-from shardsim.partitioner import (
-    Infeasible,
-    TooLarge,
-    UncoveredVertex,
-    cut_weight,
-    graph_from_transactions,
-    partition_bruteforce,
-    partition_greedy,
-)
+from shardsim.partitioner import Infeasible, graph_from_transactions, partition_greedy
+
+from oracles import TooLarge, UncoveredVertex, cut_weight, partition_bruteforce
 
 
 def _add_edge(adj, u, v, weight=1):
@@ -93,6 +87,25 @@ def test_graph_from_transactions_matches_add_edge_order(write_sets):
     got = graph_from_transactions(txs)
     assert [(v, list(nbrs.items())) for v, nbrs in got.items()] == [
         (v, list(nbrs.items())) for v, nbrs in expected.items()
+    ]
+
+
+def test_graph_from_transactions_folds_both_orientations():
+    # the a-b edge is first paired as ("b", "a") and last as ("a", "b"): its
+    # weights sum, and it keeps its first-seen place in both neighbour dicts,
+    # ahead of a-c and b-d, which are first paired in between
+    txs = [
+        Transaction("t0", 0, ("b", "a")),
+        Transaction("t1", 1, ("a", "c")),
+        Transaction("t2", 2, ("d", "b")),
+        Transaction("t3", 3, ("a", "b")),
+    ]
+    got = graph_from_transactions(txs)
+    assert [(v, list(nbrs.items())) for v, nbrs in got.items()] == [
+        ("b", [("a", 2), ("d", 1)]),
+        ("a", [("b", 2), ("c", 1)]),
+        ("c", [("a", 1)]),
+        ("d", [("b", 1)]),
     ]
 
 
