@@ -128,10 +128,10 @@ class SimConfig:
         wrong_type = field_type_error(self)
         if wrong_type:
             raise ConfigError(wrong_type)
-        if self.k_shards < 1 or self.shard_capacity < 1 or self.window < 1:
-            raise ConfigError("k_shards, shard_capacity and window must be positive")
-        if self.cross_shard_cost < 1:
-            raise ConfigError("cross_shard_cost must be positive")
+        for name in ("k_shards", "shard_capacity", "window", "cross_shard_cost",
+                     "epoch_length", "miners_per_shard"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
         # the mempool holds ceil(mempool_ratio * k_shards * shard_capacity) txs
         if not 0 < self.mempool_ratio * self.k_shards * self.shard_capacity < math.inf:
             raise ConfigError(f"mempool_ratio must be positive and finite, got {self.mempool_ratio!r}")
@@ -139,8 +139,6 @@ class SimConfig:
             raise ConfigError(f"unknown policy {self.policy!r}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.epoch_length < 1 or self.miners_per_shard < 1:
-            raise ConfigError("epoch_length and miners_per_shard must be positive")
         if self.fee_scheme not in FEE_SCHEMES:
             raise ConfigError(f"unknown fee scheme {self.fee_scheme!r}")
         if self.max_rounds is not None and self.max_rounds < 1:

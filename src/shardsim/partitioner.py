@@ -12,6 +12,15 @@ in the cluster with the highest gain that has room, then the smallest, then
 the lowest index.  Each choice is one linear scan.  The co-occurrence graph
 is built by counting each write set's account pairs as ordered in the write
 set and then orienting each pair as its (min, max) edge.
+
+Coarsening stops at the first level that a parity bound shows cannot be
+packed.  A cluster of even-weight nodes alone holds at most cap - cap % 2,
+and only the clusters that hold one of the m odd-weight nodes can reach an
+odd cap, so no assignment fits a total weight above
+min(m, k) * cap + (k - min(m, k)) * (cap - cap % 2).  The initial assignment
+would raise Infeasible on such a level and on every coarser one, and then
+retry one level finer, so stopping there gives the same partition.  With an
+even cap the bound is k * cap and never fires.
 """
 
 from __future__ import annotations
@@ -48,8 +57,12 @@ def graph_from_transactions(txs) -> dict:
     return adj
 
 
-def _coarsen(adj: dict, node_weight: dict, balance_cap: int):
-    """One heavy-edge matching pass; returns the coarser graph and mapping."""
+def _match(adj: dict, node_weight: dict, balance_cap: int):
+    """One heavy-edge matching pass.
+
+    Returns rep, vertex -> the vertex naming its merged node, and the weight
+    of each merged node, keyed in order of first appearance in adj.
+    """
     matched = {}
     # Merged nodes stay at half the cap or below so the initial assignment
     # can still bin-pack them; full-cap nodes leave no packing slack.
@@ -69,23 +82,39 @@ def _coarsen(adj: dict, node_weight: dict, balance_cap: int):
         matched[v] = best if best is not None else v
         if best is not None:
             matched[best] = v
-    # Build merged nodes; the smaller vertex names the merged node.
-    rep = {}
-    for v, m in matched.items():
-        rep[v] = v if m == v else min(v, m)
-    coarse_adj: dict = {}
+    # the smaller vertex names the merged node
+    rep = {v: v if m == v else min(v, m) for v, m in matched.items()}
     coarse_weight: dict = {}
     for v in adj:
         r = rep[v]
-        coarse_adj.setdefault(r, {})
         coarse_weight[r] = coarse_weight.get(r, 0) + node_weight[v]
+    return rep, coarse_weight
+
+
+def _contract(adj: dict, rep: dict, coarse_weight: dict) -> dict:
+    """The coarser graph: merged nodes joined by their summed edge weights."""
+    coarse_adj: dict = {r: {} for r in coarse_weight}
     for v, nbrs in adj.items():
         rv = rep[v]
         for n, w in nbrs.items():
             rn = rep[n]
             if rv != rn:
                 coarse_adj[rv][rn] = coarse_adj[rv].get(rn, 0) + w
-    return coarse_adj, coarse_weight, rep
+    return coarse_adj
+
+
+def _cannot_pack(weights, k: int, balance_cap: int) -> bool:
+    """Parity bound: True only if no assignment to k clusters fits the cap.
+
+    A cluster of even-weight nodes alone has an even total, so it holds at
+    most cap - cap % 2; only a cluster with an odd-weight node can reach an
+    odd cap, and at most min(m, k) clusters have one, for m odd nodes.
+    Merging two nodes never adds an odd node, so a level the bound holds for
+    passes it to every coarser level.  weights is re-iterable (a list or a
+    dict view).
+    """
+    odd = min(k, sum(w & 1 for w in weights))
+    return sum(weights) > odd * balance_cap + (k - odd) * (balance_cap - balance_cap % 2)
 
 
 def _initial_assign(adj, node_weight, k, balance_cap):
@@ -156,7 +185,14 @@ def partition_greedy(adj: dict, k: int, balance_cap: int, seed: int = 0) -> dict
     """Heavy-edge coarsening plus greedy boundary refinement.
 
     Deterministic for a fixed seed; the assignment always respects the vertex
-    cap.  adj is read only: every level builds new maps.
+    cap.  adj is read only: every level builds new maps.  The initial
+    assignment runs on the coarsest level and, after each Infeasible, one
+    level finer.  A level whose merged weights fail the parity bound of
+    _cannot_pack is never contracted: the assignment would fail there and on
+    every coarser level, and a failed attempt reads nothing else and draws
+    nothing from the rng, so the partition is the one that building and
+    trying every level gives.  With an even cap the bound is k * cap and
+    never fires.
     """
     n = len(adj)
     if balance_cap * k < n:
@@ -168,11 +204,13 @@ def partition_greedy(adj: dict, k: int, balance_cap: int, seed: int = 0) -> dict
     weight = {v: 1 for v in adj}
     levels = []  # (fine_adj, fine_weight, rep) per coarsening step
     while len(adj) > max(2 * k, 16):
-        coarse_adj, coarse_weight, rep = _coarsen(adj, weight, balance_cap)
-        if len(coarse_adj) == len(adj):
+        rep, coarse_weight = _match(adj, weight, balance_cap)
+        # a level that cannot be packed would only fail below, and so would
+        # every coarser one: it is not contracted
+        if len(coarse_weight) == len(adj) or _cannot_pack(coarse_weight.values(), k, balance_cap):
             break
         levels.append((adj, weight, rep))
-        adj, weight = coarse_adj, coarse_weight
+        adj, weight = _contract(adj, rep, coarse_weight), coarse_weight
 
     while True:
         try:

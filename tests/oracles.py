@@ -1,10 +1,12 @@
 """Exact oracles that only tests call: the small-instance partition
-enumerator with its cut weight, and the closed-form expected cash-in of the
-epoch shuffle."""
+enumerator with its cut weight, the multilevel partitioner that builds every
+coarse level with sort-based choices, and the closed-form expected cash-in of
+the epoch shuffle."""
 
 import itertools
+import random
 
-from shardsim.partitioner import Infeasible
+from shardsim.partitioner import Infeasible, _refine
 
 
 class UncoveredVertex(Exception):
@@ -65,6 +67,90 @@ def partition_bruteforce(adj: dict, k: int, balance_cap: int) -> dict:
             best_cut = cut
             best = labels
     return dict(zip(vertices, best))
+
+
+def _coarsen_by_sort(adj, node_weight, balance_cap):
+    matched = {}
+    merge_limit = max(2, balance_cap // 2)
+    order = sorted(adj, key=lambda v: (-max(adj[v].values(), default=0), v))
+    for v in order:
+        if v in matched:
+            continue
+        best = None
+        for n, w in sorted(adj[v].items(), key=lambda kv: (-kv[1], kv[0])):
+            if n not in matched and node_weight[v] + node_weight[n] <= merge_limit:
+                best = n
+                break
+        matched[v] = best if best is not None else v
+        if best is not None:
+            matched[best] = v
+    rep = {}
+    for v, m in matched.items():
+        rep[v] = v if m == v else min(v, m)
+    coarse_adj = {}
+    coarse_weight = {}
+    for v in adj:
+        r = rep[v]
+        coarse_adj.setdefault(r, {})
+        coarse_weight[r] = coarse_weight.get(r, 0) + node_weight[v]
+    for v, nbrs in adj.items():
+        rv = rep[v]
+        for n, w in nbrs.items():
+            rn = rep[n]
+            if rv != rn:
+                coarse_adj[rv][rn] = coarse_adj[rv].get(rn, 0) + w
+    return coarse_adj, coarse_weight, rep
+
+
+def _initial_assign_by_sort(adj, node_weight, k, balance_cap):
+    assignment = {}
+    sizes = [0] * k
+    for v in sorted(adj, key=lambda v: (-node_weight[v], v)):
+        gains = [0] * k
+        for n, w in adj[v].items():
+            if n in assignment:
+                gains[assignment[n]] += w
+        candidates = [
+            c for c in range(k) if sizes[c] + node_weight[v] <= balance_cap
+        ]
+        if not candidates:
+            raise Infeasible("no cluster can absorb a coarse node within the cap")
+        c = max(candidates, key=lambda c: (gains[c], -sizes[c], -c))
+        assignment[v] = c
+        sizes[c] += node_weight[v]
+    return assignment
+
+
+def partition_multilevel(adj: dict, k: int, balance_cap: int, seed: int = 0) -> dict:
+    """partition_greedy without its shortcut: every coarse level is built,
+    then the initial assignment is tried coarsest first, one level finer
+    after each Infeasible; refinement is the partitioner's own."""
+    if balance_cap * k < len(adj):
+        raise Infeasible("balance cap times k below vertex count")
+    if k == 1:
+        return dict.fromkeys(adj, 0)
+    rng = random.Random(seed)
+    weight = {v: 1 for v in adj}
+    levels = []
+    while len(adj) > max(2 * k, 16):
+        coarse_adj, coarse_weight, rep = _coarsen_by_sort(adj, weight, balance_cap)
+        if len(coarse_adj) == len(adj):
+            break
+        levels.append((adj, weight, rep))
+        adj, weight = coarse_adj, coarse_weight
+    while True:
+        try:
+            assignment = _initial_assign_by_sort(adj, weight, k, balance_cap)
+            break
+        except Infeasible:
+            if not levels:
+                raise
+            adj, weight, _ = levels.pop()
+    assignment = _refine(adj, weight, assignment, k, balance_cap, rng)
+    for fine_adj, fine_weight, rep in reversed(levels):
+        assignment = {v: assignment[r] for v, r in rep.items()}
+        assignment = _refine(fine_adj, fine_weight, assignment, k, balance_cap, rng)
+    return assignment
 
 
 def expected_reward(fraction: float, deposits_total: int, k: int) -> float:

@@ -44,20 +44,22 @@ def _unit_txs(n, accounts_per_tx=1, prefix="a"):
 
 
 def test_config_validation():
-    for bad in (
-        dict(k_shards=0),
-        dict(shard_capacity=0),
-        dict(cross_shard_cost=0),
-        dict(mempool_ratio=0.0),
-        dict(window=0),
-        dict(policy="nope"),
-        dict(mode="nope"),
-        dict(epoch_length=0),
-        dict(fee_scheme="nope"),
-        dict(max_rounds=0),
-        dict(economics=True, default_fee=-3),
+    # each message names the field it refuses
+    for field, bad in (
+        ("k_shards", dict(k_shards=0)),
+        ("shard_capacity", dict(shard_capacity=0)),
+        ("cross_shard_cost", dict(cross_shard_cost=0)),
+        ("mempool_ratio", dict(mempool_ratio=0.0)),
+        ("window", dict(window=0)),
+        ("policy", dict(policy="nope")),
+        ("mode", dict(mode="nope")),
+        ("epoch_length", dict(epoch_length=0)),
+        ("miners_per_shard", dict(miners_per_shard=0)),
+        ("fee scheme", dict(fee_scheme="nope")),
+        ("max_rounds", dict(max_rounds=0)),
+        ("default_fee", dict(economics=True, default_fee=-3)),
     ):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=field):
             SimConfig(**bad).validate()
     SimConfig(economics=True, default_fee=0).validate()
     SimConfig(mempool_ratio=2, refuse_migrations_from=frozenset({0, 15})).validate()

@@ -6,14 +6,15 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from shardsim import partitioner
 from shardsim.core import Transaction
 from shardsim.partitioner import Infeasible, graph_from_transactions, partition_greedy
 
-from oracles import TooLarge, UncoveredVertex, cut_weight, partition_bruteforce
+from oracles import (TooLarge, UncoveredVertex, cut_weight, partition_bruteforce,
+                     partition_multilevel)
 
 
 def _add_edge(adj, u, v, weight=1):
@@ -251,59 +252,8 @@ def test_greedy_cut_matches_recount(seed):
 
 
 # ---------------------------------------------------------------------------
-# differential test against the sort-based coarsening and initial assignment
-
-
-def _reference_coarsen(adj, node_weight, balance_cap):
-    matched = {}
-    merge_limit = max(2, balance_cap // 2)
-    order = sorted(adj, key=lambda v: (-max(adj[v].values(), default=0), v))
-    for v in order:
-        if v in matched:
-            continue
-        best = None
-        for n, w in sorted(adj[v].items(), key=lambda kv: (-kv[1], kv[0])):
-            if n not in matched and node_weight[v] + node_weight[n] <= merge_limit:
-                best = n
-                break
-        matched[v] = best if best is not None else v
-        if best is not None:
-            matched[best] = v
-    rep = {}
-    for v, m in matched.items():
-        rep[v] = v if m == v else min(v, m)
-    coarse_adj = {}
-    coarse_weight = {}
-    for v in adj:
-        r = rep[v]
-        coarse_adj.setdefault(r, {})
-        coarse_weight[r] = coarse_weight.get(r, 0) + node_weight[v]
-    for v, nbrs in adj.items():
-        rv = rep[v]
-        for n, w in nbrs.items():
-            rn = rep[n]
-            if rv != rn:
-                coarse_adj[rv][rn] = coarse_adj[rv].get(rn, 0) + w
-    return coarse_adj, coarse_weight, rep
-
-
-def _reference_initial_assign(adj, node_weight, k, balance_cap):
-    assignment = {}
-    sizes = [0] * k
-    for v in sorted(adj, key=lambda v: (-node_weight[v], v)):
-        gains = [0] * k
-        for n, w in adj[v].items():
-            if n in assignment:
-                gains[assignment[n]] += w
-        candidates = [
-            c for c in range(k) if sizes[c] + node_weight[v] <= balance_cap
-        ]
-        if not candidates:
-            raise Infeasible("no cluster can absorb a coarse node within the cap")
-        c = max(candidates, key=lambda c: (gains[c], -sizes[c], -c))
-        assignment[v] = c
-        sizes[c] += node_weight[v]
-    return assignment
+# differential test against the multilevel oracle, which builds every level
+# with sort-based choices and has no packing shortcut
 
 
 _NAMES = ["".join(t) for size in (1, 2, 3, 4) for t in itertools.product("abc", repeat=size)]
@@ -314,15 +264,23 @@ def _partition_cases(draw):
     # short names inserted in random order, so name order and insertion
     # order disagree; few distinct weights, so ties are common
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    names = rng.sample(_NAMES, draw(st.integers(1, 60)))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 60))
+        k = draw(st.integers(1, 8))
+        cap = -(-n // k) + draw(st.integers(0, 3))  # slack 0 leaves no room
+    else:
+        # zero slack at an odd cap above the coarsening threshold, where the
+        # parity bound can stop coarsening
+        k = draw(st.integers(2, 8))
+        cap = draw(st.sampled_from([c for c in range(3, 46, 2) if max(2 * k, 16) < k * c <= 90]))
+        n = k * cap
+    names = rng.sample(_NAMES, n)
     density = draw(st.sampled_from([0.05, 0.15, 0.4]))
     max_weight = draw(st.integers(1, 3))
     g = {v: {} for v in names}
     for u, v in itertools.combinations(names, 2):
         if rng.random() < density:
             _add_edge(g, u, v, rng.randint(1, max_weight))
-    k = draw(st.integers(1, 8))
-    cap = -(-len(names) // k) + draw(st.integers(0, 3))  # slack 0 leaves no room
     return g, k, cap, draw(st.integers(0, 100))
 
 
@@ -333,13 +291,121 @@ def _partition_cases(draw):
 def test_greedy_matches_sort_based_reference(case):
     g, k, cap, seed = case
     try:
-        with mock.patch.multiple(partitioner, _coarsen=_reference_coarsen,
-                                 _initial_assign=_reference_initial_assign):
-            expected = partition_greedy(g, k, cap, seed=seed)
+        expected = partition_multilevel(g, k, cap, seed=seed)
     except Infeasible as exc:
         expected = type(exc)
     try:
         got = partition_greedy(g, k, cap, seed=seed)
     except Infeasible as exc:
         got = type(exc)
+    # the same table, in the same key order
     assert got == expected
+    if isinstance(got, dict):
+        assert list(got) == list(expected)
+
+
+# ---------------------------------------------------------------------------
+# the parity bound that stops coarsening
+
+
+def _packs(weights, k, cap):
+    """Exhaustive search: can the weights go into k clusters of at most cap?"""
+    def place(i, sizes):
+        if i == len(weights):
+            return True
+        tried = set()
+        for c in range(k):
+            if sizes[c] + weights[i] <= cap and sizes[c] not in tried:
+                tried.add(sizes[c])  # clusters of equal size are interchangeable
+                sizes[c] += weights[i]
+                if place(i + 1, sizes):
+                    return True
+                sizes[c] -= weights[i]
+        return False
+    return place(0, [0] * k)
+
+
+def test_bound_on_small_examples():
+    # three pairs fill two clusters of 3 exactly, but a cluster of pairs
+    # holds 2: the bound fires and no packing exists
+    assert partitioner._cannot_pack([2, 2, 2], 2, 3)
+    assert not _packs([2, 2, 2], 2, 3)
+    # two odd nodes let both clusters reach 3: no fire, and 1 + 2 | 2 + 1 packs
+    assert not partitioner._cannot_pack([1, 2, 2, 1], 2, 3)
+    assert _packs([1, 2, 2, 1], 2, 3)
+    # an even cap never fires while the total fits k * cap
+    assert not partitioner._cannot_pack([2, 2, 2], 3, 2)
+    # with at least k odd nodes the bound is k * cap: only an overfull total fires
+    assert partitioner._cannot_pack([1, 1, 1], 2, 1)
+    assert not partitioner._cannot_pack([1, 1, 1], 3, 1)
+
+
+@st.composite
+def _bound_cases(draw, max_nodes, max_k, max_cap):
+    # mostly odd caps and mostly even weights that nearly fill the k
+    # clusters, where the bound has room to fire
+    k = draw(st.integers(1, max_k))
+    cap = 2 * draw(st.integers(1, max_cap // 2)) + (draw(st.integers(0, 3)) > 0)
+    weights = []
+    while len(weights) < max_nodes:
+        w = 2 * draw(st.integers(1, cap // 2)) - (draw(st.integers(0, 3)) == 0)
+        if sum(weights) + w > k * cap:
+            break
+        weights.append(w)
+    return weights, k, cap
+
+
+@given(case=_bound_cases(max_nodes=8, max_k=3, max_cap=9))
+@settings(max_examples=400, deadline=None)
+def test_bound_fires_only_where_nothing_packs(case):
+    weights, k, cap = case
+    if partitioner._cannot_pack(weights, k, cap):
+        assert not _packs(weights, k, cap)
+
+
+@given(case=_bound_cases(max_nodes=30, max_k=8, max_cap=25), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_bound_survives_every_merge(case, data):
+    # coarsening only merges nodes, so a level the bound certifies certifies
+    # every coarser level
+    weights, k, cap = case
+    assume(len(weights) >= 2)
+    i, j = data.draw(st.lists(st.integers(0, len(weights) - 1), min_size=2, max_size=2,
+                              unique=True))
+    merged = [w for x, w in enumerate(weights) if x not in (i, j)] + [weights[i] + weights[j]]
+    if partitioner._cannot_pack(weights, k, cap):
+        assert partitioner._cannot_pack(merged, k, cap)
+
+
+def _paired_graph(n):
+    """n vertices, each with a heavy edge to its partner, on a sparse ring."""
+    g = {f"v{i:03d}": {} for i in range(n)}
+    for i in range(0, n, 2):
+        _add_edge(g, f"v{i:03d}", f"v{i + 1:03d}", 5)
+    for i in range(n):
+        _add_edge(g, f"v{i:03d}", f"v{(i + 1) % n:03d}")
+    return g
+
+
+def _work(g, k, cap):
+    with mock.patch.object(partitioner, "_contract", wraps=partitioner._contract) as contract, \
+            mock.patch.object(partitioner, "_initial_assign",
+                              wraps=partitioner._initial_assign) as assign:
+        part = partition_greedy(g, k, cap, seed=0)
+    assert _largest_cluster(part, k) <= cap
+    assert part == partition_multilevel(g, k, cap, seed=0)
+    return contract.call_count, assign.call_count
+
+
+def test_zero_slack_odd_cap_contracts_no_level():
+    # level 1 is 50 pairs of weight 2 and no odd node: 4 clusters of 25 can
+    # hold 24 each at most, so the level is certified and never contracted
+    g = _paired_graph(100)
+    assert _work(g, 4, 25) == (0, 1)
+
+
+@pytest.mark.parametrize("k, cap", [(4, 26), (5, 20)])
+def test_even_cap_still_coarsens(k, cap):
+    contracted, assigned = _work(_paired_graph(100), k, cap)
+    assert contracted >= 1
+    assert assigned >= 1

@@ -14,22 +14,56 @@ ROOT = Path(__file__).resolve().parent.parent
 # script name -> arguments
 SCRIPT_ARGS = {
     "economics_demo": ["--txs", "2000", "--shards", "4"],
+    "src_lines": [],
     "tune_zipf": ["--accounts", "200"],
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCRIPT_ARGS))
-def test_script_runs(name, tmp_path):
+def _run_script(name, args, cwd):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / f"{name}.py"), *SCRIPT_ARGS[name]],
-        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        [sys.executable, str(ROOT / "scripts" / f"{name}.py"), *args],
+        capture_output=True, text=True, timeout=120, cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_ARGS))
+def test_script_runs(name, tmp_path):
+    proc = _run_script(name, SCRIPT_ARGS[name], tmp_path)
     assert proc.stdout.strip()
     for out in tmp_path.iterdir():
         assert out.stat().st_size > 0
+
+
+_COUNTED_MODULE = '''"""Module docstring,
+two lines."""
+
+# a comment
+import os
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """One line."""
+        text = """not a docstring,
+        but a string that spans two lines"""
+        return os.sep + text  # trailing comment
+'''
+
+
+def test_src_lines_counts_code_without_docstrings_comments_or_blanks(tmp_path):
+    # 15 raw lines: the import, the class and def lines, the two lines of the
+    # assigned string and the return are code; the rest are not
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(_COUNTED_MODULE, encoding="utf-8")
+    rows = _run_script("src_lines", [str(tmp_path)], tmp_path).stdout.splitlines()
+    assert rows[1].split() == ["pkg/mod.py", "15", "6"]
+    assert rows[-1].split() == ["total", "15", "6"]
 
 
 def test_package_imports_only_stdlib_and_numpy():
