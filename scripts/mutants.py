@@ -1,0 +1,169 @@
+#!/usr/bin/env python3
+"""Re-runnable mutation checks: each listed fault must be caught by a test.
+
+A mutant is one fault written as an exact text replacement in one module of
+``src/shardsim``, with the ids of the tests that must catch it.  For each
+mutant the script copies ``src/`` to a temporary directory, replaces the old
+text, which must occur exactly once in that module, and runs the mutant's
+killing tests with ``PYTHONPATH`` set to the copy.  The mutant is killed only
+when pytest exits with status 1, which means that tests ran and one failed;
+status 0 is a survivor, and any other status, such as a test id that no longer
+exists, is an error.  The killers are tests that draw nothing with
+Hypothesis, so every run of a mutant runs the same cases.
+
+The script prints one line per mutant and exits non-zero if any mutant
+survives, errors, or has lost its old text, so a refactor that moves the text
+of a mutant must update its entry:
+
+    python3 scripts/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (id, module under src/shardsim, exact old text, new text, killing test ids)
+MUTANTS = [
+    (
+        # the scheduler plans a migration from an account's shard to itself
+        "self-migration",
+        "policies.py",
+        "            if current == main:\n                continue\n",
+        "",
+        [
+            "tests/test_policies.py::test_scheduler_mutex_mode_forces_single_shard",
+            "tests/test_policies.py::test_main_shard_least_loaded_involved",
+            "tests/test_engine.py::test_golden_outputs_unchanged[scheduler-k4]",
+            "tests/test_engine.py::test_golden_ledger_unchanged[scheduler-econ]",
+        ],
+    ),
+    (
+        # an EOA migration costs nothing
+        "zero-cost-eoa-migration",
+        "core.py",
+        "        if account is None or account.kind == EOA:\n"
+        "            return self.cross_shard_cost\n",
+        "        if account is None or account.kind == EOA:\n"
+        "            return 0\n",
+        [
+            "tests/test_core.py::test_migration_cost_eoa_and_ca",
+            "tests/test_engine.py::test_migration_charges_source_and_dest",
+            "tests/test_engine.py::test_golden_ledger_unchanged[scheduler-econ]",
+        ],
+    ),
+    (
+        # Simulation runs a config that validate refuses; core, policies and
+        # economics check none of its fields
+        "simulation-skips-validate",
+        "engine.py",
+        "        config.validate()\n        if not workload:\n",
+        "        if not workload:\n",
+        [
+            "tests/test_engine.py::test_config_validation",
+            "tests/test_engine.py::test_config_rejects_non_finite_mempool_ratio",
+        ],
+    ),
+    (
+        # credit pays a fee to a miner of another shard
+        "credit-pays-next-shards-leader",
+        "economics.py",
+        "leader = rotate_leader(self.assignment, shard, round_index)",
+        "leader = rotate_leader(self.assignment, (shard + 1) % self.k, round_index)",
+        [
+            "tests/test_economics.py::test_ledger_naive_pays_immediately",
+            "tests/test_economics.py::test_ledger_epoch_rows_record_contributions",
+            "tests/test_engine.py::test_golden_ledger_unchanged[scheduler-econ]",
+        ],
+    ),
+    (
+        # validate accepts a window below 1, which ShardState and AlignmentBook trust
+        "validate-skips-window",
+        "engine.py",
+        '("k_shards", "shard_capacity", "window", "cross_shard_cost",',
+        '("k_shards", "shard_capacity", "cross_shard_cost",',
+        [
+            "tests/test_engine.py::test_config_validation",
+        ],
+    ),
+    (
+        # a negative fee passes the transaction check and reaches the ledger
+        "fast-check-skips-negative-fee",
+        "engine.py",
+        "type(cost) is int and fee >= 0 and 0 < cost <= most",
+        "type(cost) is int and 0 < cost <= most",
+        [
+            "tests/test_engine.py::test_transaction_of_wrong_type_rejected[negative-fee]",
+        ],
+    ),
+    (
+        # the ledger has a miner count that k shards do not split evenly
+        "miner-count-not-divisible",
+        "economics.py",
+        'return [f"m{i:04d}" for i in range(k * miners_per_shard)]',
+        'return [f"m{i:04d}" for i in range(k * miners_per_shard + 1)]',
+        [
+            "tests/test_economics.py::test_miner_ids_shape",
+            "tests/test_economics.py::test_ledger_naive_pays_immediately",
+            "tests/test_engine.py::test_golden_ledger_unchanged[scheduler-econ]",
+        ],
+    ),
+    (
+        # an epoch's reshuffle leaves a ledger miner without a shard
+        "epoch-drops-a-miner",
+        "economics.py",
+        "    order = sorted(miners)\n",
+        "    order = sorted(miners)[1:]\n",
+        [
+            "tests/test_economics.py::test_shuffle_epoch_is_balanced_and_deterministic",
+            "tests/test_economics.py::test_ledger_epoch_rows_record_contributions",
+            "tests/test_engine.py::test_golden_ledger_unchanged[scheduler-econ]",
+        ],
+    ),
+]
+
+
+def run_mutant(old, new, module, killers) -> str:
+    """'killed', 'survived', 'lost' or 'error: ...' for one mutant."""
+    with tempfile.TemporaryDirectory(prefix="shardsim-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "shardsim" / module
+        text = path.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            return "lost"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        where = subprocess.run(
+            [sys.executable, "-c", "import shardsim; print(shardsim.__file__)"],
+            capture_output=True, text=True, env=env, cwd=ROOT,
+        )
+        if not where.stdout.startswith(str(src)):
+            return f"error: imported shardsim from {where.stdout.strip() or where.stderr}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *killers],
+            capture_output=True, text=True, env=env, cwd=ROOT,
+        )
+    if proc.returncode == 1:
+        return "killed"
+    if proc.returncode == 0:
+        return "survived"
+    return f"error: pytest exit status {proc.returncode}\n{(proc.stdout + proc.stderr)[-2000:]}"
+
+
+def main() -> int:
+    failed = 0
+    for mutant_id, module, old, new, killers in MUTANTS:
+        outcome = run_mutant(old, new, module, killers) if killers else "error: no killing tests"
+        print(f"{mutant_id:32s} {outcome}", flush=True)
+        failed += outcome != "killed"
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -240,16 +240,14 @@ def write_summary_csv(path, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def write_epochs_csv(path, ledger) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "shard", "deposit_total", "miner", "contribution", "payout"])
-        for epoch, shard, total, miner, contribution, payout in ledger.epoch_rows:
-            writer.writerow([epoch, shard, total, miner, contribution, payout])
+        writer.writerows(ledger.epoch_rows)
 
 
 def _run_single(config: SimConfig, workload, out_dir) -> dict:

@@ -58,12 +58,6 @@ class MigrationOp:
     dest: ShardId
     cost: int
 
-    def __post_init__(self):
-        if self.source == self.dest:
-            raise ValueError("migration source equals destination")
-        if self.cost <= 0:
-            raise ValueError("migration cost must be positive")
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -144,8 +138,6 @@ class ShardState:
     __slots__ = ("id", "capacity_per_round", "residual", "_closed", "_closed_sum")
 
     def __init__(self, shard_id: ShardId, capacity_per_round: int, window: int):
-        if capacity_per_round <= 0 or window <= 0:
-            raise ValueError("capacity and window must be positive")
         self.id = shard_id
         self.capacity_per_round = capacity_per_round
         self.residual = capacity_per_round
@@ -178,8 +170,6 @@ class AlignmentBook:
     """
 
     def __init__(self, window: int):
-        if window <= 0:
-            raise ValueError("window must be positive")
         self.window = window
         self.block = 0
         self._ring: list[list] = [[] for _ in range(window)]  # block % W -> triples

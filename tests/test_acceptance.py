@@ -98,10 +98,10 @@ def headline_runs():
 def test_criterion_1_cash_in_exact(announce):
     deposits = {s: ShardDeposit(shard=s, epoch=0) for s in range(3)}
     prev = EpochAssignment(0, {"m0": 0, "m1": 1, "m2": 1, "m3": 2})
-    record_fee(deposits[0], prev, "m0", 100)
-    record_fee(deposits[1], prev, "m1", 5)   # 10% of shard 1's 50 coins
-    record_fee(deposits[1], prev, "m2", 45)
-    record_fee(deposits[2], prev, "m3", 50)
+    record_fee(deposits[0], "m0", 100)
+    record_fee(deposits[1], "m1", 5)   # 10% of shard 1's 50 coins
+    record_fee(deposits[1], "m2", 45)
+    record_fee(deposits[2], "m3", 50)
     new = EpochAssignment(1, {"m0": 0, "m1": 2, "m2": 1, "m3": 1})
     payout = cash_in("m1", deposits, prev, new)
     ok = payout == 5.0
@@ -124,7 +124,7 @@ def test_criterion_2_expected_reward_law(announce):
         rng = random.Random(k)
         for s in range(k):
             for m in prev.miners_of(s):
-                record_fee(deposits[s], prev, m, rng.randint(5, 50))
+                record_fee(deposits[s], m, rng.randint(5, 50))
         miner = prev.miners_of(0)[0]
         fraction = deposits[0].fraction(miner)
         total = sum(d.total for d in deposits.values())

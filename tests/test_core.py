@@ -1,6 +1,5 @@
 """Domain-type unit tests: cost model, rolling windows, the alignment book."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,25 +8,12 @@ from shardsim.core import (
     Account,
     AlignmentBook,
     CostModel,
-    MigrationOp,
     ShardState,
     Transaction,
     update_alignments,
 )
 
 from reference_engine import pairwise_deltas
-
-
-# ---------------------------------------------------------------------------
-# construction guards: MigrationOp alone checks itself, since only the
-# scheduler builds one; Simulation checks transactions and accounts
-
-
-def test_migration_op_guards():
-    with pytest.raises(ValueError):
-        MigrationOp("aa", 1, 1, 2)
-    with pytest.raises(ValueError):
-        MigrationOp("aa", 0, 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -44,23 +44,28 @@ def _unit_txs(n, accounts_per_tx=1, prefix="a"):
 
 
 def test_config_validation():
-    # each message names the field it refuses
+    # each message names the field it refuses, from validate and again from
+    # Simulation, the gate that core, policies and economics trust; a field
+    # that only the ledger or the scheduler reads is refused where one is built
     for field, bad in (
         ("k_shards", dict(k_shards=0)),
-        ("shard_capacity", dict(shard_capacity=0)),
+        # the base-cost check names shard_capacity too, so match validate's words
+        ("shard_capacity must be positive", dict(shard_capacity=0)),
         ("cross_shard_cost", dict(cross_shard_cost=0)),
         ("mempool_ratio", dict(mempool_ratio=0.0)),
         ("window", dict(window=0)),
         ("policy", dict(policy="nope")),
-        ("mode", dict(mode="nope")),
-        ("epoch_length", dict(epoch_length=0)),
-        ("miners_per_shard", dict(miners_per_shard=0)),
-        ("fee scheme", dict(fee_scheme="nope")),
+        ("mode", dict(policy="scheduler", mode="nope")),
+        ("epoch_length", dict(economics=True, epoch_length=0)),
+        ("miners_per_shard", dict(economics=True, miners_per_shard=0)),
+        ("fee scheme", dict(economics=True, fee_scheme="nope")),
         ("max_rounds", dict(max_rounds=0)),
         ("default_fee", dict(economics=True, default_fee=-3)),
     ):
         with pytest.raises(ConfigError, match=field):
             SimConfig(**bad).validate()
+        with pytest.raises(ConfigError, match=field):
+            Simulation(SimConfig(**bad), _pair_workload())
     SimConfig(economics=True, default_fee=0).validate()
     SimConfig(mempool_ratio=2, refuse_migrations_from=frozenset({0, 15})).validate()
 

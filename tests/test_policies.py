@@ -46,11 +46,6 @@ def test_hash_place_range_and_determinism():
         assert s == hash_place(acc, 16)
 
 
-def test_hash_place_rejects_bad_k():
-    with pytest.raises(ValueError):
-        hash_place("aa", 0)
-
-
 def test_hash_place_is_roughly_uniform():
     rng = random.Random(1)
     counts = Counter(
@@ -179,8 +174,6 @@ def test_scheduler_mutex_mode_forces_single_shard():
     )
     assert plan.final_shards == frozenset({1})
     assert {m.account for m in plan.migrations} == {"aa", "cc"}
-    with pytest.raises(ValueError, match="unknown mode 'bad'"):
-        SchedulerPolicy(mode="bad")
 
 
 def test_scheduler_ca_pinned_by_default():

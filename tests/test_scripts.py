@@ -1,5 +1,6 @@
 """Experiment scripts: each one runs at a small size and prints its result;
-and the package imports nothing outside the standard library but numpy."""
+the package imports nothing outside the standard library but numpy, and it
+exports only its run boundary."""
 
 import ast
 import os
@@ -82,3 +83,17 @@ def test_package_imports_only_stdlib_and_numpy():
             stray += [f"{path.name}: {name}" for name in names
                       if name.split(".")[0] not in allowed]
     assert not stray
+
+
+def test_package_exports_only_the_run_boundary():
+    # the entry points and the records they take and return: the internals of
+    # core, policies and economics check nothing, trusting what SimConfig,
+    # Simulation, load_trace and SyntheticSpec accepted
+    import shardsim
+
+    boundary = ["Account", "FinalSummary", "Livelock", "RoundReport", "SimConfig", "Simulation",
+                "SyntheticSpec", "Transaction", "finalize", "generate", "load_trace", "run"]
+    assert sorted(shardsim.__all__) == boundary
+    namespace = {}
+    exec("from shardsim import *", namespace)  # raises on a listed name the package lacks
+    assert sorted(set(namespace) - {"__builtins__"}) == boundary
