@@ -124,6 +124,18 @@ MUTANTS = [
             "tests/test_engine.py::test_golden_ledger_unchanged[scheduler-econ]",
         ],
     ),
+    (
+        # every epoch reshuffles the miners into the same shards
+        "shuffle-ignores-epoch",
+        "economics.py",
+        'random.Random(f"epoch:{seed}:{epoch}")',
+        'random.Random(f"epoch:{seed}")',
+        [
+            "tests/test_economics.py::test_shuffle_epoch_is_balanced_and_deterministic",
+            "tests/test_economics.py::test_shuffle_is_roughly_uniform",
+            "tests/test_engine.py::test_golden_ledger_unchanged[scheduler-econ]",
+        ],
+    ),
 ]
 
 

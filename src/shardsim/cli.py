@@ -216,38 +216,24 @@ def summary_row(config: SimConfig, summary) -> dict:
     return row
 
 
-def write_rounds_csv(path, reports, k: int) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write one output CSV, the dialect of every file a run writes: UTF-8,
+    "\n" line ends and the csv module's minimal quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["round", "processed", "wasted", "cross_count", "migrations"]
-            + [f"load_s{s}" for s in range(k)]
-        )
-        for r in reports:
-            writer.writerow(
-                [
-                    r.round_index,
-                    r.processed_count,
-                    sum(r.residuals.values()),
-                    r.cross_shard_tx_count,
-                    r.migrations_executed,
-                ]
-                + [r.processed_cost[s] for s in range(k)]
-            )
-
-
-def write_summary_csv(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS, lineterminator="\n")
-        writer.writeheader()
+        writer.writerow(header)
         writer.writerows(rows)
 
 
-def write_epochs_csv(path, ledger) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "shard", "deposit_total", "miner", "contribution", "payout"])
-        writer.writerows(ledger.epoch_rows)
+def write_rounds_csv(path, reports, k: int) -> None:
+    header = ["round", "processed", "wasted", "cross_count", "migrations"]
+    header += [f"load_s{s}" for s in range(k)]
+    rows = (
+        [r.round_index, r.processed_count, sum(r.residuals.values()), r.cross_shard_tx_count,
+         r.migrations_executed, *(r.processed_cost[s] for s in range(k))]
+        for r in reports
+    )
+    write_csv(path, header, rows)
 
 
 def _run_single(config: SimConfig, workload, out_dir) -> dict:
@@ -257,9 +243,10 @@ def _run_single(config: SimConfig, workload, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     write_rounds_csv(os.path.join(out_dir, "rounds.csv"), reports, config.k_shards)
     row = summary_row(config, summary)
-    write_summary_csv(os.path.join(out_dir, "summary.csv"), [row])
+    write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_FIELDS, [row.values()])
     if sim.ledger is not None:
-        write_epochs_csv(os.path.join(out_dir, "epochs.csv"), sim.ledger)
+        header = ["epoch", "shard", "deposit_total", "miner", "contribution", "payout"]
+        write_csv(os.path.join(out_dir, "epochs.csv"), header, sim.ledger.epoch_rows)
     return row
 
 
@@ -297,7 +284,7 @@ def cmd_sweep(args) -> int:
             out_dir = os.path.join(args.out, f"{policy}_{args.axis}_{value}")
             rows.append(_run_single(config, workloads[source], out_dir))
     os.makedirs(args.out, exist_ok=True)
-    write_summary_csv(os.path.join(args.out, "sweep.csv"), rows)
+    write_csv(os.path.join(args.out, "sweep.csv"), SUMMARY_FIELDS, (row.values() for row in rows))
     return 0
 
 

@@ -132,13 +132,13 @@ class ShardState:
     residual is the only per-round state: admission, which checks every
     residual first, charges a shard by lowering it.  advance_block closes the
     live load into a ring of the W - 1 earlier blocks and keeps their sum;
-    window_sum adds the live load to that sum.
+    window_sum adds the live load to that sum.  A shard's index in
+    ``Simulation.shards`` is its id.
     """
 
-    __slots__ = ("id", "capacity_per_round", "residual", "_closed", "_closed_sum")
+    __slots__ = ("capacity_per_round", "residual", "_closed", "_closed_sum")
 
-    def __init__(self, shard_id: ShardId, capacity_per_round: int, window: int):
-        self.id = shard_id
+    def __init__(self, capacity_per_round: int, window: int):
         self.capacity_per_round = capacity_per_round
         self.residual = capacity_per_round
         self._closed = deque([0] * (window - 1), maxlen=window - 1)

@@ -7,6 +7,10 @@ epoch's deposit of their *new* shard, pro rata to their contribution in
 their *old* shard.  A naive mode (leaders pocket fees immediately) is kept
 for the greedy-miner comparison.
 
+Each fact has one record: the ledger's epoch counter is the epoch of its
+deposits and of its assignment, and a deposit's shard is its index in the
+ledger's deposit list, so neither a deposit nor an assignment stores either.
+
 The ledger checks none of its inputs: ``Simulation`` builds it from a
 ``SimConfig`` that ``validate`` accepted, so k and miners_per_shard are
 positive and the scheme is one of ``FEE_SCHEMES``.  Every epoch then splits
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import ShardId
 
@@ -31,8 +36,8 @@ FEE_SCHEMES = (DECOUPLED, NAIVE)
 
 @dataclass
 class ShardDeposit:
-    shard: ShardId
-    epoch: int
+    """One shard's locked fees in one epoch, with each leader's contribution."""
+
     total: int = 0
     contributions: dict = field(default_factory=dict)
 
@@ -44,17 +49,18 @@ class ShardDeposit:
 
 @dataclass(frozen=True)
 class EpochAssignment:
-    epoch: int
-    shard_of: dict  # miner -> shard
-    # shard -> its miners in sorted order, built once so that leader rotation
-    # on every credit is a lookup
-    _members: dict = field(init=False, repr=False, compare=False)
+    """One epoch's miner-to-shard map; two assignments are equal when their maps are."""
 
-    def __post_init__(self):
+    shard_of: dict  # miner -> shard
+
+    @cached_property
+    def _members(self) -> dict:
+        """Shard -> its miners in sorted order, built once so that leader
+        rotation on every credit is a lookup."""
         members = {}
         for miner in sorted(self.shard_of):
             members.setdefault(self.shard_of[miner], []).append(miner)
-        object.__setattr__(self, "_members", {s: tuple(m) for s, m in members.items()})
+        return {s: tuple(m) for s, m in members.items()}
 
     def miners_of(self, shard: ShardId) -> tuple:
         return self._members[shard]
@@ -82,7 +88,7 @@ def shuffle_epoch(miners: list, k: int, epoch: int, seed: int) -> EpochAssignmen
     # str seeds hash via sha512 inside Random, stable across interpreter runs
     random.Random(f"epoch:{seed}:{epoch}").shuffle(order)
     shard_of = {m: i // per_shard for i, m in enumerate(order)}
-    return EpochAssignment(epoch, shard_of)
+    return EpochAssignment(shard_of)
 
 
 def split_fee(fee: int, shards) -> dict:
@@ -103,7 +109,7 @@ def split_fee(fee: int, shards) -> dict:
 
 def cash_in(
     miner: MinerId,
-    prev_deposits: dict,
+    prev_deposits: list,
     prev_assignment: EpochAssignment,
     new_assignment: EpochAssignment,
 ) -> float:
@@ -115,7 +121,11 @@ def cash_in(
 
 
 class IncentiveLedger:
-    """Tracks deposits, assignments, and miner balances across epochs."""
+    """Tracks deposits, assignments, and miner balances across epochs.
+
+    ``epoch`` counts the closed epochs and so numbers the open one;
+    ``deposits[s]`` is shard s's deposit in it.
+    """
 
     def __init__(self, k: int, miners_per_shard: int, seed: int, scheme: str = DECOUPLED):
         self.k = k
@@ -124,7 +134,7 @@ class IncentiveLedger:
         self.miners = miner_ids(k, miners_per_shard)
         self.epoch = 0
         self.assignment = shuffle_epoch(self.miners, k, 0, seed)
-        self.deposits = {s: ShardDeposit(s, 0) for s in range(k)}
+        self.deposits = [ShardDeposit() for _ in range(k)]
         self.balances = {m: 0.0 for m in self.miners}
         self.shard_collected = {s: 0 for s in range(k)}  # lifetime, all schemes
         self.epoch_rows = []  # (epoch, shard, deposit_total, miner, contribution, payout)
@@ -142,25 +152,24 @@ class IncentiveLedger:
         return sum(self.shard_collected.values())
 
     def close_epoch(self) -> None:
-        """Shuffle miners and, in decoupled mode, pay out the closed deposits."""
+        """Shuffle miners and, in decoupled mode, pay out the closed deposits.
+
+        Each miner's row is numbered with the epoch being closed, the ledger's
+        epoch before the increment.
+        """
+        closed = self.epoch
         prev_assignment = self.assignment
         prev_deposits = self.deposits
         self.epoch += 1
         self.assignment = shuffle_epoch(self.miners, self.k, self.epoch, self.seed)
-        self.deposits = {s: ShardDeposit(s, self.epoch) for s in range(self.k)}
+        self.deposits = [ShardDeposit() for _ in range(self.k)]
         for miner in self.miners:
             payout = 0.0
             if self.scheme == DECOUPLED:
                 payout = cash_in(miner, prev_deposits, prev_assignment, self.assignment)
                 self.balances[miner] += payout
             shard = prev_assignment.shard_of[miner]
+            deposit = prev_deposits[shard]
             self.epoch_rows.append(
-                (
-                    prev_deposits[shard].epoch,
-                    shard,
-                    prev_deposits[shard].total,
-                    miner,
-                    prev_deposits[shard].contributions.get(miner, 0),
-                    payout,
-                )
+                (closed, shard, deposit.total, miner, deposit.contributions.get(miner, 0), payout)
             )

@@ -319,8 +319,7 @@ class Simulation:
                 raise ConfigError(f"account {acc!r}: kind {kind!r} of size {size} is neither "
                                   f"an {EOA!r} of size 1 nor a {CA!r} of size >= 1")
         self.shards = [
-            ShardState(s, config.shard_capacity, config.window)
-            for s in range(config.k_shards)
+            ShardState(config.shard_capacity, config.window) for _ in range(config.k_shards)
         ]
         self.book = AlignmentBook(config.window)
         # hash and partition never plan: each static account is placed here
@@ -545,8 +544,10 @@ class Simulation:
                     mempool_start=mempool_start,
                     mempool_end=len(self.mempool),
                     processed_count=processed,
-                    processed_cost={s.id: s.capacity_per_round - s.residual for s in shards},
-                    residuals={s.id: s.residual for s in shards},
+                    processed_cost={
+                        i: s.capacity_per_round - s.residual for i, s in enumerate(shards)
+                    },
+                    residuals={i: s.residual for i, s in enumerate(shards)},
                     migrations_executed=migrations,
                     cross_shard_tx_count=cross,
                     latency_samples=tuple(latencies),

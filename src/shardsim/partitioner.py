@@ -30,6 +30,9 @@ from collections import Counter
 from itertools import chain, combinations, repeat
 
 
+_REFINE_PASSES = 8  # most refinement sweeps over the vertices
+
+
 class Infeasible(Exception):
     pass
 
@@ -142,12 +145,12 @@ def _initial_assign(adj, node_weight, k, balance_cap):
     return assignment
 
 
-def _refine(adj, node_weight, assignment, k, balance_cap, rng, max_passes=8):
+def _refine(adj, node_weight, assignment, k, balance_cap, rng):
     sizes = [0] * k
     for v, c in assignment.items():
         sizes[c] += node_weight[v]
     order = sorted(adj)
-    for _ in range(max_passes):
+    for _ in range(_REFINE_PASSES):
         rng.shuffle(order)
         improved = False
         for v in order:

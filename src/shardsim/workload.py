@@ -52,11 +52,6 @@ class ParseError(Exception):
         self.line_no = line_no
 
 
-class EmptyWriteSet(ParseError):
-    def __init__(self, line_no: int):
-        super().__init__(line_no, "record has no accounts")
-
-
 class InvalidSpec(Exception):
     pass
 
@@ -166,7 +161,7 @@ def _parse_fields(line: str, line_no: int, tokens: dict) -> tuple:
         if kind == CA:
             contracts += (acc,)
     if not accounts:
-        raise EmptyWriteSet(line_no)
+        raise ParseError(line_no, "record has no accounts")
     if contracts:
         contracts = tuple(acc for acc in accounts if acc in contracts)
     return block, tx_id, fee, tuple(accounts), contracts
@@ -287,6 +282,7 @@ def _gen_all_cross(spec, rng, ids):
 
 _RAW_BLOCK = 4096  # PCG64 words fetched per refill
 _TO_UNIT = 2.0**-53
+_SAMPLER_BATCH = 65536  # uniform draws per _WeightedSampler refill
 
 
 class _Stream:
@@ -372,7 +368,7 @@ class _WeightedSampler:
     so both are refused before any draw.
     """
 
-    def __init__(self, stream, weights, distinct=1, batch=65536):
+    def __init__(self, stream, weights, distinct=1):
         self._stream = stream
         self._cdf = np.cumsum(weights)
         self._cdf[-1] = 1.0
@@ -395,13 +391,12 @@ class _WeightedSampler:
                 f"{distinct / outside:.3g} draws, above the bound of "
                 f"{MAX_DRAWS_PER_WRITE_SET:.0e}"
             )
-        self._batch = batch
         self._buf = []
         self._pos = 0
 
     def draw(self) -> int:
         if self._pos == len(self._buf):
-            u = self._stream.random_batch(self._batch)
+            u = self._stream.random_batch(_SAMPLER_BATCH)
             self._buf = np.searchsorted(self._cdf, u).tolist()
             self._pos = 0
         value = self._buf[self._pos]

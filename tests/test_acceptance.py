@@ -96,13 +96,13 @@ def headline_runs():
 
 
 def test_criterion_1_cash_in_exact(announce):
-    deposits = {s: ShardDeposit(shard=s, epoch=0) for s in range(3)}
-    prev = EpochAssignment(0, {"m0": 0, "m1": 1, "m2": 1, "m3": 2})
+    deposits = [ShardDeposit() for _ in range(3)]
+    prev = EpochAssignment({"m0": 0, "m1": 1, "m2": 1, "m3": 2})
     record_fee(deposits[0], "m0", 100)
     record_fee(deposits[1], "m1", 5)   # 10% of shard 1's 50 coins
     record_fee(deposits[1], "m2", 45)
     record_fee(deposits[2], "m3", 50)
-    new = EpochAssignment(1, {"m0": 0, "m1": 2, "m2": 1, "m3": 1})
+    new = EpochAssignment({"m0": 0, "m1": 2, "m2": 1, "m3": 1})
     payout = cash_in("m1", deposits, prev, new)
     ok = payout == 5.0
     announce(1, "three-shard cash-in example", ok)
@@ -119,7 +119,7 @@ def test_criterion_2_expected_reward_law(announce):
     details = []
     for k in (2, 4, 16):
         miners = miner_ids(k, 3)
-        deposits = {s: ShardDeposit(shard=s, epoch=0) for s in range(k)}
+        deposits = [ShardDeposit() for _ in range(k)]
         prev = shuffle_epoch(miners, k, 0, seed=0)
         rng = random.Random(k)
         for s in range(k):
@@ -127,7 +127,7 @@ def test_criterion_2_expected_reward_law(announce):
                 record_fee(deposits[s], m, rng.randint(5, 50))
         miner = prev.miners_of(0)[0]
         fraction = deposits[0].fraction(miner)
-        total = sum(d.total for d in deposits.values())
+        total = sum(d.total for d in deposits)
         mean = sum(
             cash_in(miner, deposits, prev, shuffle_epoch(miners, k, 1, seed=i))
             for i in range(n_shuffles)

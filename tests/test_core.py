@@ -48,7 +48,7 @@ def test_migration_cost_eoa_and_ca():
 
 
 def test_charge_reduces_residual_and_window():
-    s = ShardState(0, 10, 4)
+    s = ShardState(10, 4)
     s.residual -= 3
     s.residual -= 2
     assert s.residual == 5
@@ -56,7 +56,7 @@ def test_charge_reduces_residual_and_window():
 
 
 def test_advance_block_restores_residual():
-    s = ShardState(0, 5, 3)
+    s = ShardState(5, 3)
     s.residual -= 5
     s.advance_block()
     assert s.residual == 5
@@ -64,7 +64,7 @@ def test_advance_block_restores_residual():
 
 
 def test_window_sum_evicts_old_blocks():
-    s = ShardState(0, 100, 3)
+    s = ShardState(100, 3)
     for amount in (5, 7, 1, 2):
         s.residual -= amount
         s.advance_block()
@@ -78,7 +78,7 @@ def test_window_sum_evicts_old_blocks():
 )
 @settings(max_examples=200)
 def test_window_sum_matches_naive_oracle(charges, window):
-    s = ShardState(0, 10, window)
+    s = ShardState(10, window)
     history = []
     for amount in charges:
         s.residual -= amount

@@ -24,16 +24,12 @@ from shardsim.economics import (
 from oracles import expected_reward
 
 
-def _assignment(shard_of, epoch=0):
-    return EpochAssignment(epoch, dict(shard_of))
-
-
 # ---------------------------------------------------------------------------
 # deposits
 
 
 def test_record_fee_accumulates():
-    dep = ShardDeposit(shard=1, epoch=0)
+    dep = ShardDeposit()
     record_fee(dep, "m0", 4)
     record_fee(dep, "m0", 1)
     record_fee(dep, "m1", 5)
@@ -43,7 +39,7 @@ def test_record_fee_accumulates():
 
 
 def test_empty_deposit_fraction_is_zero():
-    assert ShardDeposit(shard=0, epoch=0).fraction("m0") == 0.0
+    assert ShardDeposit().fraction("m0") == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +48,8 @@ def test_empty_deposit_fraction_is_zero():
 
 def _three_shard_deposits():
     """Epoch-n deposits of 100, 50 and 50 coins on shards 0, 1, 2."""
-    deposits = {s: ShardDeposit(shard=s, epoch=0) for s in range(3)}
-    asn = _assignment({"m0": 0, "m1": 1, "m2": 1, "m3": 2})
+    deposits = [ShardDeposit() for _ in range(3)]
+    asn = EpochAssignment({"m0": 0, "m1": 1, "m2": 1, "m3": 2})
     record_fee(deposits[0], "m0", 100)
     record_fee(deposits[1], "m1", 5)   # m1 holds 10% of shard 1
     record_fee(deposits[1], "m2", 45)
@@ -64,13 +60,13 @@ def _three_shard_deposits():
 def test_cash_in_worked_example_exact():
     # 10% contribution in the old shard, reassigned to a 50-coin shard: 5 coins
     deposits, prev = _three_shard_deposits()
-    new = _assignment({"m0": 0, "m1": 2, "m2": 1, "m3": 1}, epoch=1)
+    new = EpochAssignment({"m0": 0, "m1": 2, "m2": 1, "m3": 1})
     assert cash_in("m1", deposits, prev, new) == pytest.approx(5.0)
 
 
 def test_cash_in_scales_with_new_shard_deposit():
     deposits, prev = _three_shard_deposits()
-    new = _assignment({"m0": 0, "m1": 0, "m2": 1, "m3": 1}, epoch=1)
+    new = EpochAssignment({"m0": 0, "m1": 0, "m2": 1, "m3": 1})
     # same 10% fraction, but the new shard locked 100 coins
     assert cash_in("m1", deposits, prev, new) == pytest.approx(10.0)
 
@@ -89,7 +85,7 @@ def test_monte_carlo_matches_expected_reward():
     # small-scale version of the acceptance run: k=4, 20k shuffles
     k, per_shard = 4, 3
     miners = miner_ids(k, per_shard)
-    deposits = {s: ShardDeposit(shard=s, epoch=0) for s in range(k)}
+    deposits = [ShardDeposit() for _ in range(k)]
     prev = shuffle_epoch(miners, k, 0, seed=0)
     amounts = {0: 40, 1: 100, 2: 20, 3: 40}
     for s in range(k):
@@ -97,7 +93,7 @@ def test_monte_carlo_matches_expected_reward():
             record_fee(deposits[s], m, amounts[s] // per_shard)
     miner = prev.miners_of(1)[0]
     fraction = deposits[1].fraction(miner)
-    total = sum(d.total for d in deposits.values())
+    total = sum(d.total for d in deposits)
     payouts = [
         cash_in(miner, deposits, prev, shuffle_epoch(miners, k, 1, seed=i))
         for i in range(20_000)
@@ -111,7 +107,7 @@ def test_monte_carlo_matches_expected_reward():
 
 
 def test_rotate_leader_round_robin():
-    asn = _assignment({"m2": 0, "m0": 0, "m1": 0})
+    asn = EpochAssignment({"m2": 0, "m0": 0, "m1": 0})
     leaders = [rotate_leader(asn, 0, r) for r in range(5)]
     assert leaders == ["m0", "m1", "m2", "m0", "m1"]
 

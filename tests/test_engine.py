@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, replace
+from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
@@ -912,3 +913,43 @@ def test_golden_ledger_unchanged(name):
     assert summary.executed == len(txs)
     assert summary.cross_shard_txs > 0
     assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == LEDGER_DIGESTS[name]
+
+
+def _ledger_after_run(name):
+    txs = [replace(tx, fee=tx.arrival_index % 4) for tx in _golden_workload()]
+    cfg = SimConfig(**{"shard_capacity": 10, "window": 5, "seed": 3, **_LEDGER_GRID[name]})
+    sim = Simulation(cfg, txs)
+    sim.run()
+    return sim.ledger
+
+
+def test_decoupled_payouts_are_exact_pro_rata_shares():
+    # Each closed epoch pays a miner contribution / old-shard total times the
+    # closed deposit of the miner's new shard; the epoch rows alone give all
+    # three, and the next epoch's rows (or the open assignment) the new shard.
+    ledger = _ledger_after_run("scheduler-econ")
+    rows_of = {}
+    for row in ledger.epoch_rows:
+        rows_of.setdefault(row[0], []).append(row)
+    assert sorted(rows_of) == list(range(ledger.epoch)) and ledger.epoch >= 3
+    paid = dict.fromkeys(ledger.miners, 0.0)
+    for epoch, rows in sorted(rows_of.items()):
+        deposit_of = {shard: total for _, shard, total, *_ in rows}
+        if epoch + 1 < ledger.epoch:
+            new_shard = {miner: shard for _, shard, _, miner, *_ in rows_of[epoch + 1]}
+        else:
+            new_shard = ledger.assignment.shard_of
+        for _, shard, total, miner, contribution, payout in rows:
+            exact = Fraction(contribution, total) * deposit_of[new_shard[miner]] if total else 0
+            assert abs(Fraction(payout) - exact) <= 2 * Fraction(math.ulp(float(exact))), (
+                epoch, miner, payout, exact)
+            paid[miner] += payout
+    assert any(paid.values())
+    assert ledger.balances == paid
+
+
+def test_naive_scheme_pays_nothing_at_epoch_close():
+    ledger = _ledger_after_run("scheduler-econ-naive")
+    assert ledger.epoch >= 3
+    assert all(row[5] == 0.0 for row in ledger.epoch_rows)
+    assert sum(ledger.balances.values()) == ledger.total_fees() > 0

@@ -1,6 +1,5 @@
 """Placement policies: hash baseline, partition baseline, scheduler."""
 
-import math
 import random
 from collections import Counter
 

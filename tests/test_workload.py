@@ -14,7 +14,6 @@ from shardsim.core import CA, Account, Transaction
 from shardsim.policies import hash_place
 from shardsim.workload import (
     DEFAULT_ZIPF_EXPONENT,
-    EmptyWriteSet,
     InvalidSpec,
     ParseError,
     SyntheticSpec,
@@ -84,7 +83,7 @@ def test_parse_malformed_lines(tmp_path, line):
 
 
 def test_parse_empty_write_set(tmp_path):
-    with pytest.raises(EmptyWriteSet) as err:
+    with pytest.raises(ParseError, match="no accounts") as err:
         _load(tmp_path, "0 t0 1 aa", "", "0 tx1 0 ,")
     assert err.value.line_no == 3
 
