@@ -136,6 +136,32 @@ MUTANTS = [
             "tests/test_engine.py::test_golden_ledger_unchanged[scheduler-econ]",
         ],
     ),
+    (
+        # the one-shard lane lookup ignores the base cost, so a write set can
+        # get the shared plan of another footprint
+        "one-shard-key-drops-base-cost",
+        "engine.py",
+        "lane = self._lanes.get(ordered)",
+        "lane = self._lanes.get(ordered[:-1])",
+        [
+            "tests/test_policies.py::test_one_shard_plans_are_shared_per_shard_and_base_cost",
+        ],
+    ),
+    (
+        # admission checks and charges a migrating plan's transaction charge only
+        "migrations-charged-nothing",
+        "engine.py",
+        "        if plan.migrations:\n            required = {}\n",
+        "        if False:\n            required = {}\n",
+        [
+            "tests/test_engine.py::test_migration_charges_source_and_dest",
+            "tests/test_engine.py::test_all_or_nothing_admission[1-10-deferred]",
+            "tests/test_engine.py::test_all_or_nothing_admission[10-2-deferred]",
+            "tests/test_engine.py::test_deferred_transaction_mutates_nothing",
+            "tests/test_engine.py::test_golden_outputs_unchanged[scheduler-k4]",
+            "tests/test_engine.py::test_golden_ledger_unchanged[scheduler-econ]",
+        ],
+    ),
 ]
 
 

@@ -25,7 +25,10 @@ one shared plan, and a lane queue beside the mempool queue holds each
 retained transaction's lane in the same order.  Once a transaction is
 deferred its lane is blocked for the round and its later transactions are
 retained without being offered, because residuals only fall within a round,
-so every later transaction of that footprint would be deferred too.  Under
+so every later transaction of that footprint would be deferred too.  The lane
+table holds every shared plan: under the scheduler, Simulation.plan gives a
+write set placed on one shard, which runs there with no migration, its
+footprint's lane plan, and asks SchedulerPolicy.plan for every other.  Under
 the scheduler a pending transaction waits unplanned while every shard of its
 placed accounts has less residual than its base cost, which the main shard is
 always charged.  The alignment book is maintained only under the scheduler,
@@ -47,17 +50,20 @@ sums of integers (the balances are integer-valued floats far below 2**53, so
 their sums do not depend on grouping).
 
 SimConfig.validate rejects, with a ConfigError naming the field or shard, a
-field of the wrong type and a refused shard outside [0, k).  Simulation is the
-one gate for every field of a transaction or account that the run reads; it
-refuses with a ConfigError, naming the tx_id, the first of these: a field of
-the wrong type (tx_id a str, write_set a tuple of str ids, fee and base_cost
-ints, never bool), a write_set that is empty or repeats an account, a negative
-fee, a base_cost below 1, or above shard_capacity, which no plan can admit as
-each charges its main shard the base cost; then a repeated tx_id.  The run
-never reads arrival_index, so it is not checked.  Naming the account: an
-initial account that is not a str or whose shard is not an in-range int,
-and an accounts entry that is not an Account under its own id with typed
-fields, either an EOA of size 1 or a CA of size >= 1.  Last, naming the
+field of the wrong type, a negative seed and a refused shard outside [0, k).
+Simulation takes the workload as a list or tuple of transactions, because
+set-up walks it before run() walks it again, and refuses any other type, such
+as a generator, naming that type.  It is the one gate for every field of a
+transaction or account that the run reads; it refuses with a ConfigError,
+naming the tx_id, the first of these: a field of the wrong type (tx_id a str,
+write_set a tuple of str ids, fee and base_cost ints, never bool), a
+write_set that is empty or repeats an account, a negative fee, a base_cost
+below 1, or above shard_capacity, which no plan can admit as each charges its
+main shard the base cost; then a repeated tx_id.  The run never reads
+arrival_index, so it is not checked.  Naming the account: an initial account
+that is not a str or whose shard is not an in-range int, and an accounts
+entry that is not an Account under its own id with typed fields, either an
+EOA of size 1 or a CA of size >= 1.  Last, naming the
 tx_id, its shards, the charge and the capacity: a transaction whose
 per-shard charge exceeds shard_capacity on shards that every plan of it
 charges: under hash and partition the shards of its lane, and under the
@@ -89,7 +95,7 @@ from .core import (
 )
 from .economics import DECOUPLED, FEE_SCHEMES, IncentiveLedger, split_fee
 from .partitioner import graph_from_transactions, partition_greedy
-from .policies import MODE_2PC, MODES, POLICY_KINDS, SchedulerPolicy, TxPlan, footprint_plan, hash_place
+from .policies import MODE_2PC, MODES, POLICY_KINDS, SchedulerPolicy, TxPlan, hash_place
 
 
 class ConfigError(Exception):
@@ -143,8 +149,9 @@ class SimConfig:
             raise ConfigError(f"unknown fee scheme {self.fee_scheme!r}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ConfigError("max_rounds must be positive")
-        if self.default_fee < 0:
-            raise ConfigError("default_fee must be nonnegative")
+        for name in ("seed", "default_fee"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
         for shard in sorted(self.refuse_migrations_from, key=repr):
             if not isinstance(shard, int) or isinstance(shard, bool):
                 raise ConfigError(f"refuse_migrations_from shard {shard!r} is not an int")
@@ -240,6 +247,13 @@ EXECUTED = "executed"
 DEFERRED = "deferred"
 
 
+def footprint_plan(shards: frozenset, base_cost: int, cost_model: CostModel) -> TxPlan:
+    """The plan of a transaction that runs on shards, where its accounts are."""
+    charge = cost_model.per_shard_charge(base_cost, len(shards))
+    return TxPlan(new_placements={}, migrations=(), final_shards=shards,
+                  per_shard_charges=dict.fromkeys(sorted(shards), charge))
+
+
 def _refusal(tx: Transaction, capacity: int) -> str | None:
     """The first reason, in the module docstring's order, to refuse tx, or None."""
     for name, kind in (("tx_id", str), ("write_set", tuple), ("fee", int), ("base_cost", int)):
@@ -265,6 +279,9 @@ class Simulation:
     """Single deterministic run of one policy over one workload."""
 
     def __init__(self, config: SimConfig, workload, initial_assignment=None, accounts=None):
+        # set-up and run() each walk the workload, which a one-shot iterator cannot serve
+        if not isinstance(workload, (list, tuple)):
+            raise ConfigError(f"workload must be a list or tuple, got {type(workload).__name__}")
         config.validate()
         if not workload:
             raise ConfigError("workload must be nonempty")
@@ -336,8 +353,8 @@ class Simulation:
                 for acc in tx.write_set:
                     if acc not in assignment:
                         assignment[acc] = hash_place(acc, config.k_shards)
-        # static policies: footprint or ordered key -> lane index (see _lane),
-        # each lane's shared plan, and whether that plan is cross-shard
+        # footprint or ordered key -> lane index (see _lane), each lane's
+        # shared plan, and whether that plan is cross-shard
         self._lanes: dict = {}
         self._lane_plans: list[TxPlan] = []
         self._lane_cross: list[bool] = []
@@ -373,9 +390,21 @@ class Simulation:
     # -- execution ---------------------------------------------------------
 
     def plan(self, tx: Transaction, loads: dict) -> TxPlan:
-        return self.policy.plan(
-            tx, self.assignment, loads, self.book, self.cost_model, accounts=self.accounts
-        )
+        """The scheduler's plan for tx: its lane's shared plan when every
+        account is placed on one shard, where tx then runs, else the policy's.
+        Under the scheduler only such write sets file ordered keys (see
+        _lane), so a hit on tx's ordered key is its shared plan."""
+        ordered = (*map(self.assignment.get, tx.write_set), tx.base_cost)
+        lane = self._lanes.get(ordered)
+        if lane is None:
+            placed = ordered[:-1]  # the base cost is an int like the shard ids
+            own = placed[0]
+            if own is None or placed.count(own) != len(placed):
+                return self.policy.plan(
+                    tx, self.assignment, loads, self.book, self.cost_model, accounts=self.accounts
+                )
+            lane = self._lane(tx)
+        return self._lane_plans[lane]
 
     def try_execute(self, tx: Transaction, plan: TxPlan) -> str:
         """Admit tx under plan, or defer it untouched.
@@ -418,13 +447,15 @@ class Simulation:
         return EXECUTED
 
     def _lane(self, tx: Transaction) -> int:
-        """The index of tx's lane under a static policy, keyed by (frozen
-        shard set, base cost).  For a fixed shard set the per-shard charge is
-        a one-to-one function of the base cost, so these keys number the
-        footprints exactly.  The lane is also cached under tx's ordered key,
-        which admission looks up first and which no footprint key equals, so
-        write sets that order the same shards differently share one lane.
-        The run-boundary refusal reads a heavy transaction's shards here."""
+        """The index of tx's lane, keyed by (frozen shard set, base cost):
+        under a static policy for every transaction, and under the scheduler
+        for one whose accounts are all placed on one shard.  For a fixed shard
+        set the per-shard charge is a one-to-one function of the base cost,
+        so these keys number the footprints exactly.  The lane is also cached
+        under tx's ordered key, which static admission and plan look up first
+        and which no footprint key equals, so write sets that order the same
+        shards differently share one lane.  The run-boundary refusal reads a
+        static heavy transaction's shards here."""
         assigned = tuple(map(self.assignment.get, tx.write_set))
         shards = frozenset(assigned)
         key = (shards, tx.base_cost)

@@ -4,17 +4,13 @@ Three policies are provided: a stable hash baseline, a precomputed-partition
 baseline, and the load/alignment-driven scheduler.  The two baselines need no
 policy object: they never migrate, and the engine places every account before
 round 0 on its initial shard, else its partition table shard under partition,
-else ``hash_place(account, k)``.  The scheduler plans each
-transaction as a pure function of the transaction plus snapshots of the
-account-to-shard dict, the published shard loads, and the alignment totals,
-so any plan can be replayed and verified bit-for-bit.
-``SchedulerPolicy.never_migrates`` is its one rule for an account that stays
-put: the account stays and its shard joins the final shards.
-
-Plans are read-only.  A transaction that runs where its accounts are, with
-nothing to place or migrate, gets ``footprint_plan``: the scheduler shares one
-per (shard, base cost) for a write set placed on one shard, and the engine one
-per footprint lane under the static policies.
+else ``hash_place(account, k)``.  ``SchedulerPolicy`` holds only its
+configuration: its ``plan`` builds each plan as a pure function of the
+transaction plus snapshots of the account-to-shard dict, the published shard
+loads, and the alignment totals, so any plan can be replayed and verified
+bit-for-bit.  ``SchedulerPolicy.never_migrates`` is its one rule for an
+account that stays put: the account stays and its shard joins the final
+shards.  Plans are read-only.
 """
 
 from __future__ import annotations
@@ -52,13 +48,6 @@ class TxPlan:
     per_shard_charges: dict
 
 
-def footprint_plan(shards: frozenset, base_cost: int, cost_model: CostModel) -> TxPlan:
-    """The plan of a transaction that runs on shards, where its accounts are."""
-    charge = cost_model.per_shard_charge(base_cost, len(shards))
-    return TxPlan(new_placements={}, migrations=(), final_shards=shards,
-                  per_shard_charges=dict.fromkeys(sorted(shards), charge))
-
-
 def hash_place(account: AccountId, k: int) -> ShardId:
     """Stable uniform placement: first 8 bytes of SHA-256 of the id, mod k.
 
@@ -89,7 +78,6 @@ class SchedulerPolicy:
         # scripted adversary: an account on one of these shards never migrates
         self.refuse_migrations_from = refuse_migrations_from
         self._contracts_stay = mode == MODE_2PC and not ca_migration
-        self._one_shard_plans: dict = {}  # (shard, base_cost) -> shared TxPlan
 
     def never_migrates(self, shard: ShardId, account) -> bool:
         """Whether account, an Account or None, never leaves shard: the shard
@@ -107,24 +95,12 @@ class SchedulerPolicy:
         cost_model: CostModel,
         accounts: dict | None = None,
     ) -> TxPlan:
-        # A write set placed on one shard runs there: its shared plan.
-        placed = list(map(assignment.get, tx.write_set))
-        own = placed[0]
-        if own is not None and placed.count(own) == len(placed):
-            key = (own, tx.base_cost)
-            plan = self._one_shard_plans.get(key)
-            if plan is None:
-                plan = self._one_shard_plans[key] = footprint_plan(
-                    frozenset((own,)), tx.base_cost, cost_model)
-            return plan
-        return self._general_plan(tx, placed, loads, book, cost_model, accounts)
-
-    def _general_plan(self, tx, placed, loads, book, cost_model, accounts) -> TxPlan:
-        """Plan tx from placed, its accounts' current shards (None if new).
+        """Plan tx against the account-to-shard dict assignment.
 
         The main shard is the least-loaded shard among the placed accounts',
         ties to the lowest id.
         """
+        placed = list(map(assignment.get, tx.write_set))
         main = main_load = None
         for shard in placed:
             if shard is not None and shard != main:

@@ -317,6 +317,15 @@ def test_nonexistent_trace_errors(tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
+def test_negative_seed_errors_on_a_trace_run(tmp_path, capsys):
+    # a trace carries no seed of its own, so only SimConfig sees this one
+    trace = tmp_path / "t.txt"
+    trace.write_text("0 t0 1 aa\n")
+    assert main(["run", "--trace", str(trace), "--seed", "-1",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_malformed_trace_errors(tmp_path):
     trace = tmp_path / "t.txt"
     trace.write_text("garbage\n")

@@ -62,6 +62,7 @@ def test_config_validation():
         ("fee scheme", dict(economics=True, fee_scheme="nope")),
         ("max_rounds", dict(max_rounds=0)),
         ("default_fee", dict(economics=True, default_fee=-3)),
+        ("seed", dict(seed=-1)),
     ):
         with pytest.raises(ConfigError, match=field):
             SimConfig(**bad).validate()
@@ -100,6 +101,17 @@ def test_config_rejects_non_finite_mempool_ratio(ratio):
 
 def _pair_workload():
     return [Transaction("t0", 0, ("aa", "bb"))]
+
+
+@pytest.mark.parametrize("policy", ["hash", "partition", "scheduler"])
+def test_one_shot_workload_is_refused(policy):
+    # set-up walks the workload before run() does; a generator ran nothing
+    txs = [Transaction(f"t{i}", i, (f"a{i % 7}", f"a{(i + 3) % 7}")) for i in range(20)]
+    cfg = SimConfig(k_shards=2, shard_capacity=10, policy=policy)
+    with pytest.raises(ConfigError, match="got generator"):
+        Simulation(cfg, (tx for tx in txs))
+    _, summary = Simulation(cfg, tuple(txs)).run()
+    assert summary.executed == 20
 
 
 def test_accounts_value_must_be_an_account():

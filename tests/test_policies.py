@@ -1,5 +1,6 @@
 """Placement policies: hash baseline, partition baseline, scheduler."""
 
+import copy
 import random
 from collections import Counter
 
@@ -211,31 +212,48 @@ def test_scheduler_all_new_write_set_is_intra():
     assert plan.per_shard_charges == {1: 1}
 
 
-def _one_shard_plan(policy, base_cost, **placed):
-    tx = Transaction("t0", 0, tuple(placed), base_cost=base_cost)
-    return policy.plan(tx, placed, {0: 9, 1: 0, 2: 5}, AlignmentBook(10), CostModel(3))
-
-
 def test_one_shard_plans_are_shared_per_shard_and_base_cost():
-    policy = SchedulerPolicy()
-    cheap = _one_shard_plan(policy, 1, aa=2, bb=2)
-    dear = _one_shard_plan(policy, 2, cc=2, dd=2, ee=2)
+    # the engine shares one plan per one-shard footprint: shard and base cost
+    phi = dict(aa=2, bb=2, cc=2, dd=2, ee=2, ff=2, gg=0)
+    txs = [
+        Transaction("t0", 0, ("aa", "bb")),
+        Transaction("t1", 1, ("cc", "dd", "ee"), base_cost=2),
+        Transaction("t2", 2, ("ff",), base_cost=2),
+        Transaction("t3", 3, ("gg",), base_cost=2),
+    ]
+    cfg = SimConfig(k_shards=3, shard_capacity=10, cross_shard_cost=3, policy="scheduler")
+    sim = Simulation(cfg, txs, initial_assignment=phi)
+    loads = {0: 9, 1: 0, 2: 5}
+    cheap, dear, same, elsewhere = (sim.plan(tx, loads) for tx in txs)
     assert cheap.per_shard_charges == {2: 1} and dear.per_shard_charges == {2: 2}
-    assert _one_shard_plan(policy, 2, ff=2) is dear
-    assert _one_shard_plan(policy, 2, gg=0) is not dear
+    # t0's shards (2, 2) are also t2's ordered key, shard 2 then base cost 2
+    assert sim.plan(txs[0], loads) is cheap and same is dear
+    assert elsewhere is not dear
 
 
 @pytest.mark.parametrize("mode", [MODE_2PC, MODE_MUTEX])
 @pytest.mark.parametrize("base_cost", [1, 2])
 def test_shared_one_shard_plan_equals_the_general_plan(mode, base_cost):
-    phi = dict.fromkeys(("aa", "bb", "cc"), 1)
-    book = AlignmentBook(10)
-    book.add("aa", 0, 50)  # a pull elsewhere does not matter: nothing leaves main
     tx = Transaction("t0", 0, ("aa", "bb", "cc"), base_cost=base_cost)
-    loads, model, policy = {0: 0, 1: 7}, CostModel(2), SchedulerPolicy(mode=mode)
-    shared = policy.plan(tx, phi, loads, book, model)
-    general = policy._general_plan(tx, [1, 1, 1], loads, book, model, None)
+    cfg = SimConfig(k_shards=2, shard_capacity=10, policy="scheduler", mode=mode)
+    sim = Simulation(cfg, [tx], initial_assignment=dict.fromkeys(("aa", "bb", "cc"), 1))
+    sim.book.add("aa", 0, 50)  # a pull elsewhere does not matter: nothing leaves main
+    loads = {0: 0, 1: 7}
+    shared = sim.plan(tx, loads)
+    general = sim.policy.plan(tx, sim.assignment, loads, sim.book, sim.cost_model,
+                              accounts=sim.accounts)
+    assert sim.plan(tx, loads) is shared
     assert shared is not general and shared == general
+
+
+def test_scheduler_run_leaves_the_policy_unchanged():
+    # the policy keeps only its configuration; the shared plans are the engine's
+    txs = [Transaction(f"t{i}", i, (f"a{i % 5}", f"a{(i + 1) % 5}")) for i in range(20)]
+    sim = Simulation(SimConfig(k_shards=2, shard_capacity=10, policy="scheduler"), txs)
+    before = copy.deepcopy(vars(sim.policy))
+    _, summary = sim.run()
+    assert summary.executed == 20
+    assert vars(sim.policy) == before
 
 
 # ---------------------------------------------------------------------------
