@@ -160,6 +160,55 @@ MUTANTS = [
             "tests/test_engine.py::test_deferred_transaction_mutates_nothing",
             "tests/test_engine.py::test_golden_outputs_unchanged[scheduler-k4]",
             "tests/test_engine.py::test_golden_ledger_unchanged[scheduler-econ]",
+            "tests/test_engine.py::test_processed_cost_is_what_the_admitted_plans_charged[scheduler]",
+        ],
+    ),
+    (
+        # each round reports the run's cross-shard executions and migrations so far
+        "round-tallies-never-zeroed",
+        "engine.py",
+        "            self._round_cross = self._round_migrations = 0\n",
+        "",
+        [
+            "tests/test_engine.py::test_golden_outputs_unchanged[hash-k2]",
+            "tests/test_engine.py::test_golden_outputs_unchanged[scheduler-k4]",
+            "tests/test_acceptance.py::test_criterion_6_hash_collision_law",
+        ],
+    ),
+    (
+        # admission applies a plan's migrations without counting them
+        "migrations-not-tallied",
+        "engine.py",
+        "            self._round_migrations += len(plan.migrations)\n",
+        "",
+        [
+            "tests/test_engine.py::test_cross_ratio_counts_migrations_as_cross",
+            "tests/test_engine.py::test_trace_contract_accounts_reach_the_scheduler",
+            "tests/test_engine.py::test_golden_outputs_unchanged[scheduler-k4]",
+        ],
+    ),
+    (
+        # a lane is keyed by the ordered write set alone: write sets that
+        # order the same shards differently get lanes of their own
+        "lane-skips-footprint-lookup",
+        "engine.py",
+        "        lane = self._lanes.get(key)\n",
+        "        lane = None\n",
+        [
+            "tests/test_engine.py::test_reordered_write_set_shares_its_twins_blocked_lane",
+            "tests/test_policies.py::test_one_shard_plans_are_shared_per_shard_and_base_cost",
+        ],
+    ),
+    (
+        # a footprint key without its base cost: one lane, and the plan of its
+        # first base cost, serves every base cost on the same shards
+        "lane-key-drops-base-cost",
+        "engine.py",
+        "        key = (shards, base_cost)\n",
+        "        key = shards\n",
+        [
+            "tests/test_engine.py::test_deferred_lane_blocks_only_its_own_footprint",
+            "tests/test_engine.py::test_lane_queue_follows_the_mempool[hash]",
         ],
     ),
 ]

@@ -92,6 +92,16 @@ def _parse_value(name: str, raw: str):
     return kind(raw)
 
 
+def _flag_value(name: str):
+    """argparse type of a flag: _parse_value, its ValueError named by the flag."""
+    def parse(raw):
+        try:
+            return _parse_value(name, raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def load_config_file(path) -> dict:
     values = {}
     try:
@@ -120,8 +130,9 @@ def load_config_file(path) -> dict:
 def _add_run_flags(parser):
     for name, setting in SETTINGS.items():
         flag = "--" + name.replace("_", "-")
-        if setting.type is bool:
-            parser.add_argument(flag, action="store_true", default=None)
+        if setting.type is bool:  # a bare flag is true; a value overrides the file either way
+            parser.add_argument(flag, nargs="?", const=True, type=_flag_value(name),
+                                metavar="BOOL")
         else:
             parser.add_argument(flag, type=setting.type, choices=CHOICES.get(name))
     parser.add_argument("--config", help="key=value config file")
@@ -272,17 +283,22 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--values: {exc}") from None
     policies = _split(args.policies, "--policies")
-    workloads = {}  # workload source -> its workload, built once per sweep
-    rows = []
+    points = []  # (config, workload source, output directory), all checked before any runs
     for value in values:
         for policy in policies:
             point = dict(settings, policy=policy, **{name: value})
             config = make_config(point)
+            config.validate()
             source = workload_source(point)
-            if source not in workloads:
-                workloads[source] = build_workload(source)
-            out_dir = os.path.join(args.out, f"{policy}_{args.axis}_{value}")
-            rows.append(_run_single(config, workloads[source], out_dir))
+            if isinstance(source, SyntheticSpec):
+                source.validate()
+            points.append((config, source, os.path.join(args.out, f"{policy}_{args.axis}_{value}")))
+    workloads = {}  # workload source -> its workload, built once per sweep
+    rows = []
+    for config, source, out_dir in points:
+        if source not in workloads:
+            workloads[source] = build_workload(source)
+        rows.append(_run_single(config, workloads[source], out_dir))
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "sweep.csv"), SUMMARY_FIELDS, (row.values() for row in rows))
     return 0

@@ -26,28 +26,33 @@ retained transaction's lane in the same order.  Once a transaction is
 deferred its lane is blocked for the round and its later transactions are
 retained without being offered, because residuals only fall within a round,
 so every later transaction of that footprint would be deferred too.  The lane
-table holds every shared plan: under the scheduler, Simulation.plan gives a
-write set placed on one shard, which runs there with no migration, its
-footprint's lane plan, and asks SchedulerPolicy.plan for every other.  Under
-the scheduler a pending transaction waits unplanned while every shard of its
-placed accounts has less residual than its base cost, which the main shard is
-always charged.  The alignment book is maintained only under the scheduler,
-the one policy that reads it.  A run whose state stops changing raises
-Livelock instead of spinning.
+table holds every shared plan: under the scheduler, Simulation.plan reads the
+write set's shards once, gives a write set placed on one shard, which runs
+there with no migration, its footprint's lane plan, and hands every other's
+shards to SchedulerPolicy.plan.  Each caller of _lane builds the ordered key
+once and hands it over.  Under the scheduler a pending transaction waits
+unplanned while every shard of its placed accounts has less residual than its
+base cost, which the main shard is always charged.  The alignment book is
+maintained only under the scheduler, the one policy that reads it.  A run
+whose state stops changing raises Livelock instead of spinning.
 
 Admission reuses what the plan already holds: a plan without migrations is
 checked and charged from its own per-shard charges; once every residual is
 checked, a charge is one residual decrement; the alignment update is given the
 plan's final shards, and on one final shard, where every account then is, it
 reads no account's shard; and a fee with one final shard goes to that shard
-without a split.  Fees are credited once per shard per round: admission adds
-each fee share to the round's per-shard tally, and run() credits each shard's
-tally right after the round's admissions, before the round report, an epoch
-close, Livelock or the max_rounds exit.  This is exact because a shard's
-leader is fixed by the epoch assignment, the shard and the round, and
-deposits, contributions, collected fees and naive-scheme balances are all
-sums of integers (the balances are integer-valued floats far below 2**53, so
-their sums do not depend on grouping).
+without a split.  Admission records what it admits, and the walks only
+choose what to offer and what to retain: try_execute adds each admitted
+plan's migrations to the round's migration tally and, when the plan has more
+than one final shard, one to its cross-shard tally, and run() writes both
+into the round report and zeroes them.  Fees are credited once per shard per
+round: admission adds each fee share to the round's per-shard tally, and
+run() credits each shard's tally right after the round's admissions, before
+the round report, an epoch close, Livelock or the max_rounds exit.  This is
+exact because a shard's leader is fixed by the epoch assignment, the shard and
+the round, and deposits, contributions, collected fees and naive-scheme
+balances are all sums of integers (the balances are integer-valued floats far
+below 2**53, so their sums do not depend on grouping).
 
 SimConfig.validate rejects, with a ConfigError naming the field or shard, a
 field of the wrong type, a negative seed and a refused shard outside [0, k).
@@ -353,15 +358,14 @@ class Simulation:
                 for acc in tx.write_set:
                     if acc not in assignment:
                         assignment[acc] = hash_place(acc, config.k_shards)
-        # footprint or ordered key -> lane index (see _lane), each lane's
-        # shared plan, and whether that plan is cross-shard
+        # footprint or ordered key -> lane index (see _lane), and each lane's shared plan
         self._lanes: dict = {}
         self._lane_plans: list[TxPlan] = []
-        self._lane_cross: list[bool] = []
         self._lane_queue: deque = deque()  # the lane of each retained tx, in mempool order
         for tx in heavy:  # the shards that every admission of tx charges
             if static:
-                shards = self._lane_plans[self._lane(tx)].final_shards
+                ordered = (*map(assignment.get, tx.write_set), tx.base_cost)
+                shards = self._lane_plans[self._lane(ordered)].final_shards
             else:
                 shards = {assignment[acc] for acc in tx.write_set if acc in assignment
                           and self.policy.never_migrates(assignment[acc], self.accounts.get(acc))}
@@ -378,6 +382,8 @@ class Simulation:
         )
         # shard -> fees of the transactions admitted so far this round
         self._round_fees = [0] * config.k_shards if self.ledger is not None else None
+        # the cross-shard executions and the migrations admitted so far this round
+        self._round_cross = self._round_migrations = 0
         self.reports: list[RoundReport] = []
 
     @collector_paused()
@@ -401,16 +407,18 @@ class Simulation:
             own = placed[0]
             if own is None or placed.count(own) != len(placed):
                 return self.policy.plan(
-                    tx, self.assignment, loads, self.book, self.cost_model, accounts=self.accounts
+                    tx, placed, loads, self.book, self.cost_model, accounts=self.accounts
                 )
-            lane = self._lane(tx)
+            lane = self._lane(ordered)
         return self._lane_plans[lane]
 
     def try_execute(self, tx: Transaction, plan: TxPlan) -> str:
         """Admit tx under plan, or defer it untouched.
 
-        An admitted fee goes into the round's tally, which run() credits at
-        the end of the round's admissions.
+        An admitted transaction is added to the round's tallies: its fee, its
+        migrations and, if it runs on more than one shard, the cross-shard
+        count.  run() reports and zeroes them at the end of the round's
+        admissions.
         """
         shards = self.shards
         required = plan.per_shard_charges
@@ -430,47 +438,48 @@ class Simulation:
             for m in plan.migrations:
                 assignment[m.account] = m.dest
                 self.book.reset(m.account)  # alignment is dropped on migration
+            self._round_migrations += len(plan.migrations)
         for s, amount in required.items():
             shards[s].residual -= amount
         if self.policy is not None:  # only the scheduler reads alignment
             update_alignments(tx, plan.final_shards, self.assignment, self.cost_model, self.book)
-        fees = self._round_fees
-        if fees is not None:  # run() credits the round's tally once per shard
-            fee = tx.fee or self.config.default_fee
-            final = plan.final_shards
-            if len(final) > 1:
+        fees = self._round_fees  # run() credits the round's fees once per shard
+        final = plan.final_shards
+        if len(final) > 1:
+            self._round_cross += 1
+            if fees is not None:
+                fee = tx.fee or self.config.default_fee
                 for s, share in split_fee(fee, final).items():
                     fees[s] += share
-            else:
-                (shard,) = final
-                fees[shard] += fee
+        elif fees is not None:
+            (shard,) = final
+            fees[shard] += tx.fee or self.config.default_fee
         return EXECUTED
 
-    def _lane(self, tx: Transaction) -> int:
-        """The index of tx's lane, keyed by (frozen shard set, base cost):
-        under a static policy for every transaction, and under the scheduler
-        for one whose accounts are all placed on one shard.  For a fixed shard
-        set the per-shard charge is a one-to-one function of the base cost,
-        so these keys number the footprints exactly.  The lane is also cached
-        under tx's ordered key, which static admission and plan look up first
-        and which no footprint key equals, so write sets that order the same
-        shards differently share one lane.  The run-boundary refusal reads a
-        static heavy transaction's shards here."""
-        assigned = tuple(map(self.assignment.get, tx.write_set))
-        shards = frozenset(assigned)
-        key = (shards, tx.base_cost)
+    def _lane(self, ordered: tuple) -> int:
+        """The index of the lane of a transaction's ordered key: the shard of
+        each account in write-set order, then the base cost.  Its caller has
+        built that key and missed it in the lane table: static admission for
+        every arrival, the run-boundary refusal for a static heavy
+        transaction, and plan for a scheduler write set placed on one shard.
+        The lane is keyed by its footprint, (frozen shard set, base cost).
+        For a fixed shard set the per-shard charge is a one-to-one function
+        of the base cost, so these keys number the footprints exactly.  The
+        lane is also cached under the ordered key, which no footprint key
+        equals, so write sets that order the same shards differently share
+        one lane."""
+        shards, base_cost = frozenset(ordered[:-1]), ordered[-1]
+        key = (shards, base_cost)
         lane = self._lanes.get(key)
         if lane is None:
             lane = self._lanes[key] = len(self._lane_plans)
-            plan = footprint_plan(shards, tx.base_cost, self.cost_model)
-            self._lane_plans.append(plan)
-            self._lane_cross.append(len(plan.final_shards) > 1)
-        self._lanes[(*assigned, tx.base_cost)] = lane
+            self._lane_plans.append(footprint_plan(shards, base_cost, self.cost_model))
+        self._lanes[ordered] = lane
         return lane
 
     # -- round loop --------------------------------------------------------
 
-    def _admit_lanes(self, round_index: int, latencies: list) -> tuple[int, int]:
+    def _admit_lanes(self, round_index: int, latencies: list) -> None:
         """Admit the static policies' pending transactions in arrival order.
 
         Residuals only fall within a round, so once a transaction is deferred
@@ -480,7 +489,6 @@ class Simulation:
         queue is rebuilt in lockstep with the retained transactions.
         """
         plans = self._lane_plans
-        lane_cross = self._lane_cross
         first_seen = self.mempool.first_seen
         try_execute = self.try_execute
         pending, retain = self.mempool.drain()
@@ -489,27 +497,24 @@ class Simulation:
         lane_of = self._lanes.get
         shard_of = self.assignment.get
         for tx in islice(pending, len(lanes), None):  # the round's arrivals
-            lane = lane_of((*map(shard_of, tx.write_set), tx.base_cost))
-            file_lane(self._lane(tx) if lane is None else lane)
+            ordered = (*map(shard_of, tx.write_set), tx.base_cost)
+            lane = lane_of(ordered)
+            file_lane(self._lane(ordered) if lane is None else lane)
         keep = self._lane_queue.append
         blocked = set()
-        cross = 0
         for tx, lane in zip(pending, lanes):
             if lane in blocked:
                 retain(tx)
                 keep(lane)
                 continue
             if try_execute(tx, plans[lane]) == EXECUTED:
-                if lane_cross[lane]:
-                    cross += 1
                 latencies.append(round_index - first_seen.pop(tx.tx_id))
             else:
                 blocked.add(lane)
                 retain(tx)
                 keep(lane)
-        return 0, cross
 
-    def _admit_fifo(self, round_index: int, latencies: list) -> tuple[int, int]:
+    def _admit_fifo(self, round_index: int, latencies: list) -> None:
         """Plan and admit the scheduler's pending transactions in arrival order."""
         shards = self.shards
         assignment = self.assignment
@@ -518,7 +523,6 @@ class Simulation:
         plan_of = self.plan
         try_execute = self.try_execute
         loads = LiveLoads(shards)
-        migrations = cross = 0
         pending, retain = self.mempool.drain()
         for tx in pending:
             # A scheduler plan charges its main shard, one of the placed
@@ -534,15 +538,10 @@ class Simulation:
             if not fits:
                 retain(tx)
                 continue
-            plan = plan_of(tx, loads)
-            if try_execute(tx, plan) == EXECUTED:
-                migrations += len(plan.migrations)
-                if len(plan.final_shards) > 1:
-                    cross += 1
+            if try_execute(tx, plan_of(tx, loads)) == EXECUTED:
                 latencies.append(round_index - first_seen.pop(tx.tx_id))
             else:
                 retain(tx)
-        return migrations, cross
 
     def run(self):
         if self.reports:
@@ -560,7 +559,7 @@ class Simulation:
             if len(self.mempool) == 0:
                 break  # workload drained and nothing pending
             latencies = []
-            migrations, cross = admit(round_index, latencies)
+            admit(round_index, latencies)
             if ledger is not None:
                 fees = self._round_fees
                 for shard, fee in enumerate(fees):
@@ -579,11 +578,12 @@ class Simulation:
                         i: s.capacity_per_round - s.residual for i, s in enumerate(shards)
                     },
                     residuals={i: s.residual for i, s in enumerate(shards)},
-                    migrations_executed=migrations,
-                    cross_shard_tx_count=cross,
+                    migrations_executed=self._round_migrations,
+                    cross_shard_tx_count=self._round_cross,
                     latency_samples=tuple(latencies),
                 )
             )
+            self._round_cross = self._round_migrations = 0
             for shard in shards:
                 shard.advance_block()
             self.book.advance_block()

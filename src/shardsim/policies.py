@@ -6,11 +6,12 @@ policy object: they never migrate, and the engine places every account before
 round 0 on its initial shard, else its partition table shard under partition,
 else ``hash_place(account, k)``.  ``SchedulerPolicy`` holds only its
 configuration: its ``plan`` builds each plan as a pure function of the
-transaction plus snapshots of the account-to-shard dict, the published shard
-loads, and the alignment totals, so any plan can be replayed and verified
-bit-for-bit.  ``SchedulerPolicy.never_migrates`` is its one rule for an
-account that stays put: the account stays and its shard joins the final
-shards.  Plans are read-only.
+transaction, its accounts' shards, the published shard loads, the alignment
+totals and the configuration, so any plan can be replayed and verified
+bit-for-bit.  It reads no account-to-shard dict: the engine hands it the
+shards it has already read.  ``SchedulerPolicy.never_migrates`` is its one
+rule for an account that stays put: the account stays and its shard joins the
+final shards.  Plans are read-only.
 """
 
 from __future__ import annotations
@@ -89,18 +90,18 @@ class SchedulerPolicy:
     def plan(
         self,
         tx: Transaction,
-        assignment: dict,
+        placed: tuple,
         loads: dict,
         book: AlignmentBook,
         cost_model: CostModel,
         accounts: dict | None = None,
     ) -> TxPlan:
-        """Plan tx against the account-to-shard dict assignment.
+        """Plan tx, whose write-set accounts sit on the shards placed, in
+        write-set order, with None for an unplaced account.
 
         The main shard is the least-loaded shard among the placed accounts',
         ties to the lowest id.
         """
-        placed = list(map(assignment.get, tx.write_set))
         main = main_load = None
         for shard in placed:
             if shard is not None and shard != main:

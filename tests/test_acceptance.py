@@ -11,7 +11,6 @@ import itertools
 import os
 import random
 from pathlib import Path
-from types import MappingProxyType
 
 import pytest
 
@@ -264,7 +263,7 @@ class _RecordingSimulation(Simulation):
 
     def plan(self, tx, loads):
         snapshot = (
-            dict(self.assignment),
+            tuple(map(self.assignment.get, tx.write_set)),
             {s: loads[s] for s in loads.keys()},
             {a: dict(self.book.totals(a)) for a in tx.write_set},
         )
@@ -295,9 +294,9 @@ def test_criterion_8_determinism(announce, tmp_path):
     )
     sim.run()
     replayable = bool(sim.records)
-    for tx, (assignment, loads, totals), recorded in sim.records:
+    for tx, (placed, loads, totals), recorded in sim.records:
         replayed = sim.policy.plan(
-            tx, MappingProxyType(assignment), loads, _FrozenBook(totals),
+            tx, placed, loads, _FrozenBook(totals),
             sim.cost_model, accounts=sim.accounts,
         )
         replayable &= replayed == recorded
@@ -436,7 +435,7 @@ def test_criterion_10_micro_scenarios(announce):
     book.add("aa", 0, 1)
     book.add("aa", 1, 8)
     plan = SchedulerPolicy().plan(
-        Transaction("t0", 0, ("aa", "bb")), {"aa": 0, "bb": 1}, {0: 90, 1: 20}, book, CostModel(2)
+        Transaction("t0", 0, ("aa", "bb")), (0, 1), {0: 90, 1: 20}, book, CostModel(2)
     )
     plan_ok = (
         plan.new_placements == {}

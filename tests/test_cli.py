@@ -200,6 +200,23 @@ def test_run_economics_writes_epochs(tmp_path):
     }
 
 
+def test_bool_flag_overrides_a_true_config_value(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("economics = 1\n")
+    assert main(_run_args(tmp_path / "file", "--config", str(config))) == 0
+    assert (tmp_path / "file" / "out" / "epochs.csv").exists()
+    assert main(_run_args(tmp_path / "flag", "--config", str(config), "--economics", "no")) == 0
+    assert not (tmp_path / "flag" / "out" / "epochs.csv").exists()
+
+
+def test_bool_flag_rejects_a_bad_value(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_run_args(tmp_path, "--economics", "maybe"))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "argument --economics: expected one of 1/true/yes/0/false/no, got 'maybe'" in err
+
+
 def test_summary_reports_total_fees(tmp_path):
     # t1 pays no fee, so the default fee of 1 is collected in its place
     trace = tmp_path / "trace.txt"
@@ -281,6 +298,23 @@ def test_sweep_over_shards_rebuilds_a_shard_aware_workload(tmp_path, monkeypatch
     assert main(args) == 0
     # all_intra draws its write sets from the shard count's hash buckets
     assert [spec.k_shards for spec in generated] == [2, 4]
+
+
+@pytest.mark.parametrize("axis,values,policies,field", [
+    ("shards", "2,4", "hash,sharded", "policy"),
+    ("shards", "2,0", "hash,scheduler", "k_shards"),
+    ("capacity", "50,-1", "hash,scheduler", "shard_capacity"),
+])
+def test_sweep_refuses_a_bad_point_before_running_any(tmp_path, capsys, axis, values,
+                                                       policies, field):
+    # the bad point comes last, so a sweep that runs points as it builds
+    # them writes the earlier points' directories first
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--synthetic", "communities", "--n-txs", "200",
+                 "--n-accounts", "100", "--n-communities", "10", "--axis", axis,
+                 "--values", values, "--policies", policies, "--out", str(out)]) == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_cross_cost_axis(tmp_path, monkeypatch):

@@ -363,6 +363,38 @@ def test_processed_cost_matches_capacity_spent():
             assert cost + r.residuals[s] == 5
 
 
+@pytest.mark.parametrize("policy", ["hash", "partition", "scheduler"])
+def test_processed_cost_is_what_the_admitted_plans_charged(policy):
+    # The test above holds by construction: run() reports processed_cost as
+    # capacity less residual.  Here each round's cost is rebuilt from what
+    # its admitted plans charged: the per-shard charges, and each migration's
+    # cost on both its source and its destination.
+    workload = generate(SyntheticSpec(generator="communities", n_accounts=120,
+                                      n_txs=1500, seed=3, n_communities=10))
+    cfg = SimConfig(k_shards=4, shard_capacity=40, window=5, policy=policy)
+    sim = Simulation(cfg, workload)
+    charged = {}  # round -> shard -> units its admitted plans charged
+    try_execute = sim.try_execute
+
+    def recorded(tx, plan):
+        outcome = try_execute(tx, plan)
+        if outcome == "executed":
+            spent = charged.setdefault(len(sim.reports), dict.fromkeys(range(4), 0))
+            for s, charge in plan.per_shard_charges.items():
+                spent[s] += charge
+            for m in plan.migrations:
+                spent[m.source] += m.cost
+                spent[m.dest] += m.cost
+        return outcome
+
+    sim.try_execute = recorded
+    reports, summary = sim.run()
+    assert (summary.migrations > 0) == (policy == "scheduler")
+    idle = dict.fromkeys(range(4), 0)
+    assert [r.processed_cost for r in reports] == [charged.get(r.round_index, idle)
+                                                   for r in reports]
+
+
 def test_latency_counts_rounds_waited():
     # capacity 1, three txs arriving in round 0: latencies 0, 1, 2
     cfg = SimConfig(k_shards=1, shard_capacity=1, mempool_ratio=3.0)

@@ -59,12 +59,12 @@ def test_hash_place_is_roughly_uniform():
 # main shard selection
 
 
-def _mutex_plan(placed, write_set, loads):
+def _mutex_plan(phi, write_set, loads):
     # under mutex every placed account moves to the main shard, so the plan's
     # only final shard is the main shard
     tx = Transaction("t0", 0, write_set)
     return SchedulerPolicy(mode=MODE_MUTEX).plan(
-        tx, placed, loads, AlignmentBook(10), CostModel(2)
+        tx, tuple(map(phi.get, write_set)), loads, AlignmentBook(10), CostModel(2)
     )
 
 
@@ -135,13 +135,12 @@ def test_scheduler_worked_plan_migration():
     a's window totals are {0: 1, 1: 8} and c_cross=2, so main is shard 1 and
     a leaves: 2*1 < 8.  The transaction lands intra-shard on shard 1.
     """
-    phi = {"aa": 0, "bb": 1}
     book = AlignmentBook(10)
     book.add("aa", 0, 1)
     book.add("aa", 1, 8)
     policy = SchedulerPolicy()
     plan = policy.plan(
-        Transaction("t0", 0, ("aa", "bb")), phi, {0: 90, 1: 20}, book, CostModel(2)
+        Transaction("t0", 0, ("aa", "bb")), (0, 1), {0: 90, 1: 20}, book, CostModel(2)
     )
     assert plan.new_placements == {}
     assert len(plan.migrations) == 1
@@ -152,12 +151,11 @@ def test_scheduler_worked_plan_migration():
 
 
 def test_scheduler_keeps_strongly_aligned_account():
-    phi = {"aa": 0, "bb": 1}
     book = AlignmentBook(10)
     book.add("aa", 0, 10)
     book.add("aa", 1, 4)
     plan = SchedulerPolicy().plan(
-        Transaction("t0", 0, ("aa", "bb")), phi, {0: 90, 1: 20}, book, CostModel(2)
+        Transaction("t0", 0, ("aa", "bb")), (0, 1), {0: 90, 1: 20}, book, CostModel(2)
     )
     assert plan.migrations == ()
     assert plan.final_shards == frozenset({0, 1})
@@ -165,11 +163,10 @@ def test_scheduler_keeps_strongly_aligned_account():
 
 
 def test_scheduler_mutex_mode_forces_single_shard():
-    phi = {"aa": 0, "bb": 1, "cc": 2}
     book = AlignmentBook(10)
     book.add("aa", 0, 100)  # would veto the move under 2pc
     plan = SchedulerPolicy(mode=MODE_MUTEX).plan(
-        Transaction("t0", 0, ("aa", "bb", "cc")), phi, {0: 1, 1: 0, 2: 2}, book,
+        Transaction("t0", 0, ("aa", "bb", "cc")), (0, 1, 2), {0: 1, 1: 0, 2: 2}, book,
         CostModel(2),
     )
     assert plan.final_shards == frozenset({1})
@@ -177,12 +174,11 @@ def test_scheduler_mutex_mode_forces_single_shard():
 
 
 def test_scheduler_ca_pinned_by_default():
-    phi = {"ca1": 0, "bb": 1}
     accounts = {"ca1": Account("ca1", kind=CA, size=4)}
     book = AlignmentBook(10)
     book.add("ca1", 1, 50)  # overwhelming pull toward shard 1
     plan = SchedulerPolicy().plan(
-        Transaction("t0", 0, ("ca1", "bb")), phi, {0: 9, 1: 0}, book, CostModel(2),
+        Transaction("t0", 0, ("ca1", "bb")), (0, 1), {0: 9, 1: 0}, book, CostModel(2),
         accounts=accounts,
     )
     assert plan.migrations == ()
@@ -190,12 +186,11 @@ def test_scheduler_ca_pinned_by_default():
 
 
 def test_scheduler_ca_migration_opt_in_scales_cost():
-    phi = {"ca1": 0, "bb": 1}
     accounts = {"ca1": Account("ca1", kind=CA, size=4)}
     book = AlignmentBook(10)
     book.add("ca1", 1, 50)
     plan = SchedulerPolicy(ca_migration=True).plan(
-        Transaction("t0", 0, ("ca1", "bb")), phi, {0: 9, 1: 0}, book, CostModel(2),
+        Transaction("t0", 0, ("ca1", "bb")), (0, 1), {0: 9, 1: 0}, book, CostModel(2),
         accounts=accounts,
     )
     assert len(plan.migrations) == 1
@@ -204,7 +199,7 @@ def test_scheduler_ca_migration_opt_in_scales_cost():
 
 def test_scheduler_all_new_write_set_is_intra():
     plan = SchedulerPolicy().plan(
-        Transaction("t0", 0, ("aa", "bb")), {}, {0: 3, 1: 1, 2: 5, 3: 1},
+        Transaction("t0", 0, ("aa", "bb")), (None, None), {0: 3, 1: 1, 2: 5, 3: 1},
         AlignmentBook(10), CostModel(2),
     )
     assert plan.new_placements == {"aa": 1, "bb": 1}
@@ -240,8 +235,8 @@ def test_shared_one_shard_plan_equals_the_general_plan(mode, base_cost):
     sim.book.add("aa", 0, 50)  # a pull elsewhere does not matter: nothing leaves main
     loads = {0: 0, 1: 7}
     shared = sim.plan(tx, loads)
-    general = sim.policy.plan(tx, sim.assignment, loads, sim.book, sim.cost_model,
-                              accounts=sim.accounts)
+    placed = tuple(map(sim.assignment.get, tx.write_set))
+    general = sim.policy.plan(tx, placed, loads, sim.book, sim.cost_model, accounts=sim.accounts)
     assert sim.plan(tx, loads) is shared
     assert shared is not general and shared == general
 
@@ -277,7 +272,7 @@ def test_scheduler_plans_are_internally_consistent(seed, k):
     loads = {s: rng.randint(0, 50) for s in range(k)}
     model = CostModel(rng.randint(1, 4))
     plan = SchedulerPolicy().plan(
-        Transaction("t0", 0, tuple(accounts)), phi, loads, book, model
+        Transaction("t0", 0, tuple(accounts)), tuple(map(phi.get, accounts)), loads, book, model
     )
     placed_after = {}
     for acc in accounts:
