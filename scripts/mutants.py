@@ -211,6 +211,45 @@ MUTANTS = [
             "tests/test_engine.py::test_lane_queue_follows_the_mempool[hash]",
         ],
     ),
+    (
+        # the inlined communities loop keeps its own kept half-word after an
+        # inter-community or hub draw, not the one the stream left
+        "inline-loop-keeps-stale-half",
+        "workload.py",
+        "            words, pos, half = rng._words, rng._pos, rng._half\n",
+        "            words, pos = rng._words, rng._pos\n",
+        [
+            "tests/test_workload.py::test_generated_workloads_are_pinned[communities-0]",
+            "tests/test_workload.py::test_generated_workloads_are_pinned[communities-7]",
+            "tests/test_workload.py::test_communities_matches_stream_reference[inter-heavy]",
+            "tests/test_workload.py::test_communities_matches_stream_reference[sampler-refills]",
+        ],
+    ),
+    (
+        # the inlined intra-community draw accepts every Lemire draw; with a
+        # threshold below the member count, only crafted words reach it
+        "inline-distinct-skips-rejection",
+        "workload.py",
+        "                if m & 0xFFFFFFFF >= threshold:\n"
+        "                    chosen.add(start + (m >> 32))\n",
+        "                if True:\n"
+        "                    chosen.add(start + (m >> 32))\n",
+        [
+            "tests/test_workload.py::test_communities_matches_stream_reference[lemire-rejects]",
+        ],
+    ),
+    (
+        # the co-occurrence graph lists each vertex's neighbours in sorted pair
+        # order, not in order of first pairing; the golden digests pass
+        "adj-from-sorted-pairs",
+        "partitioner.py",
+        "    for (u, v), weight in pairs.items():\n",
+        "    for (u, v), weight in sorted(pairs.items()):\n",
+        [
+            "tests/test_partitioner.py::"
+            "test_graph_from_transactions_keeps_first_pairing_order_not_sorted_order",
+        ],
+    ),
 ]
 
 

@@ -125,6 +125,26 @@ def collector_paused():
             gc.enable()
 
 
+def _shuffle(rng, items: list) -> None:
+    """Shuffle items in place with rng, a ``random.Random``.
+
+    This is the algorithm of ``Random.shuffle`` on Python 3.10 and 3.11,
+    written out: Fisher-Yates from the top, each index j <= i drawn by
+    rejection over ``rng.getrandbits((i + 1).bit_length())``.  A seeded
+    shuffle then depends only on the Mersenne Twister's ``getrandbits``
+    words, not on how a Python release implements ``shuffle``, which its
+    reproducibility notes do not cover.  The partition's refinement order and
+    the fee ledger's epoch assignment both shuffle with it.
+    """
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        items[i], items[j] = items[j], items[i]
+
+
 class ShardState:
     """Per-round residual capacity plus a W-block rolling load window.
 

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import ShardId
+from .core import ShardId, _shuffle
 
 MinerId = str
 
@@ -86,7 +86,7 @@ def shuffle_epoch(miners: list, k: int, epoch: int, seed: int) -> EpochAssignmen
     per_shard = len(miners) // k
     order = sorted(miners)
     # str seeds hash via sha512 inside Random, stable across interpreter runs
-    random.Random(f"epoch:{seed}:{epoch}").shuffle(order)
+    _shuffle(random.Random(f"epoch:{seed}:{epoch}"), order)
     shard_of = {m: i // per_shard for i, m in enumerate(order)}
     return EpochAssignment(shard_of)
 

@@ -29,6 +29,8 @@ import random
 from collections import Counter
 from itertools import chain, combinations, repeat
 
+from .core import _shuffle
+
 
 _REFINE_PASSES = 8  # most refinement sweeps over the vertices
 
@@ -151,7 +153,7 @@ def _refine(adj, node_weight, assignment, k, balance_cap, rng):
         sizes[c] += node_weight[v]
     order = sorted(adj)
     for _ in range(_REFINE_PASSES):
-        rng.shuffle(order)
+        _shuffle(rng, order)
         improved = False
         for v in order:
             cur = assignment[v]

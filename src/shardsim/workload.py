@@ -16,7 +16,9 @@ designed around: Zipf hot spots, interaction communities, activity bursts,
 and purely intra-/cross-shard reference workloads.  Every workload is a
 function of the spec and of PCG64's raw stream for ``spec.seed``, which numpy
 keeps stable, not of numpy's bounded-integer code: the generators replay
-numpy's draws from the raw words (see ``_Stream``).
+numpy's draws from the raw words (see ``_Stream``).  Loading a trace and
+generating a workload both run with the cyclic collector paused
+(``core.collector_paused``): neither builds a reference cycle.
 """
 
 from __future__ import annotations
@@ -249,8 +251,15 @@ def _hash_buckets(ids, k):
     return buckets
 
 
+@collector_paused()
 def generate(spec: SyntheticSpec) -> list[Transaction]:
-    """Deterministically generate a synthetic transaction list."""
+    """Deterministically generate a synthetic transaction list.
+
+    Generation runs with the cyclic collector paused, as ``load_trace`` does:
+    the write sets and transactions hold no cycles, and the settling
+    collection on exit moves them to the oldest generation before the caller
+    builds or runs a ``Simulation``.
+    """
     spec.validate()
     ids = [account_id(spec.seed, i) for i in range(spec.n_accounts)]
     write_sets = GENERATORS[spec.generator](spec, _Stream(spec.seed), ids)
@@ -300,7 +309,10 @@ class _Stream:
       kept half alone, and ``integers(1)`` draws nothing;
     - ``random_batch(k)`` is ``random(k)``: the next k words, converted by numpy.
 
-    A test compares the replay with the installed numpy.
+    A test compares the replay with the installed numpy.  ``_gen_communities``
+    inlines ``random()`` and ``distinct`` in its loop on the same three
+    attributes, and its docstring names the lines that mirror them; a test
+    compares that loop with a version that calls these methods.
     """
 
     __slots__ = ("_bitgen", "_words", "_pos", "_half")
@@ -324,8 +336,8 @@ class _Stream:
 
     def distinct(self, pool, size: int) -> set:
         """``pool[integers(len(pool))]``, drawn until ``size`` distinct items
-        are drawn; ``integers(n)`` is one draw from ``range(n)``.  This is the
-        generators' hot loop, so it keeps the stream state in locals."""
+        are drawn; ``integers(n)`` is one draw from ``range(n)``.  It keeps the
+        stream state in locals while it draws."""
         n = len(pool)
         if n == 1:
             return {pool[0]}
@@ -430,6 +442,24 @@ def _community_slices(n_accounts, n_communities):
 
 
 def _gen_communities(spec, rng, ids):
+    """Write sets of interaction communities, with optional hub traffic.
+
+    Each transaction is a hub write set (with probability ``p_hotspot``, drawn
+    from a global Zipf over all accounts), an inter-community group (with
+    probability ``p_inter``: n-1 recently active members of a popularity-drawn
+    home community plus one recently active outsider), or otherwise n
+    distinct members of the home community.
+
+    The loop draws in one frame: it keeps the stream's ``_words``, ``_pos``
+    and ``_half`` and the community sampler's ``_buf`` and ``_pos`` in locals.
+    Its inlined lines replay ``_Stream`` exactly: the hotspot and inter tests
+    mirror ``random()``, ``buf[cpos]`` mirrors ``_WeightedSampler.draw``, and
+    the intra-community draw mirrors ``distinct`` over the ``range`` of the
+    members, taking ``start + (m >> 32)`` for ``members[m >> 32]``.  Around the
+    rare paths (a community-sampler refill, an inter-community group, a hub
+    write set) it hands the state back to ``_Stream`` and the sampler, which
+    draw as they always do, and takes it again afterwards.
+    """
     slices = _community_slices(spec.n_accounts, spec.n_communities)
     if spec.community_zipf_exponent > 0:
         popularity = _zipf_weights(spec.n_communities, spec.community_zipf_exponent)
@@ -441,19 +471,44 @@ def _gen_communities(spec, rng, ids):
     if spec.p_hotspot > 0:
         weights = _zipf_weights(spec.n_accounts, spec.zipf_exponent)
         hub_sampler = _WeightedSampler(rng, weights, n)
-    random, integers = rng.random, rng.integers
+    # per community: first member, member count, picks, Lemire threshold;
+    # validate keeps every community at 2 members or more
+    intra = [(m.start, len(m), min(n, len(m)), (0x100000000 - len(m)) % len(m)) for m in slices]
+    p_hotspot, p_inter = spec.p_hotspot, spec.p_inter
     last_seen = [-1] * spec.n_accounts  # index of each account's latest transaction
     recency = max(1, spec.n_txs // 25)
+    bitgen = rng._bitgen
+    words, pos, half = rng._words, rng._pos, rng._half
+    buf, cpos = pick_community._buf, pick_community._pos
     out = []
     for t in range(spec.n_txs):
-        if hub_sampler is not None and random() < spec.p_hotspot:
-            picks = hub_sampler.draw_distinct(n)
-        else:
-            picks = None
-            c = pick_community.draw()
-            members = slices[c]
-            if random() < spec.p_inter:
-                d = integers(spec.n_communities - 1)
+        hub = inter = False
+        if hub_sampler is not None:  # random() < p_hotspot
+            if pos == len(words):
+                words, pos = bitgen.random_raw(_RAW_BLOCK).tolist(), 0
+            hub = (words[pos] >> 11) * _TO_UNIT < p_hotspot
+            pos += 1
+        if not hub:
+            if cpos == len(buf):  # the sampler refills from the stream
+                rng._words, rng._pos = words, pos
+                pick_community._pos = cpos
+                c = pick_community.draw()
+                words, pos = rng._words, rng._pos
+                buf, cpos = pick_community._buf, pick_community._pos
+            else:
+                c = buf[cpos]
+                cpos += 1
+            if pos == len(words):  # random() < p_inter
+                words, pos = bitgen.random_raw(_RAW_BLOCK).tolist(), 0
+            inter = (words[pos] >> 11) * _TO_UNIT < p_inter
+            pos += 1
+        picks = None
+        if hub or inter:
+            rng._words, rng._pos, rng._half = words, pos, half
+            if hub:
+                picks = hub_sampler.draw_distinct(n)
+            else:
+                d = rng.integers(spec.n_communities - 1)
                 if d >= c:
                     d += 1
                 # An outsider joins a home-community group: n-1 members plus
@@ -462,14 +517,30 @@ def _gen_communities(spec, rng, ids):
                 # account always makes its first appearance inside its own
                 # community.
                 horizon = max(0, t - recency)
-                active = [j for j in members if last_seen[j] >= horizon]
+                active = [j for j in slices[c] if last_seen[j] >= horizon]
                 active_d = [j for j in slices[d] if last_seen[j] >= horizon]
                 if len(active) >= n - 1 and active_d:
-                    outsider = active_d[integers(len(active_d))]
+                    outsider = active_d[rng.integers(len(active_d))]
                     picks = (*sorted(rng.distinct(active, n - 1)), outsider)
                 # else fall through to an intra-community transaction
-            if picks is None:
-                picks = sorted(rng.distinct(members, min(n, len(members))))
+            words, pos, half = rng._words, rng._pos, rng._half
+        if picks is None:  # distinct(members, size)
+            start, count, size, threshold = intra[c]
+            chosen = set()
+            while len(chosen) < size:
+                if half is None:
+                    if pos == len(words):
+                        words, pos = bitgen.random_raw(_RAW_BLOCK).tolist(), 0
+                    word = words[pos]
+                    pos += 1
+                    half = word >> 32
+                    m = (word & 0xFFFFFFFF) * count
+                else:
+                    m = half * count
+                    half = None
+                if m & 0xFFFFFFFF >= threshold:
+                    chosen.add(start + (m >> 32))
+            picks = sorted(chosen)
         for j in picks:
             last_seen[j] = t
         out.append(tuple([ids[j] for j in picks]))

@@ -1,12 +1,15 @@
 """Exact oracles that only tests call: the small-instance partition
 enumerator with its cut weight, the multilevel partitioner that builds every
-coarse level with sort-based choices, and the closed-form expected cash-in of
-the epoch shuffle."""
+coarse level with sort-based choices, the closed-form expected cash-in of
+the epoch shuffle, and the communities generator that draws call by call."""
 
 import itertools
 import random
 
+import numpy as np
+
 from shardsim.partitioner import Infeasible, _refine
+from shardsim.workload import _community_slices, _WeightedSampler, _zipf_weights
 
 
 class UncoveredVertex(Exception):
@@ -156,3 +159,53 @@ def partition_multilevel(adj: dict, k: int, balance_cap: int, seed: int = 0) -> 
 def expected_reward(fraction: float, deposits_total: int, k: int) -> float:
     """Closed-form expected cash-in under a uniform shuffle: f * x_tot / k."""
     return fraction * deposits_total / k
+
+
+def communities_reference(spec, rng, ids):
+    """workload._gen_communities as it was before its loop was inlined: every
+    draw goes through _Stream.random, integers and distinct and through
+    _WeightedSampler.draw and draw_distinct."""
+    slices = _community_slices(spec.n_accounts, spec.n_communities)
+    if spec.community_zipf_exponent > 0:
+        popularity = _zipf_weights(spec.n_communities, spec.community_zipf_exponent)
+    else:
+        popularity = np.full(spec.n_communities, 1.0 / spec.n_communities)
+    pick_community = _WeightedSampler(rng, popularity)
+    n = spec.accounts_per_tx
+    hub_sampler = None
+    if spec.p_hotspot > 0:
+        weights = _zipf_weights(spec.n_accounts, spec.zipf_exponent)
+        hub_sampler = _WeightedSampler(rng, weights, n)
+    random, integers = rng.random, rng.integers
+    last_seen = [-1] * spec.n_accounts  # index of each account's latest transaction
+    recency = max(1, spec.n_txs // 25)
+    out = []
+    for t in range(spec.n_txs):
+        if hub_sampler is not None and random() < spec.p_hotspot:
+            picks = hub_sampler.draw_distinct(n)
+        else:
+            picks = None
+            c = pick_community.draw()
+            members = slices[c]
+            if random() < spec.p_inter:
+                d = integers(spec.n_communities - 1)
+                if d >= c:
+                    d += 1
+                # An outsider joins a home-community group: n-1 members plus
+                # one account from another community.  Inter-community
+                # transactions only involve recently active accounts; a fresh
+                # account always makes its first appearance inside its own
+                # community.
+                horizon = max(0, t - recency)
+                active = [j for j in members if last_seen[j] >= horizon]
+                active_d = [j for j in slices[d] if last_seen[j] >= horizon]
+                if len(active) >= n - 1 and active_d:
+                    outsider = active_d[integers(len(active_d))]
+                    picks = (*sorted(rng.distinct(active, n - 1)), outsider)
+                # else fall through to an intra-community transaction
+            if picks is None:
+                picks = sorted(rng.distinct(members, min(n, len(members))))
+        for j in picks:
+            last_seen[j] = t
+        out.append(tuple([ids[j] for j in picks]))
+    return out

@@ -1,5 +1,8 @@
 """Domain-type unit tests: cost model, rolling windows, the alignment book."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +13,7 @@ from shardsim.core import (
     CostModel,
     ShardState,
     Transaction,
+    _shuffle,
     update_alignments,
 )
 
@@ -254,3 +258,31 @@ def test_pairwise_update_matches_oracle(n_accounts, shard_seed, c_cross, base_co
     expected = pairwise_deltas(accounts, shard_of, charge)
     for acc in accounts:
         assert book.totals(acc) == expected[acc]
+
+
+# ---------------------------------------------------------------------------
+# seeded shuffle: the partition's refinement order and the epoch assignment
+
+# (seed, length) -> _shuffle(random.Random(seed), list(range(length)))
+_PINNED_SHUFFLES = {
+    (0, 1): [0],
+    (1, 2): [1, 0],
+    (0, 10): [7, 8, 1, 5, 3, 4, 2, 0, 9, 6],
+    (7, 10): [8, 3, 1, 4, 7, 0, 9, 6, 2, 5],
+    ("epoch:0:1", 12): [9, 2, 5, 1, 4, 7, 11, 0, 6, 8, 3, 10],
+    (2021, 33): [6, 16, 24, 3, 29, 13, 12, 30, 0, 4, 21, 26, 22, 19, 11, 27, 31, 5, 23, 32, 9,
+                 8, 10, 2, 18, 15, 14, 1, 20, 28, 7, 17, 25],
+}
+
+
+@pytest.mark.parametrize("seed,length", list(_PINNED_SHUFFLES))
+def test_shuffle_is_pinned_and_matches_random_shuffle(seed, length):
+    # the literals hold on every interpreter; Random.shuffle is compared on
+    # the running one, and both leave the generator at the same point
+    rng, ref = random.Random(seed), random.Random(seed)
+    items, expected = list(range(length)), list(range(length))
+    _shuffle(rng, items)
+    ref.shuffle(expected)
+    assert items == _PINNED_SHUFFLES[seed, length]
+    assert items == expected
+    assert rng.random() == ref.random()

@@ -110,6 +110,23 @@ def test_graph_from_transactions_folds_both_orientations():
     ]
 
 
+def test_graph_from_transactions_keeps_first_pairing_order_not_sorted_order():
+    # c-d is paired first and a-b last, so c lists d before a, and a lists c
+    # before b; filling adj from the sorted pairs would list a-b first
+    txs = [
+        Transaction("t0", 0, ("c", "d")),
+        Transaction("t1", 1, ("a", "c")),
+        Transaction("t2", 2, ("b", "a")),
+    ]
+    got = graph_from_transactions(txs)
+    assert [(v, list(nbrs.items())) for v, nbrs in got.items()] == [
+        ("c", [("d", 1), ("a", 1)]),
+        ("d", [("c", 1)]),
+        ("a", [("c", 1), ("b", 1)]),
+        ("b", [("a", 1)]),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # cut weight
 

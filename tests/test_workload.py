@@ -21,7 +21,9 @@ from shardsim.workload import (
     generate,
     load_trace,
 )
-from shardsim.workload import _Stream
+from shardsim.workload import _gen_communities, _Stream
+
+from oracles import communities_reference
 
 
 # ---------------------------------------------------------------------------
@@ -466,3 +468,100 @@ def test_generated_workloads_are_pinned(generator, seed):
     for tx in generate(SyntheticSpec(generator, seed=seed, **_PINNED_SPECS[generator])):
         h.update(repr((tx.tx_id, tx.arrival_index, tx.write_set, tx.fee, tx.base_cost)).encode())
     assert h.hexdigest() == _PINNED_DIGESTS[generator, seed]
+
+
+# ---------------------------------------------------------------------------
+# the communities loop, inlined, against the version that draws call by call
+
+
+class _CountingStream(_Stream):
+    """A stream that counts the sampler refills it serves."""
+
+    __slots__ = ("batches",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.batches = 0
+
+    def random_batch(self, k):
+        self.batches += 1
+        return super().random_batch(k)
+
+
+class _ZeroedWords:
+    """PCG64's raw words with every fifth word zeroed.  A zero half-word
+    falls below the Lemire threshold of every pool size that is not a power
+    of two, so the draws that read one are rejected."""
+
+    def __init__(self, seed):
+        self._bitgen = np.random.PCG64(seed)
+        self._index = 0
+
+    def random_raw(self, size):
+        words = self._bitgen.random_raw(size)
+        words[np.arange(self._index, self._index + size) % 5 == 0] = 0
+        self._index += size
+        return words
+
+
+_REFERENCE_CASES = {
+    # 67,500 community picks and about 95,000 hub draws: each sampler fills
+    # its 65,536-draw batch twice
+    "sampler-refills": dict(n_accounts=600, n_txs=90_000, accounts_per_tx=4, n_communities=40,
+                            p_inter=0.1, community_zipf_exponent=0.6, p_hotspot=0.25,
+                            zipf_exponent=0.9, seed=11),
+    "inter-heavy": dict(n_accounts=300, n_txs=4000, accounts_per_tx=4, n_communities=25,
+                        p_inter=0.6, community_zipf_exponent=0.8, p_hotspot=0.1, seed=5),
+    # communities of 2 members: an intra-community write set takes both
+    "write-set-above-community-size": dict(n_accounts=40, n_txs=3000, accounts_per_tx=3,
+                                           n_communities=20, p_inter=0.3, seed=2),
+    # communities of 15 members, whose Lemire threshold is 1, drawn from
+    # _ZeroedWords: the only case in which the inlined draw rejects
+    "lemire-rejects": dict(n_accounts=300, n_txs=3000, accounts_per_tx=3, n_communities=20,
+                           p_inter=0.2, p_hotspot=0.1, seed=9),
+}
+
+
+def _both_communities(spec, bitgen=np.random.PCG64):
+    """spec's write sets from the inlined loop and from the reference, each
+    drawn from a fresh stream on bitgen(seed), and the inlined loop's stream."""
+    spec.validate()
+    ids = [account_id(spec.seed, i) for i in range(spec.n_accounts)]
+    streams = [_CountingStream(spec.seed), _CountingStream(spec.seed)]
+    for stream in streams:
+        stream._bitgen = bitgen(spec.seed)
+    return (_gen_communities(spec, streams[0], ids), communities_reference(spec, streams[1], ids),
+            streams[0])
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_communities_matches_stream_reference(case):
+    spec = SyntheticSpec("communities", **_REFERENCE_CASES[case])
+    bitgen = _ZeroedWords if case == "lemire-rejects" else np.random.PCG64
+    got, expected, stream = _both_communities(spec, bitgen)
+    assert got == expected
+    if case == "sampler-refills":
+        assert stream.batches == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(4, 120).flatmap(
+        lambda n_accounts: st.fixed_dictionaries(
+            dict(
+                n_accounts=st.just(n_accounts),
+                n_communities=st.integers(2, n_accounts // 2),
+                accounts_per_tx=st.integers(2, min(n_accounts, 6)),
+                n_txs=st.integers(1, 400),
+                p_inter=st.floats(0.0, 1.0),
+                p_hotspot=st.sampled_from([0.0, 0.05, 0.4, 1.0]),
+                community_zipf_exponent=st.sampled_from([0.0, 0.6, 1.5]),
+                zipf_exponent=st.sampled_from([0.5, 0.9, 1.4]),
+                seed=st.integers(0, 2**32),
+            )
+        )
+    )
+)
+def test_communities_matches_stream_reference_on_small_specs(kwargs):
+    got, expected, _ = _both_communities(SyntheticSpec("communities", **kwargs))
+    assert got == expected
