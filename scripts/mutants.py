@@ -137,17 +137,6 @@ MUTANTS = [
         ],
     ),
     (
-        # the one-shard lane lookup ignores the base cost, so a write set can
-        # get the shared plan of another footprint
-        "one-shard-key-drops-base-cost",
-        "engine.py",
-        "lane = self._lanes.get(ordered)",
-        "lane = self._lanes.get(ordered[:-1])",
-        [
-            "tests/test_policies.py::test_one_shard_plans_are_shared_per_shard_and_base_cost",
-        ],
-    ),
-    (
         # admission checks and charges a migrating plan's transaction charge only
         "migrations-charged-nothing",
         "engine.py",
@@ -196,7 +185,6 @@ MUTANTS = [
         "        lane = None\n",
         [
             "tests/test_engine.py::test_reordered_write_set_shares_its_twins_blocked_lane",
-            "tests/test_policies.py::test_one_shard_plans_are_shared_per_shard_and_base_cost",
         ],
     ),
     (
@@ -209,6 +197,54 @@ MUTANTS = [
         [
             "tests/test_engine.py::test_deferred_lane_blocks_only_its_own_footprint",
             "tests/test_engine.py::test_lane_queue_follows_the_mempool[hash]",
+        ],
+    ),
+    (
+        # a write set placed on one shard is admitted inline even when that
+        # shard's residual is below its base cost
+        "inline-one-shard-skips-residual-check",
+        "engine.py",
+        "                if state.residual < cost:\n"
+        "                    retain(tx)\n"
+        "                    continue\n",
+        "",
+        [
+            "tests/test_policies.py::"
+            "test_inline_one_shard_admission_equals_the_general_plan[1-2pc-1-no-econ-full]",
+            "tests/test_policies.py::"
+            "test_inline_one_shard_admission_equals_the_general_plan[2-mutex-3-fee-3-full]",
+            "tests/test_engine.py::"
+            "test_deferred_tx_not_replanned_while_its_shard_is_full[scheduler-1]",
+            "tests/test_engine.py::test_golden_outputs_unchanged[scheduler-k4]",
+        ],
+    ),
+    (
+        # a write set admitted inline on one shard adds nothing to its
+        # accounts' alignment
+        "inline-one-shard-drops-alignment",
+        "engine.py",
+        "                    add_each(write_set, own, cost * (len(write_set) - 1))\n",
+        "                    pass\n",
+        [
+            "tests/test_policies.py::"
+            "test_inline_one_shard_admission_equals_the_general_plan[1-2pc-3-no-econ-fits]",
+            "tests/test_policies.py::"
+            "test_inline_one_shard_admission_equals_the_general_plan[2-mutex-3-fee-0-fits]",
+            "tests/test_engine.py::test_golden_outputs_unchanged[scheduler-k4]",
+        ],
+    ),
+    (
+        # the scheduler plans a transaction while every shard of its placed
+        # accounts is too full for its base cost; its plan is then deferred,
+        # so only the plan count changes
+        "scheduler-plans-full-shards",
+        "engine.py",
+        "            if not fits:\n"
+        "                retain(tx)\n"
+        "                continue\n",
+        "",
+        [
+            "tests/test_engine.py::test_two_shard_tx_not_planned_while_both_its_shards_are_full",
         ],
     ),
     (
@@ -285,7 +321,7 @@ def main() -> int:
     failed = 0
     for mutant_id, module, old, new, killers in MUTANTS:
         outcome = run_mutant(old, new, module, killers) if killers else "error: no killing tests"
-        print(f"{mutant_id:32s} {outcome}", flush=True)
+        print(f"{mutant_id:38s} {outcome}", flush=True)
         failed += outcome != "killed"
     print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
     return 1 if failed else 0

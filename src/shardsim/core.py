@@ -197,10 +197,22 @@ class AlignmentBook:
         self._totals: defaultdict[AccountId, dict[ShardId, int]] = defaultdict(dict)
 
     def add(self, account: AccountId, shard: ShardId, amount: int) -> None:
-        """Add a positive amount; update_alignments, the one caller, adds no other."""
+        """Add a positive amount toward shard to account's totals.  The callers
+        of add and add_each, update_alignments and the engine's one-shard
+        admission, add no other."""
         totals = self._totals[account]
         totals[shard] = totals.get(shard, 0) + amount
         self._deltas += (totals, shard, amount)
+
+    def add_each(self, accounts, shard: ShardId, amount: int) -> None:
+        """Add one positive amount toward shard to each of accounts, in order:
+        the alignment of a transaction whose accounts all run on shard."""
+        all_totals = self._totals
+        deltas = self._deltas
+        for account in accounts:
+            totals = all_totals[account]
+            totals[shard] = totals.get(shard, 0) + amount
+            deltas += (totals, shard, amount)
 
     def totals(self, account: AccountId) -> dict[ShardId, int]:
         """In-window totals of one account; callers must not mutate them."""
@@ -235,18 +247,19 @@ def update_alignments(
     counterparty's shard grows by the per-shard charge of the transaction, so
     account a gains charge * |{b != a : shard(b) = s}| toward each shard s; no
     ordered pair of accounts is enumerated.  On one final shard every account
-    is there and gains base_cost * (n - 1) toward it, which reads no shard of
-    the assignment.  No amount added is zero or negative.
+    is there and gains base_cost * (n - 1) toward it through book.add_each,
+    which reads no shard of the assignment; the engine admits a transaction
+    already placed on one shard with the same call.  No amount added is zero
+    or negative.
     """
-    add = book.add
     write_set = tx.write_set
     if len(final_shards) == 1:
         (own,) = final_shards
         amount = tx.base_cost * (len(write_set) - 1)
         if amount:
-            for acc in write_set:
-                add(acc, own, amount)
+            book.add_each(write_set, own, amount)
         return
+    add = book.add
     shards = list(map(assignment.__getitem__, write_set))
     count: dict[ShardId, int] = {}
     for shard in shards:

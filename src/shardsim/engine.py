@@ -25,12 +25,17 @@ one shared plan, and a lane queue beside the mempool queue holds each
 retained transaction's lane in the same order.  Once a transaction is
 deferred its lane is blocked for the round and its later transactions are
 retained without being offered, because residuals only fall within a round,
-so every later transaction of that footprint would be deferred too.  The lane
-table holds every shared plan: under the scheduler, Simulation.plan reads the
-write set's shards once, gives a write set placed on one shard, which runs
-there with no migration, its footprint's lane plan, and hands every other's
-shards to SchedulerPolicy.plan.  Each caller of _lane builds the ordered key
-once and hands it over.  Under the scheduler a pending transaction waits
+so every later transaction of that footprint would be deferred too.  Only the
+static policies use lanes; each caller of _lane builds the ordered key once
+and hands it over.  Under the scheduler _admit_fifo reads each write set's
+shards once.  A write set placed on one shard runs there with no placement,
+migration or cross-shard charge, so it is admitted inline, with no plan: it is
+retained while that shard's residual is below its base cost, and otherwise
+charges the shard its base cost, makes each account gain base_cost * (n - 1)
+toward the shard through one AlignmentBook.add_each call, adds its fee to the
+shard's round tally and leaves the cross-shard and migration tallies as they
+are.  Every other write set's shards go to Simulation.plan, which hands them
+to SchedulerPolicy.plan, and its plan to try_execute; such a transaction waits
 unplanned while every shard of its placed accounts has less residual than its
 base cost, which the main shard is always charged.  The alignment book is
 maintained only under the scheduler, the one policy that reads it.  A run
@@ -41,12 +46,11 @@ checked and charged from its own per-shard charges; once every residual is
 checked, a charge is one residual decrement; the alignment update is given the
 plan's final shards, and on one final shard, where every account then is, it
 reads no account's shard; and a fee with one final shard goes to that shard
-without a split.  Admission records what it admits, and the walks only
-choose what to offer and what to retain: try_execute adds each admitted
-plan's migrations to the round's migration tally and, when the plan has more
-than one final shard, one to its cross-shard tally, and run() writes both
-into the round report and zeroes them.  Fees are credited once per shard per
-round: admission adds each fee share to the round's per-shard tally, and
+without a split.  Admission records what it admits: try_execute adds each
+admitted plan's migrations to the round's migration tally and, when the plan
+has more than one final shard, one to its cross-shard tally, and run() writes
+both into the round report and zeroes them.  Fees are credited once per shard
+per round: admission adds each fee share to the round's per-shard tally, and
 run() credits each shard's tally right after the round's admissions, before
 the round report, an epoch close, Livelock or the max_rounds exit.  This is
 exact because a shard's leader is fixed by the epoch assignment, the shard and
@@ -395,22 +399,12 @@ class Simulation:
 
     # -- execution ---------------------------------------------------------
 
-    def plan(self, tx: Transaction, loads: dict) -> TxPlan:
-        """The scheduler's plan for tx: its lane's shared plan when every
-        account is placed on one shard, where tx then runs, else the policy's.
-        Under the scheduler only such write sets file ordered keys (see
-        _lane), so a hit on tx's ordered key is its shared plan."""
-        ordered = (*map(self.assignment.get, tx.write_set), tx.base_cost)
-        lane = self._lanes.get(ordered)
-        if lane is None:
-            placed = ordered[:-1]  # the base cost is an int like the shard ids
-            own = placed[0]
-            if own is None or placed.count(own) != len(placed):
-                return self.policy.plan(
-                    tx, placed, loads, self.book, self.cost_model, accounts=self.accounts
-                )
-            lane = self._lane(ordered)
-        return self._lane_plans[lane]
+    def plan(self, tx: Transaction, placed: tuple, loads: dict) -> TxPlan:
+        """The scheduler's plan for tx, whose accounts sit on the shards
+        placed, read once by _admit_fifo.  _admit_fifo calls it through the
+        instance attribute, so a traced or overridden plan still runs."""
+        return self.policy.plan(tx, placed, loads, self.book, self.cost_model,
+                                accounts=self.accounts)
 
     def try_execute(self, tx: Transaction, plan: TxPlan) -> str:
         """Admit tx under plan, or defer it untouched.
@@ -432,7 +426,7 @@ class Simulation:
         for s, amount in required.items():
             if amount > shards[s].residual:
                 return DEFERRED
-        if plan.migrations or plan.new_placements:  # lane and one-shard plans have neither
+        if plan.migrations or plan.new_placements:  # lane plans have neither
             assignment = self.assignment
             assignment.update(plan.new_placements)
             for m in plan.migrations:
@@ -460,14 +454,14 @@ class Simulation:
         """The index of the lane of a transaction's ordered key: the shard of
         each account in write-set order, then the base cost.  Its caller has
         built that key and missed it in the lane table: static admission for
-        every arrival, the run-boundary refusal for a static heavy
-        transaction, and plan for a scheduler write set placed on one shard.
-        The lane is keyed by its footprint, (frozen shard set, base cost).
-        For a fixed shard set the per-shard charge is a one-to-one function
-        of the base cost, so these keys number the footprints exactly.  The
-        lane is also cached under the ordered key, which no footprint key
-        equals, so write sets that order the same shards differently share
-        one lane."""
+        every arrival and the run-boundary refusal for a static heavy
+        transaction.  The scheduler files no lanes: it admits a write set
+        placed on one shard inline and plans every other.  The lane is keyed
+        by its footprint, (frozen shard set, base cost).  For a fixed shard
+        set the per-shard charge is a one-to-one function of the base cost,
+        so these keys number the footprints exactly.  The lane is also cached
+        under the ordered key, which no footprint key equals, so write sets
+        that order the same shards differently share one lane."""
         shards, base_cost = frozenset(ordered[:-1]), ordered[-1]
         key = (shards, base_cost)
         lane = self._lanes.get(key)
@@ -515,30 +509,49 @@ class Simulation:
                 keep(lane)
 
     def _admit_fifo(self, round_index: int, latencies: list) -> None:
-        """Plan and admit the scheduler's pending transactions in arrival order."""
+        """Admit the scheduler's pending transactions in arrival order: a
+        write set placed on one shard inline, every other through its plan."""
         shards = self.shards
-        assignment = self.assignment
+        shard_of = self.assignment.get
         first_seen = self.mempool.first_seen
+        add_each = self.book.add_each
+        fees = self._round_fees
+        default_fee = self.config.default_fee
         # instance attributes, so a traced or overridden plan or try_execute still runs
         plan_of = self.plan
         try_execute = self.try_execute
         loads = LiveLoads(shards)
         pending, retain = self.mempool.drain()
         for tx in pending:
+            write_set, cost = tx.write_set, tx.base_cost
+            placed = (*map(shard_of, write_set),)
+            own = placed[0]
+            if own is not None and placed.count(own) == len(placed):
+                # the one-shard plan: charge own the base cost, nothing else
+                state = shards[own]
+                if state.residual < cost:
+                    retain(tx)
+                    continue
+                state.residual -= cost
+                if len(write_set) > 1:
+                    add_each(write_set, own, cost * (len(write_set) - 1))
+                if fees is not None:
+                    fees[own] += tx.fee or default_fee
+                latencies.append(round_index - first_seen.pop(tx.tx_id))
+                continue
             # A scheduler plan charges its main shard, one of the placed
             # accounts' shards, at least the base cost, so it cannot land
             # while each of them has less residual.
             fits = True
-            for acc in tx.write_set:
-                shard = assignment.get(acc)
+            for shard in placed:
                 if shard is not None:
-                    fits = shards[shard].residual >= tx.base_cost
+                    fits = shards[shard].residual >= cost
                     if fits:
                         break
             if not fits:
                 retain(tx)
                 continue
-            if try_execute(tx, plan_of(tx, loads)) == EXECUTED:
+            if try_execute(tx, plan_of(tx, placed, loads)) == EXECUTED:
                 latencies.append(round_index - first_seen.pop(tx.tx_id))
             else:
                 retain(tx)

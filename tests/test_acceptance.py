@@ -261,13 +261,13 @@ class _RecordingSimulation(Simulation):
         super().__init__(*args, **kwargs)
         self.records = []
 
-    def plan(self, tx, loads):
+    def plan(self, tx, placed, loads):
         snapshot = (
-            tuple(map(self.assignment.get, tx.write_set)),
+            placed,
             {s: loads[s] for s in loads.keys()},
             {a: dict(self.book.totals(a)) for a in tx.write_set},
         )
-        plan = super().plan(tx, loads)
+        plan = super().plan(tx, placed, loads)
         self.records.append((tx, snapshot, plan))
         return plan
 

@@ -29,7 +29,12 @@ from shardsim.partitioner import Infeasible, graph_from_transactions, partition_
 from shardsim.policies import hash_place
 from shardsim.workload import ParseError, SyntheticSpec, generate, load_trace
 
-from reference_engine import NO_SHRINK, check_engine_against_reference, engine_cases
+from reference_engine import (
+    NO_SHRINK,
+    check_engine_against_reference,
+    engine_cases,
+    reference_run,
+)
 
 
 def _unit_txs(n, accounts_per_tx=1, prefix="a"):
@@ -270,7 +275,7 @@ def test_migration_charges_source_and_dest():
     sim, tx = _single_shard_pair_sim()
     for shard in sim.shards:
         shard.residual = shard.capacity_per_round
-    plan = sim.plan(tx, {0: 90, 1: 20})
+    plan = sim.plan(tx, (0, 1), {0: 90, 1: 20})
     assert len(plan.migrations) == 1
     assert sim.try_execute(tx, plan) == "executed"
     assert sim.shards[0].residual == 10 - 2
@@ -282,7 +287,7 @@ def test_migration_charges_source_and_dest():
                          [(2, 3, "executed"), (1, 10, "deferred"), (10, 2, "deferred")])
 def test_all_or_nothing_admission(source_residual, dest_residual, expected):
     sim, tx = _single_shard_pair_sim()
-    plan = sim.plan(tx, {0: 90, 1: 20})
+    plan = sim.plan(tx, (0, 1), {0: 90, 1: 20})
     sim.shards[0].residual = source_residual
     sim.shards[1].residual = dest_residual
     assert sim.try_execute(tx, plan) == expected
@@ -290,7 +295,7 @@ def test_all_or_nothing_admission(source_residual, dest_residual, expected):
 
 def test_deferred_transaction_mutates_nothing():
     sim, tx = _single_shard_pair_sim()
-    plan = sim.plan(tx, {0: 90, 1: 20})
+    plan = sim.plan(tx, (0, 1), {0: 90, 1: 20})
     sim.shards[0].residual = 0
     before_mapping = dict(sim.assignment)
     before_totals = dict(sim.book.totals("aa"))
@@ -302,7 +307,7 @@ def test_deferred_transaction_mutates_nothing():
 
 def test_migration_resets_alignment():
     sim, tx = _single_shard_pair_sim()
-    plan = sim.plan(tx, {0: 90, 1: 20})
+    plan = sim.plan(tx, (0, 1), {0: 90, 1: 20})
     assert sim.try_execute(tx, plan) == "executed"
     # the old vector is gone; only this transaction's own update remains
     assert sim.book.totals("aa") == {1: 1}
@@ -314,7 +319,7 @@ def test_migration_veto_hook_blocks_sources():
                     refuse_migrations_from=frozenset({0}))
     sim = Simulation(cfg, [tx], initial_assignment={"aa": 0, "bb": 1})
     sim.book.add("aa", 1, 8)
-    plan = sim.plan(tx, {0: 90, 1: 20})
+    plan = sim.plan(tx, (0, 1), {0: 90, 1: 20})
     assert plan.migrations == ()
     assert plan.final_shards == frozenset({0, 1})
     assert plan.per_shard_charges == {0: 2, 1: 2}  # back to a cross-shard tx
@@ -368,7 +373,9 @@ def test_processed_cost_is_what_the_admitted_plans_charged(policy):
     # The test above holds by construction: run() reports processed_cost as
     # capacity less residual.  Here each round's cost is rebuilt from what
     # its admitted plans charged: the per-shard charges, and each migration's
-    # cost on both its source and its destination.
+    # cost on both its source and its destination.  The scheduler admits a
+    # write set placed on one shard with no plan, so its costs are rebuilt by
+    # the literal reference engine, which plans every transaction.
     workload = generate(SyntheticSpec(generator="communities", n_accounts=120,
                                       n_txs=1500, seed=3, n_communities=10))
     cfg = SimConfig(k_shards=4, shard_capacity=40, window=5, policy=policy)
@@ -390,9 +397,12 @@ def test_processed_cost_is_what_the_admitted_plans_charged(policy):
     sim.try_execute = recorded
     reports, summary = sim.run()
     assert (summary.migrations > 0) == (policy == "scheduler")
-    idle = dict.fromkeys(range(4), 0)
-    assert [r.processed_cost for r in reports] == [charged.get(r.round_index, idle)
-                                                   for r in reports]
+    if policy == "scheduler":
+        expected = [r.processed_cost for r in reference_run(cfg, workload, {}, {}).reports]
+    else:
+        idle = dict.fromkeys(range(4), 0)
+        expected = [charged.get(r.round_index, idle) for r in reports]
+    assert [r.processed_cost for r in reports] == expected
 
 
 def test_latency_counts_rounds_waited():
@@ -615,32 +625,58 @@ def test_second_run_is_refused(policy):
     assert summary.executed == 5 and len(sim.reports) == summary.rounds
 
 
-@pytest.mark.parametrize("policy,admits", [("hash", 5), ("scheduler", 3)])
-def test_deferred_tx_not_replanned_while_its_shard_is_full(policy, admits):
-    # k=1, capacity 1, three txs on one account: one executes per round.
-    # Planning every pending tx every round would cost 3 + 2 + 1 = 6 plans.
-    # hash never plans; its one lane admits its head and tries the next,
-    # which is deferred and closes the lane for the round: 2 + 2 + 1 admits.
-    # The scheduler never plans a tx whose placed shard is full: 1 + 1 + 1
-    # plans, each admitted.
-    cfg = SimConfig(k_shards=1, shard_capacity=1, mempool_ratio=3.0, policy=policy)
-    sim = Simulation(cfg, [Transaction(f"t{i}", i, ("aa",)) for i in range(3)])
+def _count_plans_and_admits(sim):
+    """Record sim's plan and try_execute calls: (planned ids, admitted ids)."""
     plans, attempts = [], []
     plan, try_execute = sim.plan, sim.try_execute
 
-    def counted_plan(tx, loads):
+    def counted_plan(tx, placed, loads):
         plans.append(tx.tx_id)
-        return plan(tx, loads)
+        return plan(tx, placed, loads)
 
     def counted_admit(tx, tx_plan):
         attempts.append(tx.tx_id)
         return try_execute(tx, tx_plan)
 
     sim.plan, sim.try_execute = counted_plan, counted_admit
-    _, summary = sim.run()
+    return plans, attempts
+
+
+@pytest.mark.parametrize("policy,admits", [("hash", 5), ("scheduler", 1)])
+def test_deferred_tx_not_replanned_while_its_shard_is_full(policy, admits):
+    # k=1, capacity 1, three txs on one account: one executes per round.
+    # Planning every pending tx every round would cost 3 + 2 + 1 = 6 plans.
+    # hash never plans; its one lane admits its head and tries the next,
+    # which is deferred and closes the lane for the round: 2 + 2 + 1 admits.
+    # The scheduler plans t0, whose account is new, and admits it.  t1 and
+    # t2 then sit on one shard: each is retained unplanned while the shard
+    # is full and admitted inline in the next round, so 1 plan and 1 admit.
+    cfg = SimConfig(k_shards=1, shard_capacity=1, mempool_ratio=3.0, policy=policy)
+    sim = Simulation(cfg, [Transaction(f"t{i}", i, ("aa",)) for i in range(3)])
+    plans, attempts = _count_plans_and_admits(sim)
+    reports, summary = sim.run()
     assert summary.executed == 3 and summary.rounds == 3
     assert len(attempts) == admits
-    assert len(plans) == (0 if policy == "hash" else admits)
+    assert plans == ([] if policy == "hash" else ["t0"])
+    assert [r.latency_samples for r in reports] == [(0,), (1,), (2,)]
+
+
+def test_two_shard_tx_not_planned_while_both_its_shards_are_full():
+    # k=2, capacity 1, cross-shard cost 1: t0 fills shard 0 and t1 shard 1,
+    # both inline.  t2 spans both shards, whose residuals are then below its
+    # base cost, so it waits unplanned in round 0 and is planned once, and
+    # admitted cross-shard, in round 1.  Planning it while both shards are
+    # full would cost a second plan and a second admit.
+    txs = [Transaction("t0", 0, ("aa",)), Transaction("t1", 1, ("bb",)),
+           Transaction("t2", 2, ("aa", "bb"))]
+    cfg = SimConfig(k_shards=2, shard_capacity=1, cross_shard_cost=1, mempool_ratio=2.0,
+                    policy="scheduler")
+    sim = Simulation(cfg, txs, initial_assignment={"aa": 0, "bb": 1})
+    plans, attempts = _count_plans_and_admits(sim)
+    reports, summary = sim.run()
+    assert plans == attempts == ["t2"]
+    assert [r.processed_count for r in reports] == [2, 1]
+    assert summary.cross_shard_txs == 1 and summary.migrations == 0
 
 
 def test_deferred_lane_blocks_only_its_own_footprint():

@@ -15,7 +15,7 @@ from shardsim.core import (
     CostModel,
     Transaction,
 )
-from shardsim.engine import SimConfig, Simulation
+from shardsim.engine import LiveLoads, SimConfig, Simulation
 from shardsim.policies import (
     MODE_2PC,
     MODE_MUTEX,
@@ -207,42 +207,53 @@ def test_scheduler_all_new_write_set_is_intra():
     assert plan.per_shard_charges == {1: 1}
 
 
-def test_one_shard_plans_are_shared_per_shard_and_base_cost():
-    # the engine shares one plan per one-shard footprint: shard and base cost
-    phi = dict(aa=2, bb=2, cc=2, dd=2, ee=2, ff=2, gg=0)
-    txs = [
-        Transaction("t0", 0, ("aa", "bb")),
-        Transaction("t1", 1, ("cc", "dd", "ee"), base_cost=2),
-        Transaction("t2", 2, ("ff",), base_cost=2),
-        Transaction("t3", 3, ("gg",), base_cost=2),
-    ]
-    cfg = SimConfig(k_shards=3, shard_capacity=10, cross_shard_cost=3, policy="scheduler")
-    sim = Simulation(cfg, txs, initial_assignment=phi)
-    loads = {0: 9, 1: 0, 2: 5}
-    cheap, dear, same, elsewhere = (sim.plan(tx, loads) for tx in txs)
-    assert cheap.per_shard_charges == {2: 1} and dear.per_shard_charges == {2: 2}
-    # t0's shards (2, 2) are also t2's ordered key, shard 2 then base cost 2
-    assert sim.plan(txs[0], loads) is cheap and same is dear
-    assert elsewhere is not dear
-
-
+@pytest.mark.parametrize("room", ["fits", "full"])
+@pytest.mark.parametrize("fee", ["no-econ", "fee-0", "fee-3"])
+@pytest.mark.parametrize("accounts", [1, 3])
 @pytest.mark.parametrize("mode", [MODE_2PC, MODE_MUTEX])
 @pytest.mark.parametrize("base_cost", [1, 2])
-def test_shared_one_shard_plan_equals_the_general_plan(mode, base_cost):
-    tx = Transaction("t0", 0, ("aa", "bb", "cc"), base_cost=base_cost)
-    cfg = SimConfig(k_shards=2, shard_capacity=10, policy="scheduler", mode=mode)
-    sim = Simulation(cfg, [tx], initial_assignment=dict.fromkeys(("aa", "bb", "cc"), 1))
-    sim.book.add("aa", 0, 50)  # a pull elsewhere does not matter: nothing leaves main
-    loads = {0: 0, 1: 7}
-    shared = sim.plan(tx, loads)
-    placed = tuple(map(sim.assignment.get, tx.write_set))
-    general = sim.policy.plan(tx, placed, loads, sim.book, sim.cost_model, accounts=sim.accounts)
-    assert sim.plan(tx, loads) is shared
-    assert shared is not general and shared == general
+def test_inline_one_shard_admission_equals_the_general_plan(base_cost, mode, accounts, fee,
+                                                            room):
+    # The engine admits a write set placed on one shard inline, with no plan.
+    # An identical Simulation admits it through the policy's plan and
+    # try_execute, as _admit_fifo does every other write set.  Both leave the
+    # same state behind.  "full" leaves the shard below the base cost.
+    write_set = ("aa", "bb", "cc")[:accounts]
+    tx = Transaction("t0", 0, write_set, fee=0 if fee == "fee-0" else 3, base_cost=base_cost)
+    cfg = SimConfig(k_shards=2, shard_capacity=10, policy="scheduler", mode=mode,
+                    economics=fee != "no-econ", default_fee=2)
+    sims = []
+    for _ in range(2):
+        sim = Simulation(cfg, [tx], initial_assignment=dict.fromkeys(write_set, 1))
+        sim.book.add("aa", 0, 50)  # a pull elsewhere does not matter: nothing leaves main
+        sim.shards[0].residual = 3
+        sim.shards[1].residual = base_cost - 1 if room == "full" else 7
+        sim.mempool.top_up(iter([tx]), 0)
+        sims.append(sim)
+    inline, general = sims
+    latencies = []
+    inline._admit_fifo(2, latencies)
+    pending, retain = general.mempool.drain()
+    placed = tuple(map(general.assignment.get, write_set))
+    plan = general.policy.plan(tx, placed, LiveLoads(general.shards), general.book,
+                               general.cost_model, accounts=general.accounts)
+    if general.try_execute(tx, plan) == "executed":
+        expected = [2 - general.mempool.first_seen.pop(tx.tx_id)]
+    else:
+        expected = []
+        retain(tx)
+    assert latencies == expected == ([] if room == "full" else [2])
+    for name in ("assignment", "_round_fees", "_round_cross", "_round_migrations"):
+        assert getattr(inline, name) == getattr(general, name), name
+    assert [s.residual for s in inline.shards] == [s.residual for s in general.shards]
+    assert ({a: inline.book.totals(a) for a in write_set}
+            == {a: general.book.totals(a) for a in write_set})
+    assert list(inline.mempool._queue) == list(general.mempool._queue)
+    assert inline.mempool.first_seen == general.mempool.first_seen
 
 
 def test_scheduler_run_leaves_the_policy_unchanged():
-    # the policy keeps only its configuration; the shared plans are the engine's
+    # the policy keeps only its configuration, which a run leaves as it was
     txs = [Transaction(f"t{i}", i, (f"a{i % 5}", f"a{(i + 1) % 5}")) for i in range(20)]
     sim = Simulation(SimConfig(k_shards=2, shard_capacity=10, policy="scheduler"), txs)
     before = copy.deepcopy(vars(sim.policy))
