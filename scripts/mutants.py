@@ -223,7 +223,7 @@ MUTANTS = [
         # accounts' alignment
         "inline-one-shard-drops-alignment",
         "engine.py",
-        "                    add_each(write_set, own, cost * (len(write_set) - 1))\n",
+        "                    add_each(write_set, cost * (len(write_set) - 1))\n",
         "                    pass\n",
         [
             "tests/test_policies.py::"
@@ -231,6 +231,57 @@ MUTANTS = [
             "tests/test_policies.py::"
             "test_inline_one_shard_admission_equals_the_general_plan[2-mutex-3-fee-0-fits]",
             "tests/test_engine.py::test_golden_outputs_unchanged[scheduler-k4]",
+        ],
+    ),
+    (
+        # a write set placed on one shard is retained when that shard's
+        # residual exactly covers its base cost
+        "inline-residual-check-strict",
+        "engine.py",
+        "                if state.residual < cost:\n",
+        "                if state.residual <= cost:\n",
+        [
+            "tests/test_engine.py::test_policies_agree_at_one_shard[communities-0]",
+            "tests/test_engine.py::test_policies_agree_at_one_shard[all_cross-1]",
+        ],
+    ),
+    (
+        # a multi-shard update adds each account's own-shard alignment to its
+        # rest sum and its rest alignment to its own-shard sum
+        "alignment-sides-swapped",
+        "core.py",
+        "        add(acc, charge * (m - 1), charge * (n - m))\n",
+        "        add(acc, charge * (n - m), charge * (m - 1))\n",
+        [
+            "tests/test_core.py::test_two_account_cross_shard_update",
+            "tests/test_core.py::test_three_account_update_mixed_shards",
+            "tests/test_engine.py::test_golden_outputs_unchanged[scheduler-k4]",
+        ],
+    ),
+    (
+        # a block leaving the window takes back only its own-shard amounts,
+        # so the rest sums only grow
+        "eviction-keeps-rest",
+        "core.py",
+        "            sums[1] -= rest\n",
+        "",
+        [
+            "tests/test_core.py::test_alignment_window_eviction",
+            "tests/test_core.py::test_reset_drops_only_earlier_triples",
+            "tests/test_engine.py::test_golden_outputs_unchanged[scheduler-k4]",
+        ],
+    ),
+    (
+        # a migrating account keeps the alignment it gathered on its old shard
+        "reset-keeps-record",
+        "core.py",
+        "        self._sums.pop(account, None)\n",
+        "        pass\n",
+        [
+            "tests/test_core.py::test_alignment_reset_on_migration",
+            "tests/test_core.py::test_reset_drops_only_earlier_triples",
+            "tests/test_engine.py::test_migration_resets_alignment",
+            "tests/test_acceptance.py::test_criterion_9_invariant_fuzzing",
         ],
     ),
     (

@@ -5,12 +5,16 @@ assignment (phi) is a plain dict that ``Simulation`` owns and admission
 rewrites through placements and migrations; shard states track per-round
 residual capacity and a rolling per-block load window, whose live block's load
 is always capacity_per_round - residual, so admission charges a shard by
-lowering its residual and nothing else; the alignment book
-accumulates each account's per-shard transaction costs over the same window
-in one ring of per-block flat lists of (totals, shard, amount) triples, so
-an add allocates no container.  Each triple names the per-shard totals dict
-it was added to, so a reset detaches the account's dict, which the eviction
-of its earlier triples then drains, instead of scanning the window.
+lowering its residual and nothing else; the alignment book keeps two window
+sums per account, its alignment toward its own shard and toward all other
+shards, in one ring of per-block flat lists of (sums, own, rest) triples, so
+an add allocates no container.  Two sums are exact because every entry in an
+account's window was added while the account sat on its current shard: an
+account gains alignment only from an admitted transaction, which places
+every account it touches, and a migrating account's sums are reset before
+that transaction's update.  Each triple names the [own, rest] record it was
+added to, so a reset detaches the account's record, which the eviction of
+its earlier triples then drains, instead of scanning the window.
 
 ``Transaction`` and ``Account`` are plain records; ``Simulation`` checks their
 fields.  ``Transaction`` is slotted, not frozen: a frozen dataclass's
@@ -151,42 +155,44 @@ class ShardState:
     Within a round the live block's load is capacity_per_round - residual, so
     residual is the only per-round state: admission, which checks every
     residual first, charges a shard by lowering it.  advance_block closes the
-    live load into a ring of the W - 1 earlier blocks and keeps their sum;
-    window_sum adds the live load to that sum.  A shard's index in
-    ``Simulation.shards`` is its id.
+    live load into a ring of the W - 1 earlier blocks and keeps their sum,
+    closed_sum; the window load is closed_sum plus the live load, which the
+    engine's LiveLoads reads.  A shard's index in ``Simulation.shards`` is
+    its id.
     """
 
-    __slots__ = ("capacity_per_round", "residual", "_closed", "_closed_sum")
+    __slots__ = ("capacity_per_round", "residual", "_closed", "closed_sum")
 
     def __init__(self, capacity_per_round: int, window: int):
         self.capacity_per_round = capacity_per_round
         self.residual = capacity_per_round
         self._closed = deque([0] * (window - 1), maxlen=window - 1)
-        self._closed_sum = 0
-
-    @property
-    def window_sum(self) -> int:
-        return self._closed_sum + self.capacity_per_round - self.residual
+        self.closed_sum = 0
 
     def advance_block(self) -> None:
         closed = self._closed
         if closed:  # empty only when the window is the live block alone
             live = self.capacity_per_round - self.residual
-            self._closed_sum += live - closed[0]
+            self.closed_sum += live - closed[0]
             closed.append(live)
         self.residual = self.capacity_per_round
 
 
 class AlignmentBook:
-    """Sliding-window per-shard cost totals of every account.
+    """Sliding-window alignment of every account: two sums, toward its own
+    shard and toward all other shards.
 
-    One ring of W slots holds the last W blocks' deltas, each slot one flat
-    list of (totals, shard, amount) triples in the order they were added,
-    where totals is the per-shard dict the amount was added to.
-    advance_block subtracts the block that leaves the window from the dicts
-    its triples name, so an account whose window empties keeps an empty dict.
-    reset detaches an account's dict in O(1): the account's later adds start a
-    new one, and the eviction of its earlier triples drains only the old one.
+    The paper's migration rule reads only these two numbers, and they are
+    exact because every entry in an account's window was added while it sat
+    on its current shard (see the module docstring).  Each account has one
+    mutable [own, rest] record.  One ring of W slots holds the last W blocks'
+    deltas, each slot one flat list of (sums, own, rest) triples in the order
+    they were added, where sums is the record they were added to.
+    advance_block subtracts both sides of the block that leaves the window
+    from the records its triples name, so an account whose window empties
+    keeps [0, 0].  reset detaches an account's record in O(1): the account's
+    later adds start a new one, and the eviction of its earlier triples
+    drains only the old one.
     """
 
     def __init__(self, window: int):
@@ -194,44 +200,45 @@ class AlignmentBook:
         self.block = 0
         self._ring: list[list] = [[] for _ in range(window)]  # block % W -> triples
         self._deltas = self._ring[0]  # the current block's
-        self._totals: defaultdict[AccountId, dict[ShardId, int]] = defaultdict(dict)
+        # account -> [own, rest]; a missing account gets a fresh copy of [0, 0]
+        self._sums: defaultdict[AccountId, list] = defaultdict([0, 0].copy)
 
-    def add(self, account: AccountId, shard: ShardId, amount: int) -> None:
-        """Add a positive amount toward shard to account's totals.  The callers
-        of add and add_each, update_alignments and the engine's one-shard
-        admission, add no other."""
-        totals = self._totals[account]
-        totals[shard] = totals.get(shard, 0) + amount
-        self._deltas += (totals, shard, amount)
+    def add(self, account: AccountId, own: int, rest: int) -> None:
+        """Add own and rest, both nonnegative, to account's two sums.
+        update_alignments calls it once per account of a multi-shard plan."""
+        sums = self._sums[account]
+        sums[0] += own
+        sums[1] += rest
+        self._deltas += (sums, own, rest)
 
-    def add_each(self, accounts, shard: ShardId, amount: int) -> None:
-        """Add one positive amount toward shard to each of accounts, in order:
-        the alignment of a transaction whose accounts all run on shard."""
-        all_totals = self._totals
+    def add_each(self, accounts, amount: int) -> None:
+        """Add one positive amount to the own-shard sum of each of accounts,
+        in order: the alignment of a transaction whose accounts all run on
+        one shard.  The engine's inline admission and update_alignments'
+        one-final-shard branch both call it."""
+        all_sums = self._sums
         deltas = self._deltas
         for account in accounts:
-            totals = all_totals[account]
-            totals[shard] = totals.get(shard, 0) + amount
-            deltas += (totals, shard, amount)
+            sums = all_sums[account]
+            sums[0] += amount
+            deltas += (sums, amount, 0)
 
-    def totals(self, account: AccountId) -> dict[ShardId, int]:
-        """In-window totals of one account; callers must not mutate them."""
-        return self._totals.get(account, {})
+    def totals(self, account: AccountId) -> list[int] | tuple[int, int]:
+        """account's in-window (own, rest) pair, or (0, 0) for an account with
+        no record; callers must not mutate it."""
+        return self._sums.get(account, (0, 0))
 
     def reset(self, account: AccountId) -> None:
         # Alignment is dropped entirely when the owner migrates.
-        self._totals.pop(account, None)
+        self._sums.pop(account, None)
 
     def advance_block(self) -> None:
         self.block += 1
         slot = self.block % self.window
         triples = iter(self._ring[slot])
-        for totals, shard, amount in zip(triples, triples, triples):
-            remaining = totals[shard] - amount
-            if remaining:
-                totals[shard] = remaining
-            else:
-                del totals[shard]
+        for sums, own, rest in zip(triples, triples, triples):
+            sums[0] -= own
+            sums[1] -= rest
         self._ring[slot] = self._deltas = []
 
 
@@ -243,31 +250,26 @@ def update_alignments(
 
     final_shards is the plan's set of final shards and assignment holds every
     write-set account's post-admission shard, so the accounts' shards make up
-    final_shards exactly.  Each account's alignment toward every
-    counterparty's shard grows by the per-shard charge of the transaction, so
-    account a gains charge * |{b != a : shard(b) = s}| toward each shard s; no
-    ordered pair of accounts is enumerated.  On one final shard every account
-    is there and gains base_cost * (n - 1) toward it through book.add_each,
-    which reads no shard of the assignment; the engine admits a transaction
-    already placed on one shard with the same call.  No amount added is zero
-    or negative.
+    final_shards exactly.  Each account gains the per-shard charge of the
+    transaction once per other account, toward that account's shard, so an
+    account a whose shard holds m of the n accounts gains charge * (m - 1)
+    toward its own shard and charge * (n - m) toward the rest; no ordered pair
+    of accounts is enumerated.  On one final shard every account is there and
+    gains base_cost * (n - 1) through book.add_each, which reads no shard of
+    the assignment; the engine admits a transaction already placed on one
+    shard with the same call.  Otherwise book.add runs once per account, and
+    the rest amount is positive, since another final shard holds an account.
     """
     write_set = tx.write_set
     if len(final_shards) == 1:
-        (own,) = final_shards
         amount = tx.base_cost * (len(write_set) - 1)
         if amount:
-            book.add_each(write_set, own, amount)
+            book.add_each(write_set, amount)
         return
     add = book.add
     shards = list(map(assignment.__getitem__, write_set))
-    count: dict[ShardId, int] = {}
-    for shard in shards:
-        count[shard] = count.get(shard, 0) + 1
+    n = len(shards)
     charge = cost_model.per_shard_charge(tx.base_cost, len(final_shards))
     for acc, own in zip(write_set, shards):
-        for shard, n in count.items():
-            if shard == own:
-                n -= 1
-            if n:
-                add(acc, shard, charge * n)
+        m = shards.count(own)
+        add(acc, charge * (m - 1), charge * (n - m))

@@ -31,8 +31,8 @@ and hands it over.  Under the scheduler _admit_fifo reads each write set's
 shards once.  A write set placed on one shard runs there with no placement,
 migration or cross-shard charge, so it is admitted inline, with no plan: it is
 retained while that shard's residual is below its base cost, and otherwise
-charges the shard its base cost, makes each account gain base_cost * (n - 1)
-toward the shard through one AlignmentBook.add_each call, adds its fee to the
+charges the shard its base cost, adds base_cost * (n - 1) to each account's
+own-shard alignment through one AlignmentBook.add_each call, adds its fee to the
 shard's round tally and leaves the cross-shard and migration tallies as they
 are.  Every other write set's shards go to Simulation.plan, which hands them
 to SchedulerPolicy.plan, and its plan to try_execute; such a transaction waits
@@ -177,6 +177,8 @@ class SimConfig:
 class LiveLoads:
     """Read-through view of per-shard window load, including the current block.
 
+    This is the one definition of a shard's window load: the closed blocks'
+    sum plus the live block's load, capacity_per_round - residual.
     Publishing only the previous round's sums would send every placement of a
     round to the same argmin shard; folding in the charges applied so far
     keeps placement spread while staying fully deterministic.
@@ -186,7 +188,8 @@ class LiveLoads:
         self._shards = shards
 
     def __getitem__(self, shard_id):
-        return self._shards[shard_id].window_sum
+        shard = self._shards[shard_id]
+        return shard.closed_sum + shard.capacity_per_round - shard.residual
 
     def keys(self):
         return range(len(self._shards))
@@ -534,7 +537,7 @@ class Simulation:
                     continue
                 state.residual -= cost
                 if len(write_set) > 1:
-                    add_each(write_set, own, cost * (len(write_set) - 1))
+                    add_each(write_set, cost * (len(write_set) - 1))
                 if fees is not None:
                     fees[own] += tx.fee or default_fee
                 latencies.append(round_index - first_seen.pop(tx.tx_id))

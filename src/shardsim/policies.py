@@ -6,12 +6,15 @@ policy object: they never migrate, and the engine places every account before
 round 0 on its initial shard, else its partition table shard under partition,
 else ``hash_place(account, k)``.  ``SchedulerPolicy`` holds only its
 configuration: its ``plan`` builds each plan as a pure function of the
-transaction, its accounts' shards, the published shard loads, the alignment
-totals and the configuration, so any plan can be replayed and verified
-bit-for-bit.  It reads no account-to-shard dict: the engine hands it the
-shards it has already read.  ``SchedulerPolicy.never_migrates`` is its one
+transaction, its accounts' shards, the published shard loads, each account's
+two alignment sums and the configuration, so any plan can be replayed and
+verified bit-for-bit.  It reads no account-to-shard dict: the engine hands it
+the shards it has already read.  ``SchedulerPolicy.never_migrates`` is its one
 rule for an account that stays put: the account stays and its shard joins the
-final shards.  Plans are read-only.
+final shards.  Any other account off the main shard moves to it under mutex,
+and under 2pc the paper's rule reads the book's (own, rest) pair: the account
+leaves iff c_cross * own < rest, its alignment toward its current shard
+against its alignment toward all other shards.  Plans are read-only.
 """
 
 from __future__ import annotations
@@ -59,17 +62,6 @@ def hash_place(account: AccountId, k: int) -> ShardId:
     return int.from_bytes(digest[:8], "big") % k
 
 
-def should_migrate(current: ShardId, totals: dict, c_cross: int) -> bool:
-    """Migrate unless the account's window alignment favors staying put.
-
-    The account leaves iff c_cross * alignment(current) is strictly below the
-    alignment accumulated toward all other shards.
-    """
-    own = totals.get(current, 0)
-    rest = sum(totals.values()) - own
-    return c_cross * own < rest
-
-
 class SchedulerPolicy:
     """Load-based main-shard selection plus alignment-gated migrations."""
 
@@ -114,6 +106,7 @@ class SchedulerPolicy:
         migrations = []
         final = {main}
         mutex = self.mode == MODE_MUTEX
+        c_cross = cost_model.cross_shard_cost
         for acc, current in zip(tx.write_set, placed):
             if current is None:
                 new_placements[acc] = main  # a new account lands on main
@@ -121,14 +114,17 @@ class SchedulerPolicy:
             if current == main:
                 continue
             account = accounts.get(acc) if accounts else None
-            # mutex consensus needs every account that can move in one shard
-            if not self.never_migrates(current, account) and (mutex or should_migrate(
-                    current, book.totals(acc), cost_model.cross_shard_cost)):
-                migrations.append(
-                    MigrationOp(acc, current, main, cost_model.migration_cost(account))
-                )
-            else:
-                final.add(current)
+            if not self.never_migrates(current, account):
+                if mutex:  # mutex consensus needs every account that can move in one shard
+                    leaves = True
+                else:  # leave iff c_cross * alignment(current) < alignment(elsewhere)
+                    own, rest = book.totals(acc)
+                    leaves = c_cross * own < rest
+                if leaves:
+                    migrations.append(
+                        MigrationOp(acc, current, main, cost_model.migration_cost(account)))
+                    continue
+            final.add(current)
         return TxPlan(
             new_placements=new_placements,
             migrations=tuple(migrations),

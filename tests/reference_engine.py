@@ -4,10 +4,13 @@ Every round re-plans every pending transaction from scratch, in FIFO order,
 with none of the engine's shortcuts (lanes, shared or skipped plans, the flat
 alignment ring, per-round fee tallies) and against state kept here: per-shard
 window loads; alignment as per-block buckets of (account, shard) -> amount,
-filled by the ordered-pair rule, summed for totals and emptied of an account
+filled by the ordered-pair rule, summed per shard and emptied of an account
 when it migrates; and fee shares, remainder to the lowest shard, credited at
 admission.  Nothing here comes from the alignment book, the alignment update,
 the cost model or the fee split, so a fault in one cannot hide on both sides.
+The book's two sums per account, toward its own shard and toward the rest,
+are compared with these per-shard totals projected onto the account's
+current shard (project); the migration rule reads the same projection.
 """
 
 import math
@@ -21,7 +24,15 @@ from hypothesis import strategies as st
 
 from shardsim.core import CA, Account, Transaction
 from shardsim.economics import FEE_SCHEMES, IncentiveLedger
-from shardsim.engine import ConfigError, Livelock, RoundReport, SimConfig, Simulation, finalize
+from shardsim.engine import (
+    ConfigError,
+    LiveLoads,
+    Livelock,
+    RoundReport,
+    SimConfig,
+    Simulation,
+    finalize,
+)
 from shardsim.partitioner import graph_from_transactions, partition_greedy
 from shardsim.policies import MODES, hash_place
 
@@ -42,6 +53,13 @@ def pairwise_deltas(write_set, shard_of, charge) -> dict:
             if i != j:
                 deltas[i][shard_of[j]] = deltas[i].get(shard_of[j], 0) + charge
     return deltas
+
+
+def project(per_shard: dict, current) -> tuple:
+    """(own, rest): per-shard alignment projected onto an account's current
+    shard, the two sums the alignment book keeps."""
+    own = per_shard.get(current, 0)
+    return own, sum(per_shard.values()) - own
 
 
 @dataclass
@@ -93,9 +111,8 @@ def _plan(cfg, tx, mapping, shard_of, loads, buckets, contracts):
             elif a in contracts and not cfg.ca_migration:
                 move = False
             else:
-                totals = _alignment(buckets).get(a, {})
-                own = totals.get(current, 0)
-                move = c * own < sum(totals.values()) - own
+                own, rest = project(_alignment(buckets).get(a, {}), current)
+                move = c * own < rest
             if move and current not in cfg.refuse_migrations_from:
                 migrations.append((a, current, main, c * contracts.get(a, 1)))
             else:
@@ -296,15 +313,18 @@ def check_engine_against_reference(case) -> str:
         _, summary = sim.run()
         assert summary == finalize(ref.reports, ref.ledger.total_fees() if ref.ledger else 0)
     assert sim.reports == ref.reports
-    assert [shard.window_sum for shard in sim.shards] == ref.loads
+    loads = LiveLoads(sim.shards)
+    assert [loads[s] for s in loads.keys()] == ref.loads
     if ref.ledger is not None:
         assert sim.ledger.epoch_rows == ref.ledger.epoch_rows
         assert sim.ledger.balances == ref.ledger.balances
         assert sim.ledger.shard_collected == ref.ledger.shard_collected
     if cfg.policy == "scheduler":
         assert sim.assignment == ref.mapping
-        book = {a: sim.book.totals(a) for a in ref.mapping if sim.book.totals(a)}
-        assert book == ref.alignment
+        # every mapped account, those with zero sums included
+        book = {a: tuple(sim.book.totals(a)) for a in ref.mapping}
+        assert book == {a: project(ref.alignment.get(a, {}), shard)
+                        for a, shard in ref.mapping.items()}
     else:  # the engine places every static account before round 0, the reference at admission
         assert sim.assignment.items() >= ref.mapping.items()
     return ref.outcome

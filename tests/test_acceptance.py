@@ -253,7 +253,7 @@ class _FrozenBook:
         self._totals = totals
 
     def totals(self, account):
-        return self._totals.get(account, {})
+        return self._totals.get(account, (0, 0))
 
 
 class _RecordingSimulation(Simulation):
@@ -265,7 +265,7 @@ class _RecordingSimulation(Simulation):
         snapshot = (
             placed,
             {s: loads[s] for s in loads.keys()},
-            {a: dict(self.book.totals(a)) for a in tx.write_set},
+            {a: tuple(self.book.totals(a)) for a in tx.write_set},
         )
         plan = super().plan(tx, placed, loads)
         self.records.append((tx, snapshot, plan))
@@ -336,15 +336,16 @@ def test_criterion_9_invariant_fuzzing(announce):
             if outcome == "executed":
                 charge = sim.cost_model.per_shard_charge(
                     tx.base_cost, len(plan.final_shards))
+                shards = [sim.assignment[a] for a in tx.write_set]
                 for mig in plan.migrations:
-                    # post-migration alignment holds only this tx's update
-                    totals = sim.book.totals(mig.account)
-                    nonlocal_ok = (
-                        set(totals) <= set(plan.final_shards)
-                        and sum(totals.values()) == charge * (len(tx.write_set) - 1)
-                    )
+                    # post-migration alignment holds only this tx's update:
+                    # charge per other account on main, the account's new
+                    # shard, toward its own shard, and per account elsewhere
+                    # toward the rest
+                    on_main = shards.count(mig.dest)
                     nonlocal migration_alignment_ok
-                    migration_alignment_ok &= nonlocal_ok
+                    migration_alignment_ok &= tuple(sim.book.totals(mig.account)) == (
+                        charge * (on_main - 1), charge * (len(shards) - on_main))
             return outcome
 
         sim.try_execute = checked
@@ -432,8 +433,7 @@ def test_criterion_10_micro_scenarios(announce):
 
     # (b) worked scheduler plan: main shard selection plus one migration
     book = AlignmentBook(10)
-    book.add("aa", 0, 1)
-    book.add("aa", 1, 8)
+    book.add("aa", 1, 8)  # 1 toward its own shard 0, 8 toward the rest
     plan = SchedulerPolicy().plan(
         Transaction("t0", 0, ("aa", "bb")), (0, 1), {0: 90, 1: 20}, book, CostModel(2)
     )

@@ -16,8 +16,9 @@ from shardsim.core import (
     _shuffle,
     update_alignments,
 )
+from shardsim.engine import LiveLoads
 
-from reference_engine import pairwise_deltas
+from reference_engine import pairwise_deltas, project
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +49,12 @@ def test_migration_cost_eoa_and_ca():
 # shard state: residual capacity + rolling load window
 #
 # Admission charges a shard by lowering its residual, after checking that it
-# covers the charge; these tests charge the same way.
+# covers the charge; these tests charge the same way, and read the window load
+# through the engine's LiveLoads, its one definition.
+
+
+def _load(s):
+    return LiveLoads([s])[0]
 
 
 def test_charge_reduces_residual_and_window():
@@ -56,7 +62,7 @@ def test_charge_reduces_residual_and_window():
     s.residual -= 3
     s.residual -= 2
     assert s.residual == 5
-    assert s.window_sum == 5
+    assert _load(s) == 5
 
 
 def test_advance_block_restores_residual():
@@ -64,7 +70,7 @@ def test_advance_block_restores_residual():
     s.residual -= 5
     s.advance_block()
     assert s.residual == 5
-    assert s.window_sum == 5  # still inside the window
+    assert _load(s) == 5  # still inside the window
 
 
 def test_window_sum_evicts_old_blocks():
@@ -73,7 +79,7 @@ def test_window_sum_evicts_old_blocks():
         s.residual -= amount
         s.advance_block()
     # the window covers the live block plus the previous two closed blocks
-    assert s.window_sum == 3
+    assert _load(s) == 3
 
 
 @given(
@@ -88,68 +94,92 @@ def test_window_sum_matches_naive_oracle(charges, window):
         s.residual -= amount
         history.append(amount)
         # before the advance the window holds the live block and W - 1 closed ones
-        assert s.window_sum == sum(history[-window:])
+        assert _load(s) == sum(history[-window:])
         s.advance_block()
     # the live block is still empty after the final advance
-    assert s.window_sum == sum(history[-(window - 1):]) if window > 1 else s.window_sum == 0
+    assert _load(s) == sum(history[-(window - 1):]) if window > 1 else _load(s) == 0
 
 
 # ---------------------------------------------------------------------------
-# alignment book
+# alignment book: two window sums per account, toward its own shard and
+# toward the rest.  Each test keeps the accounts' shards, as the engine does,
+# and compares per-shard expectations through reference_engine.project.
+
+
+def _add(book, where, account, shard, amount):
+    """Add amount toward shard to account, which sits on where[account]."""
+    own = shard == where[account]
+    book.add(account, amount if own else 0, 0 if own else amount)
+
+
+def _sums(book, account):
+    return tuple(book.totals(account))
 
 
 def test_alignment_add_and_totals():
     book = AlignmentBook(window=10)
-    book.add("aa", 0, 3)
-    book.add("aa", 1, 2)
-    book.add("aa", 0, 1)
-    assert book.totals("aa") == {0: 4, 1: 2}
+    where = {"aa": 0}
+    _add(book, where, "aa", 0, 3)
+    _add(book, where, "aa", 1, 2)
+    _add(book, where, "aa", 0, 1)
+    assert _sums(book, "aa") == project({0: 4, 1: 2}, 0) == (4, 2)
+    book.add_each(("aa", "bb"), 5)  # toward each account's own shard
+    assert _sums(book, "aa") == (9, 2) and _sums(book, "bb") == (5, 0)
+    assert _sums(book, "cc") == (0, 0)  # no record
 
 
 def test_alignment_window_eviction():
     book = AlignmentBook(window=3)
-    book.add("aa", 0, 5)
+    where = {"aa": 0}
+    _add(book, where, "aa", 0, 5)
+    _add(book, where, "aa", 1, 4)
     book.advance_block()
-    book.add("aa", 1, 2)
+    _add(book, where, "aa", 1, 2)
     book.advance_block()
     book.advance_block()  # block 0 contribution now out of the window
-    assert book.totals("aa") == {1: 2}
+    assert _sums(book, "aa") == project({1: 2}, 0) == (0, 2)
 
 
 def test_alignment_reset_on_migration():
     book = AlignmentBook(window=10)
-    book.add("aa", 0, 5)
+    book.add("aa", 5, 3)
     book.reset("aa")
-    assert book.totals("aa") == {}
+    assert _sums(book, "aa") == (0, 0)
 
 
 def test_reset_drops_only_earlier_triples():
     book = AlignmentBook(window=2)
-    book.add("aa", 0, 5)
-    book.add("bb", 1, 1)
+    where = {"aa": 0, "bb": 1}
+    _add(book, where, "aa", 0, 5)
+    _add(book, where, "bb", 0, 1)  # toward the rest
     book.reset("aa")
-    book.add("aa", 1, 3)  # same block, after the reset
-    assert book.totals("aa") == {1: 3}
+    where["aa"] = 1  # migrated
+    _add(book, where, "aa", 1, 3)  # same block, after the reset
+    _add(book, where, "aa", 0, 6)
+    assert _sums(book, "aa") == project({1: 3, 0: 6}, 1) == (3, 6)
     book.advance_block()
-    book.add("aa", 0, 2)
+    _add(book, where, "aa", 0, 2)
     book.reset("aa")  # a second reset drops every triple so far
-    book.add("aa", 2, 4)
-    assert book.totals("aa") == {2: 4}
-    book.advance_block()  # evicts block 0: both of aa's triples lie before a reset
-    assert book.totals("aa") == {2: 4} and book.totals("bb") == {}
+    where["aa"] = 2
+    _add(book, where, "aa", 2, 4)
+    assert _sums(book, "aa") == (4, 0)
+    book.advance_block()  # evicts block 0: all of aa's triples there lie before a reset
+    assert _sums(book, "aa") == (4, 0) and _sums(book, "bb") == (0, 0)
     book.advance_block()  # evicts block 1, the post-reset triple included
-    assert book.totals("aa") == {} and book.totals("bb") == {} and not any(book._ring)
+    assert _sums(book, "aa") == (0, 0) and _sums(book, "bb") == (0, 0)
+    assert not any(book._ring)
 
 
 def test_inactive_vectors_are_dropped():
     book = AlignmentBook(window=2)
-    book.add("aa", 0, 1)
-    book.add("bb", 1, 2)
+    book.add("aa", 1, 1)
+    book.add("bb", 2, 3)
     book.reset("bb")
     for _ in range(2):
         book.advance_block()
-    # once the window has passed, every account's totals are empty and no delta is held
-    assert book.totals("aa") == {} and book.totals("bb") == {} and not any(book._ring)
+    # once the window has passed, every account's sums are zero and no delta is held
+    assert _sums(book, "aa") == (0, 0) and _sums(book, "bb") == (0, 0)
+    assert not any(book._ring)
 
 
 _ACCOUNTS = ("aa", "bb", "cc")
@@ -161,8 +191,11 @@ _ACCOUNTS = ("aa", "bb", "cc")
             st.tuples(st.just("add"), st.sampled_from(_ACCOUNTS),
                       st.integers(min_value=0, max_value=4),    # shard
                       st.integers(min_value=1, max_value=9)),   # amount
+            st.tuples(st.just("each"), st.lists(st.sampled_from(_ACCOUNTS), unique=True),
+                      st.integers(min_value=1, max_value=9)),   # amount
             st.tuples(st.just("advance")),
-            st.tuples(st.just("reset"), st.sampled_from(_ACCOUNTS)),
+            st.tuples(st.just("reset"), st.sampled_from(_ACCOUNTS),
+                      st.integers(min_value=0, max_value=4)),   # the shard it moves to
         ),
         min_size=1,
         max_size=60,
@@ -171,28 +204,35 @@ _ACCOUNTS = ("aa", "bb", "cc")
 )
 @settings(max_examples=300)
 def test_alignment_totals_match_bucket_oracle(events, window):
-    """Totals always equal the sum of each account's in-window contributions
-    since its last reset, and never hold a zero or negative amount."""
+    """Each account's (own, rest) pair always equals the per-shard sums of its
+    in-window contributions since its last reset, projected onto the shard it
+    has sat on since then, and neither side is ever negative."""
     book = AlignmentBook(window=window)
+    where = dict.fromkeys(_ACCOUNTS, 0)
     log = []  # (block, account, shard, amount)
     for event in events:
         if event[0] == "add":
             _, account, shard, amount = event
-            book.add(account, shard, amount)
+            _add(book, where, account, shard, amount)
             log.append((book.block, account, shard, amount))
+        elif event[0] == "each":
+            _, accounts, amount = event
+            book.add_each(accounts, amount)
+            log += [(book.block, account, where[account], amount) for account in accounts]
         elif event[0] == "advance":
             book.advance_block()
         else:
-            log = [entry for entry in log if entry[1] != event[1]]
-            book.reset(event[1])
+            _, account, where[account] = event
+            log = [entry for entry in log if entry[1] != account]
+            book.reset(account)
         for account in _ACCOUNTS:
             expected = {}
             for block, acc, shard, amount in log:
                 if acc == account and block > book.block - window:
                     expected[shard] = expected.get(shard, 0) + amount
-            totals = book.totals(account)
-            assert totals == expected
-            assert all(amount > 0 for amount in totals.values())
+            sums = _sums(book, account)
+            assert sums == project(expected, where[account])
+            assert min(sums) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +249,8 @@ def test_two_account_cross_shard_update():
     phi = {"aa": 0, "bb": 1}
     book = AlignmentBook(window=10)
     _update(Transaction("t0", 0, ("aa", "bb")), phi, CostModel(2), book)
-    assert book.totals("aa") == {1: 2}
-    assert book.totals("bb") == {0: 2}
+    assert _sums(book, "aa") == project({1: 2}, 0) == (0, 2)
+    assert _sums(book, "bb") == project({0: 2}, 1) == (0, 2)
 
 
 def test_three_account_update_mixed_shards():
@@ -218,16 +258,16 @@ def test_three_account_update_mixed_shards():
     phi = {"x0": 0, "y0": 0, "z0": 1}
     book = AlignmentBook(window=10)
     _update(Transaction("t0", 0, ("x0", "y0", "z0")), phi, CostModel(2), book)
-    assert book.totals("x0") == {0: 2, 1: 2}
-    assert book.totals("y0") == {0: 2, 1: 2}
-    assert book.totals("z0") == {0: 4}
+    assert _sums(book, "x0") == project({0: 2, 1: 2}, 0) == (2, 2)
+    assert _sums(book, "y0") == project({0: 2, 1: 2}, 0) == (2, 2)
+    assert _sums(book, "z0") == project({0: 4}, 1) == (0, 4)
 
 
 def test_intra_shard_update_uses_base_cost():
     phi = {"aa": 3, "bb": 3}
     book = AlignmentBook(window=10)
     _update(Transaction("t0", 0, ("aa", "bb")), phi, CostModel(5), book)
-    assert book.totals("aa") == {3: 1}
+    assert _sums(book, "aa") == project({3: 1}, 3) == (1, 0)
 
 
 @given(
@@ -238,8 +278,6 @@ def test_intra_shard_update_uses_base_cost():
 )
 @settings(max_examples=300)
 def test_pairwise_update_matches_oracle(n_accounts, shard_seed, c_cross, base_cost):
-    import random
-
     rng = random.Random(shard_seed)
     accounts = [f"a{i:02d}" for i in range(n_accounts)]
     shard_of = {acc: rng.randrange(4) for acc in accounts}
@@ -248,16 +286,16 @@ def test_pairwise_update_matches_oracle(n_accounts, shard_seed, c_cross, base_co
     book = AlignmentBook(window=10)
     add = book.add
 
-    def positive_add(account, shard, amount):  # the book takes no other amount
-        assert amount > 0, (account, shard, amount)
-        add(account, shard, amount)
+    def checked_add(account, own, rest):  # the book takes no other amounts
+        assert own >= 0 and rest > 0, (account, own, rest)
+        add(account, own, rest)
 
-    book.add = positive_add
+    book.add = checked_add
     tx = Transaction("t0", 0, tuple(accounts), base_cost=base_cost)
     _update(tx, shard_of, model, book)
     expected = pairwise_deltas(accounts, shard_of, charge)
     for acc in accounts:
-        assert book.totals(acc) == expected[acc]
+        assert _sums(book, acc) == project(expected[acc], shard_of[acc])
 
 
 # ---------------------------------------------------------------------------

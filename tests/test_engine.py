@@ -264,8 +264,7 @@ def _single_shard_pair_sim(c_cross=2, capacity=10):
     cfg = SimConfig(k_shards=2, shard_capacity=capacity, cross_shard_cost=c_cross,
                     policy="scheduler")
     sim = Simulation(cfg, [tx], initial_assignment={"aa": 0, "bb": 1})
-    sim.book.add("aa", 1, 8)
-    sim.book.add("aa", 0, 1)
+    sim.book.add("aa", 1, 8)  # 1 toward its own shard 0, 8 toward the rest
     return sim, tx
 
 
@@ -298,10 +297,10 @@ def test_deferred_transaction_mutates_nothing():
     plan = sim.plan(tx, (0, 1), {0: 90, 1: 20})
     sim.shards[0].residual = 0
     before_mapping = dict(sim.assignment)
-    before_totals = dict(sim.book.totals("aa"))
+    before_totals = tuple(sim.book.totals("aa"))
     assert sim.try_execute(tx, plan) == "deferred"
     assert sim.assignment == before_mapping
-    assert sim.book.totals("aa") == before_totals
+    assert tuple(sim.book.totals("aa")) == before_totals == (1, 8)
     assert sim.shards[1].residual == 10
 
 
@@ -309,8 +308,9 @@ def test_migration_resets_alignment():
     sim, tx = _single_shard_pair_sim()
     plan = sim.plan(tx, (0, 1), {0: 90, 1: 20})
     assert sim.try_execute(tx, plan) == "executed"
-    # the old vector is gone; only this transaction's own update remains
-    assert sim.book.totals("aa") == {1: 1}
+    # the old sums are gone; only this transaction's own update remains, toward
+    # aa's new shard 1
+    assert tuple(sim.book.totals("aa")) == (1, 0)
 
 
 def test_migration_veto_hook_blocks_sources():
@@ -318,7 +318,7 @@ def test_migration_veto_hook_blocks_sources():
     cfg = SimConfig(k_shards=2, shard_capacity=10, policy="scheduler",
                     refuse_migrations_from=frozenset({0}))
     sim = Simulation(cfg, [tx], initial_assignment={"aa": 0, "bb": 1})
-    sim.book.add("aa", 1, 8)
+    sim.book.add("aa", 0, 8)
     plan = sim.plan(tx, (0, 1), {0: 90, 1: 20})
     assert plan.migrations == ()
     assert plan.final_shards == frozenset({0, 1})
@@ -748,6 +748,32 @@ def test_scheduler_matches_literal_reference(case):
     check_engine_against_reference(case)
 
 
+# ---------------------------------------------------------------------------
+# metamorphic relation, which holds across any change of results: with one
+# shard there is nothing to place, move or split, so hash, partition and the
+# scheduler admit the same transactions in the same rounds
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("generator", ["communities", "zipf_hotspot", "bursty", "all_cross"])
+def test_policies_agree_at_one_shard(generator, seed):
+    """At k = 1 every policy yields the same round reports, so the same rounds,
+    executed count, latency samples, processed counts, mempool sizes and
+    wasted capacity, and the same summary."""
+    txs = generate(SyntheticSpec(generator=generator, n_accounts=300, n_txs=3000,
+                                 seed=seed, accounts_per_tx=3))
+    # the mempool holds 1.5 rounds of capacity, so transactions wait, and 3,000
+    # is no multiple of 70, so the last round leaves capacity idle
+    cfg = SimConfig(k_shards=1, shard_capacity=70, mempool_ratio=1.5, seed=seed)
+    runs = {policy: run(replace(cfg, policy=policy), txs)
+            for policy in ("hash", "partition", "scheduler")}
+    reports, summary = runs["hash"]
+    assert summary.executed == len(txs) and summary.rounds == 43
+    assert summary.latency > 0 and summary.wasted_capacity == 10
+    for policy in ("partition", "scheduler"):
+        assert runs[policy] == (reports, summary), policy
+
+
 # bb, a contract account, is placed on shard 1; t2 aligns it toward shard 0,
 # so the scheduler moves it on t3 unless contract migration is off.
 CA_TRACE = "0 t0 1 aa\n0 t1 1 bb|CA\n0 t2 1 aa,bb\n0 t3 1 aa,bb\n"
@@ -769,7 +795,7 @@ def test_static_policies_leave_alignment_book_empty():
     cfg = SimConfig(k_shards=2, shard_capacity=5, policy="hash")
     sim = Simulation(cfg, _unit_txs(30, accounts_per_tx=2))
     sim.run()
-    assert all(sim.book.totals(a) == {} for tx in sim.workload for a in tx.write_set)
+    assert all(sim.book.totals(a) == (0, 0) for tx in sim.workload for a in tx.write_set)
 
 
 # ---------------------------------------------------------------------------

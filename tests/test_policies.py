@@ -21,7 +21,6 @@ from shardsim.policies import (
     MODE_MUTEX,
     SchedulerPolicy,
     hash_place,
-    should_migrate,
 )
 
 
@@ -96,18 +95,37 @@ def test_main_shard_partial_write_set():
 
 
 # ---------------------------------------------------------------------------
-# migration predicate
+# migration rule: under 2pc an account leaves its shard for main iff
+# c_cross * own < rest, with (own, rest) its two alignment sums
 
 
-def test_should_migrate_trivial_cases():
-    assert should_migrate(0, {0: 3, 1: 10}, 2) is True    # 6 < 10
-    assert should_migrate(0, {0: 10, 1: 5}, 2) is False   # 20 < 5 fails
-    assert should_migrate(0, {}, 2) is False              # nothing anywhere
-    assert should_migrate(0, {1: 1}, 5) is True           # 0 < 1
+def _leaves(own, rest, c_cross):
+    """Whether aa, on shard 0 with alignment sums (own, rest), leaves for
+    bb's shard 1, the main shard."""
+    book = AlignmentBook(10)
+    if own or rest:
+        book.add("aa", own, rest)
+    plan = SchedulerPolicy().plan(
+        Transaction("t0", 0, ("aa", "bb")), (0, 1), {0: 90, 1: 20}, book, CostModel(c_cross)
+    )
+    moved = [(m.account, m.source, m.dest) for m in plan.migrations]
+    assert moved in ([], [("aa", 0, 1)])
+    assert plan.final_shards == ({1} if moved else {0, 1})
+    return bool(moved)
 
 
-def test_should_migrate_boundary_is_strict():
-    assert should_migrate(0, {0: 5, 1: 10}, 2) is False   # 10 < 10 is false
+def test_plan_migration_rule_trivial_cases():
+    assert _leaves(3, 10, 2) is True     # 6 < 10
+    assert _leaves(10, 5, 2) is False    # 20 < 5 fails
+    assert _leaves(0, 0, 2) is False     # nothing anywhere
+    assert _leaves(0, 1, 5) is True      # 0 < 1
+
+
+def test_plan_migration_rule_boundary_is_strict():
+    assert _leaves(5, 10, 2) is False    # 10 < 10 is false: equality stays put
+    assert _leaves(5, 11, 2) is True     # one unit more toward the rest leaves
+    assert _leaves(10, 10, 1) is False
+    assert _leaves(9, 10, 1) is True     # one unit less toward its own shard leaves
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +150,11 @@ def test_hash_policy_respects_existing_placement():
 def test_scheduler_worked_plan_migration():
     """Hand-derived plan: a@0 under load 90, b@1 under load 20.
 
-    a's window totals are {0: 1, 1: 8} and c_cross=2, so main is shard 1 and
-    a leaves: 2*1 < 8.  The transaction lands intra-shard on shard 1.
+    a's window sums are 1 toward its own shard 0 and 8 toward the rest, and
+    c_cross=2, so main is shard 1 and a leaves: 2*1 < 8.  The transaction
+    lands intra-shard on shard 1.
     """
     book = AlignmentBook(10)
-    book.add("aa", 0, 1)
     book.add("aa", 1, 8)
     policy = SchedulerPolicy()
     plan = policy.plan(
@@ -152,8 +170,7 @@ def test_scheduler_worked_plan_migration():
 
 def test_scheduler_keeps_strongly_aligned_account():
     book = AlignmentBook(10)
-    book.add("aa", 0, 10)
-    book.add("aa", 1, 4)
+    book.add("aa", 10, 4)
     plan = SchedulerPolicy().plan(
         Transaction("t0", 0, ("aa", "bb")), (0, 1), {0: 90, 1: 20}, book, CostModel(2)
     )
@@ -164,7 +181,7 @@ def test_scheduler_keeps_strongly_aligned_account():
 
 def test_scheduler_mutex_mode_forces_single_shard():
     book = AlignmentBook(10)
-    book.add("aa", 0, 100)  # would veto the move under 2pc
+    book.add("aa", 100, 0)  # would veto the move under 2pc
     plan = SchedulerPolicy(mode=MODE_MUTEX).plan(
         Transaction("t0", 0, ("aa", "bb", "cc")), (0, 1, 2), {0: 1, 1: 0, 2: 2}, book,
         CostModel(2),
@@ -176,7 +193,7 @@ def test_scheduler_mutex_mode_forces_single_shard():
 def test_scheduler_ca_pinned_by_default():
     accounts = {"ca1": Account("ca1", kind=CA, size=4)}
     book = AlignmentBook(10)
-    book.add("ca1", 1, 50)  # overwhelming pull toward shard 1
+    book.add("ca1", 0, 50)  # overwhelming pull away from its shard 0
     plan = SchedulerPolicy().plan(
         Transaction("t0", 0, ("ca1", "bb")), (0, 1), {0: 9, 1: 0}, book, CostModel(2),
         accounts=accounts,
@@ -188,7 +205,7 @@ def test_scheduler_ca_pinned_by_default():
 def test_scheduler_ca_migration_opt_in_scales_cost():
     accounts = {"ca1": Account("ca1", kind=CA, size=4)}
     book = AlignmentBook(10)
-    book.add("ca1", 1, 50)
+    book.add("ca1", 0, 50)
     plan = SchedulerPolicy(ca_migration=True).plan(
         Transaction("t0", 0, ("ca1", "bb")), (0, 1), {0: 9, 1: 0}, book, CostModel(2),
         accounts=accounts,
@@ -246,8 +263,8 @@ def test_inline_one_shard_admission_equals_the_general_plan(base_cost, mode, acc
     for name in ("assignment", "_round_fees", "_round_cross", "_round_migrations"):
         assert getattr(inline, name) == getattr(general, name), name
     assert [s.residual for s in inline.shards] == [s.residual for s in general.shards]
-    assert ({a: inline.book.totals(a) for a in write_set}
-            == {a: general.book.totals(a) for a in write_set})
+    assert ({a: tuple(inline.book.totals(a)) for a in write_set}
+            == {a: tuple(general.book.totals(a)) for a in write_set})
     assert list(inline.mempool._queue) == list(general.mempool._queue)
     assert inline.mempool.first_seen == general.mempool.first_seen
 
@@ -279,7 +296,7 @@ def test_scheduler_plans_are_internally_consistent(seed, k):
         if rng.random() < 0.7:
             phi[acc] = rng.randrange(k)
             for _ in range(rng.randint(0, 3)):
-                book.add(acc, rng.randrange(k), rng.randint(1, 9))
+                book.add(acc, rng.randint(0, 9), rng.randint(0, 9))
     loads = {s: rng.randint(0, 50) for s in range(k)}
     model = CostModel(rng.randint(1, 4))
     plan = SchedulerPolicy().plan(
