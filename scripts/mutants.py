@@ -140,8 +140,10 @@ MUTANTS = [
         # admission checks and charges a migrating plan's transaction charge only
         "migrations-charged-nothing",
         "engine.py",
-        "        if plan.migrations:\n            required = {}\n",
-        "        if False:\n            required = {}\n",
+        "            for m in migrations:\n"
+        "                required[m.source] = required.get(m.source, 0) + m.cost\n"
+        "                required[m.dest] = required.get(m.dest, 0) + m.cost\n",
+        "",
         [
             "tests/test_engine.py::test_migration_charges_source_and_dest",
             "tests/test_engine.py::test_all_or_nothing_admission[1-10-deferred]",
@@ -150,6 +152,38 @@ MUTANTS = [
             "tests/test_engine.py::test_golden_outputs_unchanged[scheduler-k4]",
             "tests/test_engine.py::test_golden_ledger_unchanged[scheduler-econ]",
             "tests/test_engine.py::test_processed_cost_is_what_the_admitted_plans_charged[scheduler]",
+        ],
+    ),
+    (
+        # a plan without migrations is admitted without checking its final
+        # shards' residuals, which then fall below zero
+        "admission-skips-residual-check",
+        "engine.py",
+        "            for s in final:\n"
+        "                if shards[s].residual < charge:\n"
+        "                    return False\n",
+        "",
+        [
+            "tests/test_engine.py::test_golden_outputs_unchanged[hash-k2]",
+            "tests/test_engine.py::test_golden_outputs_unchanged[partition-k4]",
+            "tests/test_engine.py::test_deferred_lane_blocks_only_its_own_footprint",
+            "tests/test_engine.py::test_rounds_cover_the_hottest_shard[communities-0]",
+        ],
+    ),
+    (
+        # a Simulation stores a bound method of its own, a reference cycle
+        # that keeps each finished run and its workload alive until a full
+        # collection
+        "simulation-holds-its-bound-try-execute",
+        "engine.py",
+        "        self.reports: list[RoundReport] = []\n",
+        "        self.reports: list[RoundReport] = []\n"
+        "        self.try_execute = self.try_execute\n",
+        [
+            "tests/test_engine.py::"
+            "test_finished_simulation_is_freed_by_reference_count[hash-no-econ]",
+            "tests/test_engine.py::"
+            "test_finished_simulation_is_freed_by_reference_count[scheduler-econ]",
         ],
     ),
     (
@@ -168,7 +202,7 @@ MUTANTS = [
         # admission applies a plan's migrations without counting them
         "migrations-not-tallied",
         "engine.py",
-        "            self._round_migrations += len(plan.migrations)\n",
+        "            self._round_migrations += len(migrations)\n",
         "",
         [
             "tests/test_engine.py::test_cross_ratio_counts_migrations_as_cross",
@@ -256,6 +290,7 @@ MUTANTS = [
             "tests/test_core.py::test_two_account_cross_shard_update",
             "tests/test_core.py::test_three_account_update_mixed_shards",
             "tests/test_engine.py::test_golden_outputs_unchanged[scheduler-k4]",
+            "tests/test_acceptance.py::test_criterion_9_invariant_fuzzing",
         ],
     ),
     (

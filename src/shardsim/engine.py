@@ -41,22 +41,34 @@ base cost, which the main shard is always charged.  The alignment book is
 maintained only under the scheduler, the one policy that reads it.  A run
 whose state stops changing raises Livelock instead of spinning.
 
-Admission reuses what the plan already holds: a plan without migrations is
-checked and charged from its own per-shard charges; once every residual is
-checked, a charge is one residual decrement; the alignment update is given the
-plan's final shards, and on one final shard, where every account then is, it
-reads no account's shard; and a fee with one final shard goes to that shard
-without a split.  Admission records what it admits: try_execute adds each
-admitted plan's migrations to the round's migration tally and, when the plan
-has more than one final shard, one to its cross-shard tally, and run() writes
-both into the round report and zeroes them.  Fees are credited once per shard
-per round: admission adds each fee share to the round's per-shard tally, and
-run() credits each shard's tally right after the round's admissions, before
-the round report, an epoch close, Livelock or the max_rounds exit.  This is
-exact because a shard's leader is fixed by the epoch assignment, the shard and
-the round, and deposits, contributions, collected fees and naive-scheme
-balances are all sums of integers (the balances are integer-valued floats far
-below 2**53, so their sums do not depend on grouping).
+Admission reuses what the plan already holds: a plan charges one amount,
+plan.charge, on each of its final shards, so a plan without migrations, every
+lane plan among them, is refused if any final shard has less residual than
+that charge and otherwise lowers each by it, with no per-plan dict; only a
+plan with migrations builds the per-shard amounts it requires, adding each
+migration's cost on its source and its destination; the alignment update is
+given the plan's final shards, and on one final shard, where every account
+then is, it reads no account's shard; and a fee with one final shard goes to
+that shard without a split.
+
+Admission records what it admits: try_execute adds each admitted plan's
+migrations to the round's migration tally and, when the plan has more than one
+final shard, one to its cross-shard tally, and run() writes both into the
+round report and zeroes them.  Fees are credited once per shard per round:
+admission adds each fee share to the round's per-shard tally, and run()
+credits each shard's tally right after the round's admissions, before the
+round report, an epoch close, Livelock or the max_rounds exit.  This is exact
+because a shard's leader is fixed by the epoch assignment, the shard and the
+round, and deposits, contributions, collected fees and naive-scheme balances
+are all sums of integers (the balances are integer-valued floats far below
+2**53, so their sums do not depend on grouping).
+
+Each offer calls try_execute looked up on the instance, so a traced or
+overridden try_execute still runs, and a Simulation stores no bound method or
+closure over itself: it holds no reference cycle, so reference counting frees
+it, with its workload, once its last reference goes.  A benchmark that builds
+one Simulation after another relies on that for its peak memory, instead of on
+a full collection.
 
 SimConfig.validate rejects, with a ConfigError naming the field or shard, a
 field of the wrong type, a negative seed and a refused shard outside [0, k).
@@ -255,15 +267,10 @@ class FinalSummary:
     total_fees: int = 0
 
 
-EXECUTED = "executed"
-DEFERRED = "deferred"
-
-
 def footprint_plan(shards: frozenset, base_cost: int, cost_model: CostModel) -> TxPlan:
     """The plan of a transaction that runs on shards, where its accounts are."""
-    charge = cost_model.per_shard_charge(base_cost, len(shards))
     return TxPlan(new_placements={}, migrations=(), final_shards=shards,
-                  per_shard_charges=dict.fromkeys(sorted(shards), charge))
+                  charge=cost_model.per_shard_charge(base_cost, len(shards)))
 
 
 def _refusal(tx: Transaction, capacity: int) -> str | None:
@@ -372,11 +379,12 @@ class Simulation:
         for tx in heavy:  # the shards that every admission of tx charges
             if static:
                 ordered = (*map(assignment.get, tx.write_set), tx.base_cost)
-                shards = self._lane_plans[self._lane(ordered)].final_shards
+                plan = self._lane_plans[self._lane(ordered)]
+                shards, charge = plan.final_shards, plan.charge
             else:
                 shards = {assignment[acc] for acc in tx.write_set if acc in assignment
                           and self.policy.never_migrates(assignment[acc], self.accounts.get(acc))}
-            charge = self.cost_model.per_shard_charge(tx.base_cost, len(shards))
+                charge = self.cost_model.per_shard_charge(tx.base_cost, len(shards))
             if charge > capacity:
                 raise ConfigError(f"transaction {tx.tx_id!r}: cross-shard charge {charge} on "
                                   f"{'' if static else 'pinned '}shards {sorted(shards)} exceeds "
@@ -409,39 +417,46 @@ class Simulation:
         return self.policy.plan(tx, placed, loads, self.book, self.cost_model,
                                 accounts=self.accounts)
 
-    def try_execute(self, tx: Transaction, plan: TxPlan) -> str:
-        """Admit tx under plan, or defer it untouched.
+    def try_execute(self, tx: Transaction, plan: TxPlan) -> bool:
+        """Admit tx under plan and return True, or defer it untouched and
+        return False.
 
-        An admitted transaction is added to the round's tallies: its fee, its
-        migrations and, if it runs on more than one shard, the cross-shard
-        count.  run() reports and zeroes them at the end of the round's
-        admissions.
+        A plan without migrations, every lane plan among them, is admitted
+        iff each final shard has plan.charge left, and then each is lowered
+        by it.  Only a plan with migrations builds the amounts it requires:
+        the charge on each final shard plus each migration's cost on its
+        source and its destination.  An admitted transaction is added to the
+        round's tallies: its fee, its migrations and, if it runs on more than
+        one shard, the cross-shard count.  run() reports and zeroes them at
+        the end of the round's admissions.
         """
         shards = self.shards
-        required = plan.per_shard_charges
-        if plan.migrations:
-            required = {}
-            for m in plan.migrations:
+        final, charge, migrations = plan.final_shards, plan.charge, plan.migrations
+        if migrations:
+            required = dict.fromkeys(final, charge)
+            for m in migrations:
                 required[m.source] = required.get(m.source, 0) + m.cost
                 required[m.dest] = required.get(m.dest, 0) + m.cost
-            for s, c in plan.per_shard_charges.items():
-                required[s] = required.get(s, 0) + c
-        for s, amount in required.items():
-            if amount > shards[s].residual:
-                return DEFERRED
-        if plan.migrations or plan.new_placements:  # lane plans have neither
-            assignment = self.assignment
-            assignment.update(plan.new_placements)
-            for m in plan.migrations:
-                assignment[m.account] = m.dest
+            for s, amount in required.items():
+                if amount > shards[s].residual:
+                    return False
+            for s, amount in required.items():
+                shards[s].residual -= amount
+            for m in migrations:
+                self.assignment[m.account] = m.dest
                 self.book.reset(m.account)  # alignment is dropped on migration
-            self._round_migrations += len(plan.migrations)
-        for s, amount in required.items():
-            shards[s].residual -= amount
+            self._round_migrations += len(migrations)
+        else:
+            for s in final:
+                if shards[s].residual < charge:
+                    return False
+            for s in final:
+                shards[s].residual -= charge
+        if plan.new_placements:  # lane plans have none
+            self.assignment.update(plan.new_placements)
         if self.policy is not None:  # only the scheduler reads alignment
-            update_alignments(tx, plan.final_shards, self.assignment, self.cost_model, self.book)
+            update_alignments(tx, final, self.assignment, self.cost_model, self.book)
         fees = self._round_fees  # run() credits the round's fees once per shard
-        final = plan.final_shards
         if len(final) > 1:
             self._round_cross += 1
             if fees is not None:
@@ -451,7 +466,7 @@ class Simulation:
         elif fees is not None:
             (shard,) = final
             fees[shard] += tx.fee or self.config.default_fee
-        return EXECUTED
+        return True
 
     def _lane(self, ordered: tuple) -> int:
         """The index of the lane of a transaction's ordered key: the shard of
@@ -504,7 +519,7 @@ class Simulation:
                 retain(tx)
                 keep(lane)
                 continue
-            if try_execute(tx, plans[lane]) == EXECUTED:
+            if try_execute(tx, plans[lane]):
                 latencies.append(round_index - first_seen.pop(tx.tx_id))
             else:
                 blocked.add(lane)
@@ -554,7 +569,7 @@ class Simulation:
             if not fits:
                 retain(tx)
                 continue
-            if try_execute(tx, plan_of(tx, placed, loads)) == EXECUTED:
+            if try_execute(tx, plan_of(tx, placed, loads)):
                 latencies.append(round_index - first_seen.pop(tx.tx_id))
             else:
                 retain(tx)

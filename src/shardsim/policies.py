@@ -46,10 +46,15 @@ MODES = (MODE_2PC, MODE_MUTEX)
 # object.__setattr__, a cost the scheduler pays on every plan it builds.
 @dataclass(slots=True)
 class TxPlan:
+    """A transaction's placements, migrations and final shards, and the one
+    amount, CostModel.per_shard_charge of its base cost on that many shards,
+    that it charges each final shard; each migration also charges its cost
+    to its source and its destination."""
+
     new_placements: dict
     migrations: tuple
     final_shards: frozenset
-    per_shard_charges: dict
+    charge: int
 
 
 def hash_place(account: AccountId, k: int) -> ShardId:
@@ -129,8 +134,6 @@ class SchedulerPolicy:
             new_placements=new_placements,
             migrations=tuple(migrations),
             final_shards=frozenset(final),
-            per_shard_charges=dict.fromkeys(
-                final, cost_model.per_shard_charge(tx.base_cost, len(final))
-            ),
+            charge=cost_model.per_shard_charge(tx.base_cost, len(final)),
         )
 

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import asdict, replace
 from fractions import Fraction
 from types import MappingProxyType
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shardsim import engine
-from shardsim.core import CA, EOA, Account, Transaction
+from shardsim.core import CA, EOA, Account, Transaction, collector_paused
 from shardsim.engine import (
     ConfigError,
     EmptyRun,
@@ -276,20 +277,23 @@ def test_migration_charges_source_and_dest():
         shard.residual = shard.capacity_per_round
     plan = sim.plan(tx, (0, 1), {0: 90, 1: 20})
     assert len(plan.migrations) == 1
-    assert sim.try_execute(tx, plan) == "executed"
+    assert sim.try_execute(tx, plan) is True
     assert sim.shards[0].residual == 10 - 2
     assert sim.shards[1].residual == 10 - 3
     assert sim.assignment["aa"] == 1
 
 
-@pytest.mark.parametrize("source_residual,dest_residual,expected",
-                         [(2, 3, "executed"), (1, 10, "deferred"), (10, 2, "deferred")])
+@pytest.mark.parametrize("source_residual,dest_residual,expected", [
+    pytest.param(2, 3, True, id="2-3-executed"),
+    pytest.param(1, 10, False, id="1-10-deferred"),
+    pytest.param(10, 2, False, id="10-2-deferred"),
+])
 def test_all_or_nothing_admission(source_residual, dest_residual, expected):
     sim, tx = _single_shard_pair_sim()
     plan = sim.plan(tx, (0, 1), {0: 90, 1: 20})
     sim.shards[0].residual = source_residual
     sim.shards[1].residual = dest_residual
-    assert sim.try_execute(tx, plan) == expected
+    assert sim.try_execute(tx, plan) is expected
 
 
 def test_deferred_transaction_mutates_nothing():
@@ -298,7 +302,7 @@ def test_deferred_transaction_mutates_nothing():
     sim.shards[0].residual = 0
     before_mapping = dict(sim.assignment)
     before_totals = tuple(sim.book.totals("aa"))
-    assert sim.try_execute(tx, plan) == "deferred"
+    assert sim.try_execute(tx, plan) is False
     assert sim.assignment == before_mapping
     assert tuple(sim.book.totals("aa")) == before_totals == (1, 8)
     assert sim.shards[1].residual == 10
@@ -307,7 +311,7 @@ def test_deferred_transaction_mutates_nothing():
 def test_migration_resets_alignment():
     sim, tx = _single_shard_pair_sim()
     plan = sim.plan(tx, (0, 1), {0: 90, 1: 20})
-    assert sim.try_execute(tx, plan) == "executed"
+    assert sim.try_execute(tx, plan) is True
     # the old sums are gone; only this transaction's own update remains, toward
     # aa's new shard 1
     assert tuple(sim.book.totals("aa")) == (1, 0)
@@ -322,7 +326,7 @@ def test_migration_veto_hook_blocks_sources():
     plan = sim.plan(tx, (0, 1), {0: 90, 1: 20})
     assert plan.migrations == ()
     assert plan.final_shards == frozenset({0, 1})
-    assert plan.per_shard_charges == {0: 2, 1: 2}  # back to a cross-shard tx
+    assert plan.charge == 2  # back to a cross-shard tx
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +376,10 @@ def test_processed_cost_matches_capacity_spent():
 def test_processed_cost_is_what_the_admitted_plans_charged(policy):
     # The test above holds by construction: run() reports processed_cost as
     # capacity less residual.  Here each round's cost is rebuilt from what
-    # its admitted plans charged: the per-shard charges, and each migration's
-    # cost on both its source and its destination.  The scheduler admits a
-    # write set placed on one shard with no plan, so its costs are rebuilt by
-    # the literal reference engine, which plans every transaction.
+    # its admitted plans charged: the charge on each final shard, and each
+    # migration's cost on both its source and its destination.  The scheduler
+    # admits a write set placed on one shard with no plan, so its costs are
+    # rebuilt by the literal reference engine, which plans every transaction.
     workload = generate(SyntheticSpec(generator="communities", n_accounts=120,
                                       n_txs=1500, seed=3, n_communities=10))
     cfg = SimConfig(k_shards=4, shard_capacity=40, window=5, policy=policy)
@@ -385,10 +389,10 @@ def test_processed_cost_is_what_the_admitted_plans_charged(policy):
 
     def recorded(tx, plan):
         outcome = try_execute(tx, plan)
-        if outcome == "executed":
+        if outcome is True:
             spent = charged.setdefault(len(sim.reports), dict.fromkeys(range(4), 0))
-            for s, charge in plan.per_shard_charges.items():
-                spent[s] += charge
+            for s in plan.final_shards:
+                spent[s] += plan.charge
             for m in plan.migrations:
                 spent[m.source] += m.cost
                 spent[m.dest] += m.cost
@@ -492,8 +496,7 @@ def test_lane_queue_follows_the_mempool(policy):
         plan = sim._lane_plans[lane]
         shards = {sim.assignment[acc] for acc in tx.write_set}
         charge = sim.cost_model.per_shard_charge(tx.base_cost, len(shards))
-        assert plan.final_shards == shards
-        assert plan.per_shard_charges == dict.fromkeys(sorted(shards), charge)
+        assert plan.final_shards == shards and plan.charge == charge
 
 
 @pytest.mark.parametrize("max_rounds", [None, 1000])
@@ -697,7 +700,7 @@ def test_deferred_lane_blocks_only_its_own_footprint():
 
     def recorded(tx, plan):
         outcome = try_execute(tx, plan)
-        if outcome == "executed":
+        if outcome is True:
             admitted.append((len(sim.reports), tx.tx_id))
         return outcome
 
@@ -774,6 +777,23 @@ def test_policies_agree_at_one_shard(generator, seed):
         assert runs[policy] == (reports, summary), policy
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("generator", ["communities", "zipf_hotspot", "bursty", "all_cross"])
+def test_rounds_cover_the_hottest_shard(generator, seed):
+    """A round charges no shard more than shard_capacity, so every run takes
+    at least the rounds its hottest shard needs:
+    len(reports) >= ceil(max_s sum_r processed_cost[s] / shard_capacity)."""
+    txs = generate(SyntheticSpec(generator=generator, n_accounts=300, n_txs=3000,
+                                 seed=seed, accounts_per_tx=3))
+    for k in (2, 4):
+        for policy in ("hash", "partition", "scheduler"):
+            cfg = SimConfig(k_shards=k, shard_capacity=70, policy=policy, seed=seed)
+            reports, summary = run(cfg, txs)
+            assert summary.executed == len(txs)
+            hottest = max(sum(r.processed_cost[s] for r in reports) for s in range(k))
+            assert len(reports) >= math.ceil(hottest / cfg.shard_capacity), (policy, k)
+
+
 # bb, a contract account, is placed on shard 1; t2 aligns it toward shard 0,
 # so the scheduler moves it on t3 unless contract migration is off.
 CA_TRACE = "0 t0 1 aa\n0 t1 1 bb|CA\n0 t2 1 aa,bb\n0 t3 1 aa,bb\n"
@@ -836,6 +856,24 @@ def collector_check(request):
     yield check
     gc.callbacks.remove(hook)
     (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("economics", [False, True], ids=["no-econ", "econ"])
+@pytest.mark.parametrize("policy", ["hash", "partition", "scheduler"])
+def test_finished_simulation_is_freed_by_reference_count(policy, economics):
+    # With the collector paused, only reference counting can free a run
+    # Simulation: a reference cycle through it, such as a bound method of
+    # its own stored on it, would keep it and its workload alive.
+    txs = generate(SyntheticSpec(generator="communities", n_accounts=60, n_txs=300,
+                                 seed=0, n_communities=6))
+    cfg = SimConfig(k_shards=4, shard_capacity=20, policy=policy, economics=economics)
+    with collector_paused():
+        sim = Simulation(cfg, txs)
+        _, summary = sim.run()
+        freed = weakref.ref(sim)
+        del sim
+        assert freed() is None
+    assert summary.executed == len(txs)
 
 
 def _trace_lines(n):

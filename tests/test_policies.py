@@ -165,7 +165,7 @@ def test_scheduler_worked_plan_migration():
     mig = plan.migrations[0]
     assert (mig.account, mig.source, mig.dest, mig.cost) == ("aa", 0, 1, 2)
     assert plan.final_shards == frozenset({1})
-    assert plan.per_shard_charges == {1: 1}  # intra after the migration
+    assert plan.charge == 1  # intra after the migration
 
 
 def test_scheduler_keeps_strongly_aligned_account():
@@ -176,7 +176,7 @@ def test_scheduler_keeps_strongly_aligned_account():
     )
     assert plan.migrations == ()
     assert plan.final_shards == frozenset({0, 1})
-    assert plan.per_shard_charges == {0: 2, 1: 2}
+    assert plan.charge == 2
 
 
 def test_scheduler_mutex_mode_forces_single_shard():
@@ -221,7 +221,7 @@ def test_scheduler_all_new_write_set_is_intra():
     )
     assert plan.new_placements == {"aa": 1, "bb": 1}
     assert plan.final_shards == frozenset({1})
-    assert plan.per_shard_charges == {1: 1}
+    assert plan.charge == 1
 
 
 @pytest.mark.parametrize("room", ["fits", "full"])
@@ -254,7 +254,7 @@ def test_inline_one_shard_admission_equals_the_general_plan(base_cost, mode, acc
     placed = tuple(map(general.assignment.get, write_set))
     plan = general.policy.plan(tx, placed, LiveLoads(general.shards), general.book,
                                general.cost_model, accounts=general.accounts)
-    if general.try_execute(tx, plan) == "executed":
+    if general.try_execute(tx, plan) is True:
         expected = [2 - general.mempool.first_seen.pop(tx.tx_id)]
     else:
         expected = []
@@ -311,8 +311,7 @@ def test_scheduler_plans_are_internally_consistent(seed, k):
         placed_after[mig.account] = mig.dest
     # final shards are exactly the post-plan shards of the write set
     assert plan.final_shards == frozenset(placed_after.values())
-    # per-shard charges follow the intra/cross rule
-    expected = model.per_shard_charge(1, len(plan.final_shards))
-    assert plan.per_shard_charges == {s: expected for s in plan.final_shards}
+    # the one per-shard charge follows the intra/cross rule
+    assert plan.charge == model.per_shard_charge(1, len(plan.final_shards))
     # migrations only ever target the main shard
     assert len({m.dest for m in plan.migrations}) <= 1
